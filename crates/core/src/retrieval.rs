@@ -57,6 +57,7 @@ pub struct RunHit {
 /// the selected features and the fitted [`Fingerprinter`] (which carries
 /// the representation's corpus state — histogram ranges, phase counts,
 /// or encoder weights).
+#[derive(Clone)]
 pub struct CorpusIndex {
     index: Index,
     /// Maps a corpus position to `(reference, run-within-reference)`.

@@ -137,6 +137,7 @@ pub(crate) fn lb_kim_independent(q: &Matrix, e: &Matrix) -> f64 {
 /// half-width `w`: `lower[i][k] = min_{|j−i|≤w} e[j][k]` and the
 /// symmetric max. `w >= rows` degenerates to the global min/max, which
 /// is the correct envelope for unbanded DTW.
+#[derive(Clone)]
 pub(crate) struct Envelope {
     pub(crate) lower: Matrix,
     pub(crate) upper: Matrix,

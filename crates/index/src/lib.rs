@@ -203,6 +203,7 @@ impl SearchStats {
 }
 
 /// Precomputed per-fingerprint pruning state.
+#[derive(Clone)]
 struct Entry {
     fp: Matrix,
     /// PAA segment means (norm measures with a PAA bound).
@@ -218,6 +219,7 @@ struct Entry {
 /// An exact top-k nearest-neighbor index over a fingerprint corpus for
 /// one fixed [`Measure`]. See the crate docs for the cascade and the
 /// exactness argument.
+#[derive(Clone)]
 pub struct Index {
     measure: Measure,
     config: IndexConfig,

@@ -29,7 +29,11 @@
 //! * [`Backend::Reactor`] — the `wp-reactor` event loop: a few shard
 //!   threads multiplex thousands of keep-alive connections as
 //!   readiness-driven state machines, each connection pinned to its
-//!   accepting shard's [`service::ShardState`] replica.
+//!   accepting shard's [`service::ShardState`] caches.
+//!
+//! Both backends read one streaming engine, published per corpus
+//! generation: every request answers from a single snapshot, and an
+//! ingest publishes a new one without blocking reads.
 //!
 //! Both backends produce byte-identical responses for every endpoint:
 //! request bodies use the `wp_telemetry::io` interchange schema, derived
@@ -176,7 +180,7 @@ impl Server {
         }
         let n = config.workers.max(1);
         // The reactor pins connections to shards, so each shard gets its
-        // own engine replica; the pool routes everything through shard 0.
+        // own caches; the pool routes everything through shard 0.
         let shards = match config.backend {
             Backend::Workers => 1,
             Backend::Reactor => n,

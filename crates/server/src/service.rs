@@ -1,28 +1,26 @@
 //! Request routing and endpoint handlers.
 //!
-//! Handlers are pure functions of the shared [`ServiceState`]: the
-//! pre-built corpus, the features selected at startup, and per-shard
-//! live state — a streaming engine replica plus two LRU caches
-//! (per-reference fingerprint data and whole response bodies). Every
-//! computed response is a deterministic function of the request body,
-//! so a cache hit is byte-identical to a recompute.
+//! Handlers are pure functions of the shared [`ServiceState`] and one
+//! corpus snapshot: the pre-built corpus, the features selected at
+//! startup, the streaming engine published for the current generation,
+//! and per-shard LRU caches (per-reference fingerprint data and whole
+//! response bodies). Every computed response is a deterministic function
+//! of (corpus generation, request body), so a cache hit is byte-identical
+//! to a recompute.
 //!
-//! ## Sharding
+//! ## Snapshots and shards
 //!
-//! The reactor backend pins each connection to one event-loop shard, so
-//! hot-path reads (`/similar` indexed mode, the response cache, the
-//! corpus generation) touch only that shard's [`ShardState`] — no
-//! cross-shard `RwLock` contention. The streaming engine is replicated
-//! per shard: `POST /ingest` applies an accepted batch to every replica
-//! under a global ingest-order mutex, which keeps the replicas
-//! deterministic mirrors of each other (the engine's evolution is a
-//! pure function of the accepted-batch sequence). Shard 0 is the source
-//! of truth: it sees rejected batches too, and `/stats` + `/drift`
-//! always read it, so those documents are identical to the single-
-//! engine behaviour. The blocking workers backend uses one shard.
+//! One [`StreamEngine`] is published RCU-style: a request clones the
+//! published `Arc` once and reads only that snapshot, for its cache key
+//! and for its answer alike, so no answer mixes two generations.
+//! `POST /ingest` is serialized by an ingest-order mutex; it applies the
+//! batch to a clone of the published engine and swaps the clone in, so
+//! reads never wait for an ingest. The reactor backend pins each
+//! connection to one event-loop shard, whose [`ShardState`] holds that
+//! shard's caches; the blocking workers backend uses one shard.
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use wp_core::offline::OfflineCorpus;
 use wp_core::pipeline::{PipelineConfig, SimilarityVerdict};
@@ -93,17 +91,10 @@ impl ServiceError {
     }
 }
 
-/// Per-shard live state: one streaming-engine replica plus the two LRU
-/// caches. A reactor shard serves its connections entirely from its own
-/// `ShardState`, so the locks below are effectively uncontended on the
-/// hot read path.
+/// Per-shard caches. A reactor shard serves its connections from its
+/// own `ShardState`, so the cache locks are effectively uncontended on
+/// the hot read path.
 pub struct ShardState {
-    /// The live corpus: the pruning-cascade index over the startup corpus
-    /// plus every streamed tenant reference, evolved by `POST /ingest`
-    /// with histogram ranges frozen over the startup corpus. Serves
-    /// `POST /similar` with `"mode": "indexed"` (read lock) and ingest
-    /// (write lock).
-    pub stream: RwLock<StreamEngine>,
     /// Per-reference extracted fingerprint feature data.
     pub ref_data: LruCache<String, Vec<RunFeatureData>>,
     /// Whole-response cache for the `POST` endpoints, keyed by
@@ -124,10 +115,15 @@ pub struct ServiceState {
     /// around every handler invocation).
     pub compute_threads: Option<usize>,
     /// One [`ShardState`] per serving shard (always at least one).
-    /// Shard 0 is the source of truth for `/stats` and `/drift`.
     pub shards: Vec<ShardState>,
-    /// Serializes `POST /ingest` across shards so every engine replica
-    /// sees the identical accepted-batch sequence.
+    /// The published live corpus: the pruning-cascade index over the
+    /// startup corpus plus every streamed tenant reference, evolved by
+    /// `POST /ingest` with histogram ranges frozen over the startup
+    /// corpus. Read through [`ServiceState::snapshot`], replaced through
+    /// [`ServiceState::publish`].
+    engine: RwLock<Arc<StreamEngine>>,
+    /// Serializes `POST /ingest`, so each batch is applied to the engine
+    /// its predecessor published.
     ingest_order: Mutex<()>,
     /// Request accounting (shared across shards — `/stats` is global).
     pub stats: ServerStats,
@@ -158,10 +154,8 @@ impl ServiceState {
         )
     }
 
-    /// [`ServiceState::new`] with `shards` independent engine replicas
-    /// and cache sets (feature selection still runs once). Replicas are
-    /// built from the same startup corpus, so they start identical and
-    /// stay identical under the serialized ingest protocol.
+    /// [`ServiceState::new`] with `shards` independent cache sets. The
+    /// streaming engine is built once and shared by every shard.
     pub fn sharded(
         corpus: OfflineCorpus,
         config: PipelineConfig,
@@ -170,22 +164,17 @@ impl ServiceState {
         stream_config: StreamConfig,
         shards: usize,
     ) -> Result<Self, String> {
-        let shards = shards.max(1);
-        let (selected, engines) = {
-            let startup = || -> Result<(Vec<FeatureId>, Vec<StreamEngine>), String> {
+        let (selected, engine) = {
+            let startup = || -> Result<(Vec<FeatureId>, StreamEngine), String> {
                 let selected = wp_core::offline::select_features_offline(&corpus, &config)?;
-                let engines = (0..shards)
-                    .map(|_| {
-                        StreamEngine::new(
-                            &corpus,
-                            &selected,
-                            &config,
-                            IndexConfig::default(),
-                            stream_config.clone(),
-                        )
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok((selected, engines))
+                let engine = StreamEngine::new(
+                    &corpus,
+                    &selected,
+                    &config,
+                    IndexConfig::default(),
+                    stream_config,
+                )?;
+                Ok((selected, engine))
             };
             match compute_threads {
                 Some(n) => wp_runtime::with_thread_count(n, startup)?,
@@ -197,14 +186,13 @@ impl ServiceState {
             selected,
             config,
             compute_threads,
-            shards: engines
-                .into_iter()
-                .map(|engine| ShardState {
-                    stream: RwLock::new(engine),
+            shards: (0..shards.max(1))
+                .map(|_| ShardState {
                     ref_data: LruCache::with_obs(cache_capacity, &REF_DATA_OBS),
                     responses: LruCache::with_obs(cache_capacity, &RESPONSES_OBS),
                 })
                 .collect(),
+            engine: RwLock::new(Arc::new(engine)),
             ingest_order: Mutex::new(()),
             stats: ServerStats::default(),
             obs: false,
@@ -219,45 +207,27 @@ impl ServiceState {
 
     /// The current corpus generation (bumped by every accepted ingest).
     pub fn generation(&self) -> u64 {
-        self.generation_on(0)
+        self.snapshot().generation()
     }
 
-    /// The corpus generation as seen by one shard's replica. Identical
-    /// across shards outside the ingest critical section.
+    /// The published engine. A request calls this once and reads only
+    /// the returned snapshot, however long it runs.
     ///
-    /// # Panics
-    ///
-    /// Panics when the shard's stream lock was poisoned by an earlier
-    /// panic. Request handlers use [`ServiceState::stream_read`] instead,
-    /// which maps poisoning to a 500.
-    pub fn generation_on(&self, shard: usize) -> u64 {
-        self.shard(shard)
-            .stream
-            .read()
-            .expect("stream lock")
-            .generation()
+    /// The lock guards nothing but a pointer swap, which no panic can
+    /// leave half done, so a poisoned lock still holds a valid snapshot.
+    fn snapshot(&self) -> Arc<StreamEngine> {
+        Arc::clone(&self.engine.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Read access to one shard's streaming engine; a lock poisoned by
-    /// an earlier panic becomes a 500 instead of propagating the panic
-    /// into this request too.
-    fn stream_read(&self, shard: usize) -> Result<RwLockReadGuard<'_, StreamEngine>, ServiceError> {
-        self.shard(shard)
-            .stream
-            .read()
-            .map_err(|_| ServiceError::internal("streaming state poisoned by an earlier panic"))
-    }
-
-    /// Write access to one shard's streaming engine; same poisoning
-    /// contract as [`ServiceState::stream_read`].
-    fn stream_write(
-        &self,
-        shard: usize,
-    ) -> Result<RwLockWriteGuard<'_, StreamEngine>, ServiceError> {
-        self.shard(shard)
-            .stream
-            .write()
-            .map_err(|_| ServiceError::internal("streaming state poisoned by an earlier panic"))
+    /// Makes `engine` the snapshot every later request reads.
+    fn publish(&self, engine: StreamEngine) {
+        let previous = {
+            let mut slot = self.engine.write().unwrap_or_else(PoisonError::into_inner);
+            std::mem::replace(&mut *slot, Arc::new(engine))
+        };
+        // Dropped after the write lock is released: freeing the previous
+        // corpus never stalls a reader.
+        drop(previous);
     }
 
     /// Hit/miss counters of the response cache, summed over shards.
@@ -290,9 +260,8 @@ pub fn handle(state: &ServiceState, req: &Request) -> (u16, String) {
     handle_on(state, 0, req)
 }
 
-/// [`handle`] pinned to one serving shard: reads come from that shard's
-/// engine replica and caches. Responses are byte-identical across shards
-/// for the same corpus generation.
+/// [`handle`] pinned to one serving shard's caches. Responses are
+/// byte-identical across shards for the same corpus generation.
 pub fn handle_on(state: &ServiceState, shard: usize, req: &Request) -> (u16, String) {
     let run = || route(state, shard, req);
     let result = match state.compute_threads {
@@ -317,12 +286,16 @@ fn route(state: &ServiceState, shard: usize, req: &Request) -> Result<String, Se
         ("GET", "/healthz") => Ok(healthz(state)),
         ("GET", "/corpus") => Ok(corpus_info(state)),
         ("POST", "/corpus") => validate_corpus(&req.body),
-        ("GET", "/stats") => stats_doc(state),
-        ("GET", "/drift") => drift_log(state),
-        ("POST", "/fingerprint") => cached(state, shard, req, fingerprint),
-        ("POST", "/similar") => cached(state, shard, req, similar),
-        ("POST", "/predict") => cached(state, shard, req, predict),
-        ("POST", "/recommend") => cached(state, shard, req, recommend),
+        ("GET", "/stats") => Ok(stats_doc(state, &state.snapshot())),
+        ("GET", "/drift") => Ok(drift_log(&state.snapshot())),
+        ("POST", "/fingerprint") => cached(state, shard, req, |_| fingerprint(state, &req.body)),
+        ("POST", "/similar") => cached(state, shard, req, |engine| {
+            similar(state, shard, engine, &req.body)
+        }),
+        ("POST", "/predict") => cached(state, shard, req, |_| predict(state, shard, &req.body)),
+        ("POST", "/recommend") => cached(state, shard, req, |engine| {
+            recommend(state, shard, engine, &req.body)
+        }),
         // Ingest mutates the corpus, so it never goes through the
         // response cache.
         ("POST", "/ingest") => ingest(state, &req.body),
@@ -347,51 +320,52 @@ fn route(state: &ServiceState, shard: usize, req: &Request) -> Result<String, Se
     }
 }
 
+/// The response-cache key of `req` answered against corpus `generation`.
+fn cache_key(generation: u64, req: &Request) -> String {
+    format!("g{generation}\n{}\n{}", req.path, req.body)
+}
+
 /// Serves a `POST` endpoint through the response cache: identical bodies
 /// get the stored bytes back; misses compute, store, and return.
 ///
 /// The key carries the corpus generation alongside the request bytes, so
 /// an answer computed against one corpus is never served after an ingest
 /// mutated it — stale entries age out of the LRU instead of being
-/// returned.
+/// returned. The key's generation and the answer come from the same
+/// snapshot, so a body is always stored under the generation it read.
 fn cached(
     state: &ServiceState,
     shard: usize,
     req: &Request,
-    f: impl FnOnce(&ServiceState, usize, &str) -> Result<String, ServiceError>,
+    f: impl FnOnce(&StreamEngine) -> Result<String, ServiceError>,
 ) -> Result<String, ServiceError> {
-    let key = format!(
-        "g{}\n{}\n{}",
-        state.stream_read(shard)?.generation(),
-        req.path,
-        req.body
-    );
+    let engine = state.snapshot();
+    let key = cache_key(engine.generation(), req);
     let responses = &state.shard(shard).responses;
     if let Some(hit) = responses.get(&key) {
         return Ok(hit.as_ref().clone());
     }
-    let body = f(state, shard, &req.body)?;
+    let body = f(&engine)?;
     responses.insert(key, Arc::new(body.clone()));
     Ok(body)
 }
 
 /// `GET /stats` — request accounting plus a `"stream"` section with the
 /// live-corpus state and ingest counters.
-fn stats_doc(state: &ServiceState) -> Result<String, ServiceError> {
-    let stream = state.stream_read(0)?.stats_json();
+fn stats_doc(state: &ServiceState, engine: &StreamEngine) -> String {
     let mut doc = state.stats.to_json(state.response_cache_counters());
     if let Json::Obj(pairs) = &mut doc {
-        pairs.push(("stream".to_string(), stream));
+        pairs.push(("stream".to_string(), engine.stats_json()));
     }
-    Ok(doc.compact())
+    doc.compact()
 }
 
 /// `GET /drift` — the drift-event log: every event the engine detected,
 /// in detection order, plus the current corpus generation. The log is a
 /// deterministic function of the ingest stream, so two replays of the
 /// same seeded stream must return byte-identical documents.
-fn drift_log(state: &ServiceState) -> Result<String, ServiceError> {
-    Ok(state.stream_read(0)?.events_json().compact())
+fn drift_log(engine: &StreamEngine) -> String {
+    engine.events_json().compact()
 }
 
 /// `POST /ingest` — one batch of telemetry for one tenant:
@@ -401,35 +375,29 @@ fn drift_log(state: &ServiceState) -> Result<String, ServiceError> {
 /// updates the tenant's sliding window, evolves the corpus index, runs
 /// drift detection, and bumps the corpus generation (invalidating the
 /// response cache).
-/// An accepted batch is applied to shard 0 first (which also records
-/// rejections), then replayed verbatim into every replica under the
-/// ingest-order mutex, so all engines stay byte-identical mirrors.
+///
+/// The batch is applied to a clone of the published engine, which is
+/// then published in its place. A rejected batch is published too, so
+/// the engine's rejection counter moves; its generation does not.
 fn ingest(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
     let (doc, runs) = parse_target_runs(body)?;
     let tenant = doc
         .get("tenant")
         .and_then(Json::as_str)
-        .ok_or_else(|| ServiceError::bad_request("body needs a 'tenant' string"))?
-        .to_string();
+        .ok_or_else(|| ServiceError::bad_request("body needs a 'tenant' string"))?;
+    // A panicking ingest never publishes its clone, so the order lock
+    // guards no state a panic could leave half updated.
     let _order = state
         .ingest_order
         .lock()
-        .map_err(|_| ServiceError::internal("ingest order poisoned by an earlier panic"))?;
-    let outcome = {
-        let mut engine = state.stream_write(0)?;
-        engine
-            .ingest(&tenant, runs.clone())
-            .map_err(ServiceError::bad_request)?
-    };
-    // The batch was accepted by the source of truth; replicas must agree
-    // (same engine, same input sequence), so a divergence is a bug.
-    for shard in 1..state.shards.len() {
-        let mut engine = state.stream_write(shard)?;
-        engine.ingest(&tenant, runs.clone()).map_err(|e| {
-            ServiceError::internal(format!("shard replica diverged on ingest: {e}"))
-        })?;
-    }
-    Ok(outcome.to_json().compact())
+        .unwrap_or_else(PoisonError::into_inner);
+    let mut next = StreamEngine::clone(&state.snapshot());
+    let outcome = next.ingest(tenant, runs);
+    state.publish(next);
+    Ok(outcome
+        .map_err(ServiceError::bad_request)?
+        .to_json()
+        .compact())
 }
 
 fn healthz(state: &ServiceState) -> String {
@@ -588,7 +556,7 @@ fn joint_fingerprints(
 /// features. Optional body fields: `"representation"` (`"hist"`, the
 /// default, `"mts"`, `"phase"`, or `"embed"`) and `"nbins"` (Hist-FP
 /// only).
-fn fingerprint(state: &ServiceState, _shard: usize, body: &str) -> Result<String, ServiceError> {
+fn fingerprint(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
     let (doc, runs) = parse_target_runs(body)?;
     let repr = match doc.get("representation").and_then(Json::as_str) {
         None => Representation::HistFp,
@@ -712,7 +680,12 @@ fn verdicts_to_json(verdicts: &[SimilarityVerdict]) -> Json {
 ///   `"k"`, and a `"pruning"` object with the cascade's per-stage
 ///   counters (summed over the posted runs), so clients can both tell
 ///   the paths apart and see how much work the lower bounds saved.
-fn similar(state: &ServiceState, shard: usize, body: &str) -> Result<String, ServiceError> {
+fn similar(
+    state: &ServiceState,
+    shard: usize,
+    engine: &StreamEngine,
+    body: &str,
+) -> Result<String, ServiceError> {
     let (doc, runs) = parse_target_runs(body)?;
     match doc.get("mode").and_then(Json::as_str) {
         None | Some("exact") => {
@@ -734,7 +707,6 @@ fn similar(state: &ServiceState, shard: usize, body: &str) -> Result<String, Ser
                     .filter(|&n| n > 0)
                     .ok_or_else(|| ServiceError::bad_request("'k' must be a positive integer"))?,
             };
-            let engine = state.stream_read(shard)?;
             let (verdicts, stats) = engine
                 .index()
                 .rank_references_with_stats(&runs, k)
@@ -906,7 +878,12 @@ fn cv_residuals(
 /// width being the context's cross-validated relative residual on the
 /// reference. The recommendation is the cheapest (fewest-CPU) SKU whose
 /// predicted throughput meets the SLO, or `null` when none does.
-fn recommend(state: &ServiceState, shard: usize, body: &str) -> Result<String, ServiceError> {
+fn recommend(
+    state: &ServiceState,
+    shard: usize,
+    engine: &StreamEngine,
+    body: &str,
+) -> Result<String, ServiceError> {
     let _span = OBS_RECOMMEND_SPAN.start();
     let doc = Json::parse(body)
         .map_err(|e| ServiceError::bad_request(format!("invalid JSON body: {e}")))?;
@@ -940,13 +917,11 @@ fn recommend(state: &ServiceState, shard: usize, body: &str) -> Result<String, S
             let name = t
                 .as_str()
                 .ok_or_else(|| ServiceError::bad_request("'tenant' must be a string"))?;
-            let window = {
-                let engine = state.stream_read(shard)?;
-                engine.tenant_runs(name).map(<[ExperimentRun]>::to_vec)
-            };
-            let runs = window
+            let runs = engine
+                .tenant_runs(name)
                 .filter(|w| !w.is_empty())
-                .ok_or_else(|| ServiceError::bad_request(format!("unknown tenant '{name}'")))?;
+                .ok_or_else(|| ServiceError::bad_request(format!("unknown tenant '{name}'")))?
+                .to_vec();
             (runs, format!("tenant:{name}"))
         }
         (None, Some(_)) => {
@@ -1456,53 +1431,125 @@ mod tests {
         );
     }
 
-    /// Tentpole invariant: engine replicas evolve in lockstep, so every
-    /// shard answers every endpoint byte-identically after ingests.
+    /// Readers on every shard race a writer's ingests. Each answer must be
+    /// the one-shard model's answer at a generation the request overlapped,
+    /// and each cached body must be the model's answer at the generation in
+    /// its key: no answer and no cache entry mixes two generations.
     #[test]
-    fn sharded_replicas_stay_byte_identical_across_ingest() {
-        let corpus = simulated_corpus(0xEDB7_2025, 40);
-        let config = PipelineConfig {
-            selection: Strategy::FAnova,
-            ..PipelineConfig::default()
+    fn reads_racing_ingest_each_see_one_generation() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+        const K: usize = 40;
+        const SHARDS: usize = 3;
+        // One cache entry per shard and two alternating reads: every read
+        // misses, so readers are mid-computation when the writer publishes.
+        let sharded = |shards, compute_threads| {
+            let config = PipelineConfig {
+                selection: Strategy::FAnova,
+                ..PipelineConfig::default()
+            };
+            let corpus = simulated_corpus(0xEDB7_2025, 40);
+            let stream = StreamConfig::default();
+            ServiceState::sharded(corpus, config, compute_threads, 1, stream, shards).unwrap()
         };
-        let state =
-            ServiceState::sharded(corpus, config, Some(1), 16, StreamConfig::default(), 3).unwrap();
-        assert_eq!(state.shards.len(), 3);
+        let indexed = target_body(3).replacen('{', "{\"mode\":\"indexed\",\"k\":3,", 1);
+        let reads = [
+            request("POST", "/similar", &indexed),
+            request("POST", "/recommend", "{\"slo\":5,\"tenant\":\"race\"}"),
+        ];
+        let ingests: Vec<Request> = (0..K)
+            .map(|b| request("POST", "/ingest", &ingest_body("race", "YCSB", b * 2, 2)))
+            .collect();
 
-        for batch in 0..2 {
-            let (s, resp) = handle_on(
-                &state,
-                batch % 3,
-                &request(
-                    "POST",
-                    "/ingest",
-                    &ingest_body("ycsb-live", "YCSB", 10 + batch * 2, 2),
-                ),
-            );
-            assert_eq!(s, 200, "{resp}");
-        }
-        for shard in 0..3 {
-            assert_eq!(state.generation_on(shard), 2, "shard {shard} generation");
-        }
-
-        let indexed_body = target_body(3).replacen('{', "{\"mode\":\"indexed\",\"k\":3,", 1);
+        // answers[g][r]: read r against the model's corpus at generation g.
+        let model = sharded(1, Some(1));
         let mut answers = Vec::new();
-        for shard in 0..3 {
-            // Twice per shard: the second answer exercises its cache.
-            for _ in 0..2 {
-                let (s, resp) =
-                    handle_on(&state, shard, &request("POST", "/similar", &indexed_body));
+        for ingest in ingests.iter().map(Some).chain([None]) {
+            answers.push(reads.iter().map(|r| handle(&model, r)).collect::<Vec<_>>());
+            if let Some(req) = ingest {
+                let (s, resp) = handle(&model, req);
                 assert_eq!(s, 200, "{resp}");
-                answers.push(resp);
             }
         }
-        assert!(
-            answers.windows(2).all(|w| w[0] == w[1]),
-            "shards disagreed on an indexed /similar answer"
-        );
-        // Each shard missed once then hit once.
-        let (hits, misses) = state.response_cache_counters();
-        assert_eq!((hits, misses), (3, 3));
+
+        let state = sharded(SHARDS, None);
+        // Checks every entry `shard` holds for read `r` under a generation
+        // in `gens` against the model, and counts them.
+        let check_cache = |shard: usize, r: usize, gens: std::ops::RangeInclusive<u64>| {
+            let mut found = 0;
+            for g in gens {
+                let key = cache_key(g, &reads[r]);
+                if let Some(body) = state.shards[shard].responses.get(&key) {
+                    found += 1;
+                    assert_eq!(
+                        (200, body.as_ref().clone()),
+                        answers[g as usize][r],
+                        "shard {shard} cached a foreign {} answer under generation {g}",
+                        reads[r].path
+                    );
+                }
+            }
+            found
+        };
+        // One past the generation each reader last started a request at.
+        let started: Vec<AtomicU64> = (0..SHARDS).map(|_| AtomicU64::new(0)).collect();
+        let done = AtomicBool::new(false);
+        let ingested = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..SHARDS)
+                .map(|shard| {
+                    let (state, reads, answers) = (&state, &reads, &answers);
+                    let (started, done, check_cache) = (&started, &done, &check_cache);
+                    scope.spawn(move || {
+                        let mut i = shard;
+                        while !done.load(Ordering::SeqCst) {
+                            let r = i % reads.len();
+                            let before = state.generation();
+                            started[shard].store(before + 1, Ordering::SeqCst);
+                            let answer = handle_on(state, shard, &reads[r]);
+                            let after = state.generation();
+                            assert!(
+                                (before..=after).any(|g| answers[g as usize][r] == answer),
+                                "shard {shard} answered {} between generations {before} \
+                                 and {after} with {answer:?}",
+                                reads[r].path
+                            );
+                            // The one-entry cache still holds what this
+                            // read stored, under the generation it read.
+                            let stored = usize::from(answer.0 == 200);
+                            assert_eq!(check_cache(shard, r, before..=after), stored);
+                            i += 1;
+                        }
+                    })
+                })
+                .collect();
+            // Before each ingest, every reader starts a request at the
+            // current generation, so each one races the next publish.
+            let wait_for_readers = || {
+                let g = state.generation();
+                while started.iter().any(|s| s.load(Ordering::SeqCst) <= g)
+                    && !readers.iter().any(|r| r.is_finished())
+                {
+                    std::thread::yield_now();
+                }
+            };
+            let mut ingested = Vec::new();
+            for (b, req) in ingests.iter().enumerate() {
+                wait_for_readers();
+                ingested.push(handle_on(&state, b % SHARDS, req));
+            }
+            wait_for_readers();
+            done.store(true, Ordering::SeqCst);
+            ingested
+        });
+        for (s, resp) in ingested {
+            assert_eq!(s, 200, "{resp}");
+        }
+        assert_eq!(state.generation(), K as u64);
+        for shard in 0..SHARDS {
+            for r in 0..reads.len() {
+                check_cache(shard, r, 0..=K as u64);
+            }
+        }
     }
 
     #[test]

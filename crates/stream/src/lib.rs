@@ -26,6 +26,10 @@
 //! * **Generations** — every accepted batch bumps a generation counter;
 //!   the server keys its response caches on it, so a cached answer can
 //!   never outlive the corpus it was computed against.
+//! * **Snapshots** — cloning an engine is cheap and the clone is
+//!   isolated: ingesting into it never changes its source. The server
+//!   ingests into a clone and publishes it, so readers keep answering
+//!   from the previous generation meanwhile.
 //!
 //! Everything is deterministic: the same seeded ingest stream produces a
 //! byte-identical corpus, index, and drift-event log run-over-run and
@@ -201,7 +205,7 @@ pub struct StreamCounters {
 }
 
 /// One tenant's sliding window and drift state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TenantWindow {
     runs: Vec<ExperimentRun>,
     /// Trailing window fingerprints, oldest first.
@@ -216,18 +220,24 @@ struct TenantWindow {
 
 /// The evolving corpus: startup references plus live per-tenant windows,
 /// all indexed under a fingerprinter frozen at construction.
+///
+/// A clone shares the startup references, every tenant window and the
+/// index with its source. An ingest into the clone copies only what the
+/// batch changes: the ingesting tenant's window, and the index when the
+/// batch grows it in place (an eviction builds a fresh index instead).
+#[derive(Clone)]
 pub struct StreamEngine {
     config: StreamConfig,
     pipeline: PipelineConfig,
     index_config: IndexConfig,
-    index: CorpusIndex,
+    index: Arc<CorpusIndex>,
     /// The startup references, kept for eviction-triggered rebuilds.
-    base_refs: Vec<(String, Vec<ExperimentRun>)>,
+    base_refs: Arc<[(String, Vec<ExperimentRun>)]>,
     features: Vec<FeatureId>,
     /// The fitted fingerprinter shared with the index — frozen corpus
     /// state (e.g. histogram ranges) every rebuild reuses.
     fingerprinter: Arc<dyn Fingerprinter>,
-    tenants: BTreeMap<String, TenantWindow>,
+    tenants: BTreeMap<String, Arc<TenantWindow>>,
     /// Tenants in the order they went live — the reference order every
     /// rebuild reproduces, so incremental and rebuilt indexes agree.
     live_order: Vec<String>,
@@ -255,7 +265,7 @@ fn live_name(tenant: &str) -> String {
 /// tenants in the order they went live.
 fn live_refs<'a>(
     base: &'a [(String, Vec<ExperimentRun>)],
-    tenants: &'a BTreeMap<String, TenantWindow>,
+    tenants: &'a BTreeMap<String, Arc<TenantWindow>>,
     live_order: &'a [String],
 ) -> Vec<(String, &'a [ExperimentRun])> {
     let mut refs: Vec<(String, &[ExperimentRun])> = base
@@ -394,7 +404,7 @@ impl StreamEngine {
             config,
             pipeline: pipeline.clone(),
             index_config,
-            index,
+            index: Arc::new(index),
             base_refs,
             features: features.to_vec(),
             fingerprinter,
@@ -445,16 +455,16 @@ impl StreamEngine {
         let threshold_seed = self.config.seed ^ fnv1a(tenant);
         let base_threshold = self.config.drift_threshold;
 
-        let window = self.tenants.entry(tenant.to_string()).or_insert_with(|| {
+        let window = Arc::make_mut(self.tenants.entry(tenant.to_string()).or_insert_with(|| {
             let mut rng = Rng64::new(threshold_seed);
-            TenantWindow {
+            Arc::new(TenantWindow {
                 runs: Vec::new(),
                 history: Vec::new(),
                 threshold: base_threshold * (0.9 + 0.2 * rng.unit()),
                 phases: 0,
                 live: false,
-            }
-        });
+            })
+        }));
 
         // Slide the window.
         let evicted = (window.runs.len() + accepted).saturating_sub(window_cap);
@@ -510,13 +520,13 @@ impl StreamEngine {
             // An eviction invalidated indexed runs: rebuild everything
             // under the same frozen fingerprinter.
             let refs = live_refs(&self.base_refs, &self.tenants, &self.live_order);
-            self.index = CorpusIndex::from_reference_runs_with_fingerprinter(
+            self.index = Arc::new(CorpusIndex::from_reference_runs_with_fingerprinter(
                 &refs,
                 &features,
                 Arc::clone(&fingerprinter),
                 &self.pipeline,
                 self.index_config,
-            )?;
+            )?);
             self.counters.rebuilds += 1;
             OBS_REBUILDS.add(1);
         } else if live {
@@ -525,7 +535,7 @@ impl StreamEngine {
             let new_runs = if became_live { window_len } else { accepted };
             let name = live_name(tenant);
             let tail = &self.tenants[tenant].runs[window_len - new_runs..];
-            self.index.insert_reference(&name, tail)?;
+            Arc::make_mut(&mut self.index).insert_reference(&name, tail)?;
         }
 
         self.generation += 1;
@@ -861,6 +871,74 @@ mod tests {
         assert!(err.contains("tenant cap"), "{err}");
         // Known tenants keep streaming under the cap.
         eng.ingest("t1", runs(&sim, "TPC-C", 6, 1)).unwrap();
+    }
+
+    /// Everything a reader can observe of an engine, rendered to one
+    /// string: the drift log, the stats section, each tenant's window and
+    /// the index's ranking of a fixed target.
+    fn observable(eng: &StreamEngine, tenants: &[&str], target: &[ExperimentRun]) -> String {
+        let mut out = format!(
+            "{}\n{}\n",
+            eng.events_json().compact(),
+            eng.stats_json().compact()
+        );
+        for t in tenants {
+            let window = eng.tenant_runs(t).unwrap_or(&[]);
+            out += &format!("{t}: {}\n", wp_telemetry::io::runs_to_json(window));
+        }
+        for k in [1, 3] {
+            for v in eng.index().rank_references(target, k).unwrap() {
+                out += &format!("{k} {} {:x}\n", v.workload, v.distance.to_bits());
+            }
+        }
+        out
+    }
+
+    /// A chain of clones — clone, then ingest into the clone — must end
+    /// byte-identical to one engine fed the same batches, and every
+    /// ingest into a clone must leave its source exactly as it was.
+    #[test]
+    fn clones_are_isolated_snapshots_of_the_same_evolution() {
+        let sim = sim();
+        let tenants = ["tenant-a", "tenant-b"];
+        // Evictions, rebuilds, a shape shift (drift) and one rejection.
+        let mut batches: Vec<(&str, Vec<ExperimentRun>)> = Vec::new();
+        for batch in 0..6 {
+            batches.push(("tenant-a", runs(&sim, "TPC-C", 10 + batch * 2, 2)));
+            batches.push(("tenant-b", runs(&sim, "Twitter", 20 + batch * 2, 2)));
+        }
+        batches.push(("bad name", runs(&sim, "TPC-C", 0, 1)));
+        for batch in 0..4 {
+            batches.push(("tenant-a", runs(&sim, "TPC-H", 10 + batch * 2, 2)));
+        }
+        let target = runs(&sim, "YCSB", 0, 2);
+
+        let mut single = engine(StreamConfig::default());
+        let mut current = engine(StreamConfig::default());
+        for (tenant, batch) in batches {
+            let before = observable(&current, &tenants, &target);
+            let mut next = current.clone();
+            let via_clone = next.ingest(tenant, batch.clone());
+            assert_eq!(
+                observable(&current, &tenants, &target),
+                before,
+                "ingesting into a clone changed its source"
+            );
+            let direct = single.ingest(tenant, batch);
+            assert_eq!(via_clone.is_ok(), direct.is_ok(), "{tenant}");
+            current = next;
+        }
+        assert!(single.counters().rebuilds > 0, "{:?}", single.counters());
+        assert!(
+            single.counters().drift_events > 0,
+            "{:?}",
+            single.counters()
+        );
+        assert_eq!(single.counters().rejected_batches, 1);
+        assert_eq!(
+            observable(&current, &tenants, &target),
+            observable(&single, &tenants, &target)
+        );
     }
 
     #[test]

@@ -220,8 +220,9 @@ fn stream_series_are_visible_on_metrics() {
     assert!(value("wp_stream_ingest_batches_total") >= 18.0);
     assert!(value("wp_stream_ingest_runs_total") >= 36.0);
     assert!(value("wp_stream_drift_events_total") >= 2.0);
-    // Gauges are last-writer-wins across concurrent engines; presence
-    // and plausibility is all that is stable to assert.
+    // Gauges are last-writer-wins across the servers other tests in this
+    // binary run concurrently; presence and plausibility is all that is
+    // stable to assert.
     assert!(value("wp_stream_generation") > 0.0);
     assert!(value("wp_stream_live_references") > 0.0);
     assert!(value("wp_stream_drift_ratio_micros") >= 0.0);
