@@ -1,8 +1,11 @@
 //! Pipeline orchestration.
 
+use std::ops::Range;
+
 use wp_featsel::aggregate::aggregate_rankings;
 use wp_featsel::wrapper::WrapperConfig;
 use wp_featsel::Strategy;
+use wp_linalg::Matrix;
 use wp_predict::predictor::{scaling_data_from_simulation, ScalingPredictor};
 use wp_predict::ModelStrategy;
 use wp_similarity::fingerprinter::{fingerprinter, FingerprintConfig};
@@ -156,10 +159,10 @@ pub fn find_most_similar(
     // Build one fingerprint per run, jointly normalized.
     let mut all_runs: Vec<&ExperimentRun> = target_runs.iter().collect();
     let mut ref_spans = Vec::new();
-    for (_, runs) in reference_runs {
+    for (name, runs) in reference_runs {
         let start = all_runs.len();
         all_runs.extend(runs.iter());
-        ref_spans.push(start..all_runs.len());
+        ref_spans.push((name.as_str(), start..all_runs.len()));
     }
     let data: Vec<_> = all_runs.iter().map(|r| extract(r, features)).collect();
     let builder = fingerprinter(config.representation, &config.fingerprint_config());
@@ -171,13 +174,29 @@ pub fn find_most_similar(
         ));
     }
     let fps = builder.fingerprints(&data);
-    let d = normalize_distances(&try_distance_matrix(&fps, config.measure)?);
+    rank_by_mean_distance(&fps, config.measure, target_runs.len(), &ref_spans)
+}
 
-    let n_target = target_runs.len();
-    let mut verdicts: Vec<SimilarityVerdict> = reference_runs
+/// The ranking step of [`find_most_similar`], shared with every caller
+/// that builds the joint fingerprints itself.
+///
+/// `fps` holds the `n_target` target fingerprints first; each entry of
+/// `references` names a reference and the span of `fps` holding its
+/// runs. Computes the pairwise distance matrix under `measure`, min-max
+/// normalizes it, averages each reference's target-to-reference
+/// distances, and sorts ascending (stable, so ties keep the order of
+/// `references`). Errors only when `measure` cannot compare the
+/// fingerprints.
+pub fn rank_by_mean_distance(
+    fps: &[Matrix],
+    measure: Measure,
+    n_target: usize,
+    references: &[(&str, Range<usize>)],
+) -> Result<Vec<SimilarityVerdict>, String> {
+    let d = normalize_distances(&try_distance_matrix(fps, measure)?);
+    let mut verdicts: Vec<SimilarityVerdict> = references
         .iter()
-        .zip(&ref_spans)
-        .map(|((name, _), span)| {
+        .map(|(name, span)| {
             let mut total = 0.0;
             let mut count = 0usize;
             for t in 0..n_target {
@@ -187,7 +206,7 @@ pub fn find_most_similar(
                 }
             }
             SimilarityVerdict {
-                workload: name.clone(),
+                workload: name.to_string(),
                 distance: total / count.max(1) as f64,
             }
         })

@@ -19,16 +19,20 @@
 //! query-dependent min-max pass), so they are comparable across queries
 //! but not bit-identical to the joint-normalization path.
 //!
-//! The trait replaces what used to be hardcoded Hist-FP calls: any
-//! [`wp_similarity::Representation`] — the three paper fingerprints or
-//! the learned Plan-Embed — can back the index, as long as it supports
-//! the configured measure.
+//! Frozen state reaches an index only as a fitted
+//! [`wp_similarity::Fingerprinter`]:
+//! [`CorpusIndex::from_reference_runs`] fits one over the references it
+//! indexes, and [`CorpusIndex::from_reference_runs_with_fingerprinter`]
+//! takes one already fitted, which is how a rebuild shares the state of
+//! the index it replaces. Any [`wp_similarity::Representation`] — the
+//! three paper fingerprints or the learned Plan-Embed — can back the
+//! index, as long as it supports the configured measure.
 
 use std::sync::Arc;
 
 use wp_index::{Hit, Index, IndexConfig, SearchStats};
 use wp_obs::LazySpan;
-use wp_similarity::fingerprinter::{fingerprinter, Fingerprinter, HistFpFingerprinter};
+use wp_similarity::fingerprinter::{fitted, Fingerprinter};
 use wp_similarity::repr::{extract, RunFeatureData};
 use wp_telemetry::{ExperimentRun, FeatureId};
 
@@ -108,48 +112,18 @@ impl CorpusIndex {
                 data.push(extract(run, features));
             }
         }
-        let mut builder = fingerprinter(config.representation, &config.fingerprint_config());
-        builder.fit(&data);
+        let fingerprinter = fitted(config.representation, &config.fingerprint_config(), &data);
         Self::from_reference_runs_with_fingerprinter(
             reference_runs,
             features,
-            Arc::from(builder),
+            fingerprinter,
             config,
             index_config,
         )
     }
 
-    /// [`CorpusIndex::from_reference_runs`] with *explicitly* frozen
-    /// Hist-FP histogram ranges instead of ranges computed over the given
-    /// runs. Kept for Hist-FP callers that persist raw ranges; the
-    /// general form is
-    /// [`CorpusIndex::from_reference_runs_with_fingerprinter`].
-    pub fn from_reference_runs_with_ranges(
-        reference_runs: &[(String, &[ExperimentRun])],
-        features: &[FeatureId],
-        ranges: &[(f64, f64)],
-        config: &PipelineConfig,
-        index_config: IndexConfig,
-    ) -> Result<Self, String> {
-        if ranges.len() != features.len() {
-            return Err(format!(
-                "need one frozen range per feature ({} ranges, {} features)",
-                ranges.len(),
-                features.len()
-            ));
-        }
-        let frozen = HistFpFingerprinter::with_frozen_ranges(config.nbins, ranges.to_vec());
-        Self::from_reference_runs_with_fingerprinter(
-            reference_runs,
-            features,
-            Arc::new(frozen),
-            config,
-            index_config,
-        )
-    }
-
-    /// The general frozen-state constructor: fingerprints every reference
-    /// run under an already-fitted [`Fingerprinter`] and indexes them.
+    /// The frozen-state constructor: fingerprints every reference run
+    /// under an already-fitted [`Fingerprinter`] and indexes them.
     ///
     /// This is the constructor a *mutable* corpus needs: the streaming
     /// ingest path freezes the fingerprinter once over the startup
@@ -197,20 +171,6 @@ impl CorpusIndex {
             features: features.to_vec(),
             fingerprinter,
         })
-    }
-
-    /// The frozen per-feature histogram ranges every query and insertion
-    /// is binned under.
-    ///
-    /// # Panics
-    ///
-    /// Panics for learned representations (Plan-Embed), whose frozen
-    /// state is model weights rather than ranges; use
-    /// [`CorpusIndex::fingerprinter`] to share the state itself.
-    pub fn ranges(&self) -> &[(f64, f64)] {
-        self.fingerprinter
-            .frozen_ranges()
-            .expect("representation has no frozen ranges")
     }
 
     /// The fitted fingerprinter, shareable with a rebuild so both
@@ -371,26 +331,6 @@ impl CorpusIndex {
     }
 }
 
-/// Indexed counterpart of [`crate::pipeline::find_most_similar`]: builds
-/// a transient [`CorpusIndex`] over `reference_runs` and ranks the
-/// references by the target runs' top-k nearest corpus runs. Prefer
-/// holding a [`CorpusIndex`] when the same corpus serves many queries —
-/// that is the whole point of the index.
-pub fn find_most_similar_indexed(
-    target_runs: &[ExperimentRun],
-    reference_runs: &[(String, Vec<ExperimentRun>)],
-    features: &[FeatureId],
-    config: &PipelineConfig,
-    k: usize,
-) -> Result<Vec<SimilarityVerdict>, String> {
-    let refs: Vec<(String, &[ExperimentRun])> = reference_runs
-        .iter()
-        .map(|(n, runs)| (n.clone(), runs.as_slice()))
-        .collect();
-    let index = CorpusIndex::from_reference_runs(&refs, features, config, IndexConfig::default())?;
-    index.rank_references(target_runs, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,7 +449,8 @@ mod tests {
     /// A corpus grown by N incremental [`CorpusIndex::insert_reference`]
     /// calls must answer `rank_references` byte-identically to an index
     /// rebuilt from scratch over the same references under the same
-    /// frozen ranges — the contract the streaming ingest path leans on.
+    /// fitted fingerprinter — the contract the streaming ingest path
+    /// leans on.
     #[test]
     fn incremental_inserts_match_a_from_scratch_rebuild_byte_for_byte() {
         let sim = small_sim();
@@ -520,7 +461,7 @@ mod tests {
             .collect();
         let config = PipelineConfig::default();
 
-        // Freeze ranges over the full reference set, then grow one index
+        // Fit over the full reference set, then grow one index
         // incrementally (first reference at build time, the rest via
         // insert_reference, one call per reference) and build the other
         // in one shot over everything.
@@ -531,11 +472,10 @@ mod tests {
             IndexConfig::default(),
         )
         .unwrap();
-        let frozen = full.ranges().to_vec();
-        let mut incremental = CorpusIndex::from_reference_runs_with_ranges(
+        let mut incremental = CorpusIndex::from_reference_runs_with_fingerprinter(
             &refs_sliced[..1],
             &FeatureId::all(),
-            &frozen,
+            full.fingerprinter(),
             &config,
             IndexConfig::default(),
         )
@@ -568,7 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn with_ranges_rejects_a_feature_count_mismatch() {
+    fn indexed_ranking_agrees_with_exact_on_the_winner() {
         let sim = small_sim();
         let refs = reference_runs(&sim);
         let refs_sliced: Vec<(String, &[ExperimentRun])> = refs
@@ -576,24 +516,16 @@ mod tests {
             .map(|(n, r)| (n.clone(), r.as_slice()))
             .collect();
         let config = PipelineConfig::default();
-        let err = CorpusIndex::from_reference_runs_with_ranges(
+        let target = sim_runs(&sim, "TPC-C", 3, 2);
+        let indexed = CorpusIndex::from_reference_runs(
             &refs_sliced,
             &FeatureId::all(),
-            &[(0.0, 1.0); 3],
             &config,
             IndexConfig::default(),
-        );
-        assert!(err.is_err(), "wrong range count must be rejected");
-    }
-
-    #[test]
-    fn find_most_similar_indexed_agrees_with_exact_on_the_winner() {
-        let sim = small_sim();
-        let refs = reference_runs(&sim);
-        let config = PipelineConfig::default();
-        let target = sim_runs(&sim, "TPC-C", 3, 2);
-        let indexed =
-            find_most_similar_indexed(&target, &refs, &FeatureId::all(), &config, 9).unwrap();
+        )
+        .unwrap()
+        .rank_references(&target, 9)
+        .unwrap();
         let exact =
             crate::pipeline::find_most_similar(&target, &refs, &FeatureId::all(), &config).unwrap();
         assert_eq!(indexed[0].workload, exact[0].workload);
@@ -625,57 +557,6 @@ mod tests {
         assert!(index.rank_references(&[], 3).is_err());
         let target = sim_runs(&sim, "YCSB", 0, 1);
         assert!(index.rank_references(&target, 0).is_err());
-    }
-
-    /// The trait-dispatch constructor must be a pure refactor of the
-    /// legacy frozen-ranges path: same fingerprints, same verdicts, and
-    /// the same pruning-cascade counters, bit for bit.
-    #[test]
-    fn trait_dispatch_matches_the_legacy_histfp_constructor_byte_for_byte() {
-        let sim = small_sim();
-        let refs = reference_runs(&sim);
-        let refs_sliced: Vec<(String, &[ExperimentRun])> = refs
-            .iter()
-            .map(|(n, r)| (n.clone(), r.as_slice()))
-            .collect();
-        let config = PipelineConfig::default();
-        let via_trait = CorpusIndex::from_reference_runs(
-            &refs_sliced,
-            &FeatureId::all(),
-            &config,
-            IndexConfig::default(),
-        )
-        .unwrap();
-        let via_ranges = CorpusIndex::from_reference_runs_with_ranges(
-            &refs_sliced,
-            &FeatureId::all(),
-            via_trait.ranges(),
-            &config,
-            IndexConfig::default(),
-        )
-        .unwrap();
-
-        assert_eq!(via_trait.len(), via_ranges.len());
-        for i in 0..via_trait.len() {
-            let (a, b) = (
-                via_trait.index().fingerprint(i),
-                via_ranges.index().fingerprint(i),
-            );
-            assert_eq!(a.shape(), b.shape(), "fingerprint {i} shape");
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "fingerprint {i} bytes");
-            }
-        }
-
-        let target = sim_runs(&sim, "YCSB", 10, 2);
-        let (va, sa) = via_trait.rank_references_with_stats(&target, 3).unwrap();
-        let (vb, sb) = via_ranges.rank_references_with_stats(&target, 3).unwrap();
-        assert_eq!(sa, sb, "pruning stats diverged");
-        assert_eq!(va.len(), vb.len());
-        for (a, b) in va.iter().zip(&vb) {
-            assert_eq!(a.workload, b.workload);
-            assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-        }
     }
 
     /// Every representation that defines the default measure yields a

@@ -424,6 +424,10 @@ impl Index {
         if k == 0 || self.entries.is_empty() {
             return Ok((Vec::new(), stats));
         }
+        // No answer holds more than the whole corpus, and any larger `k`
+        // keeps the pruning threshold infinite exactly as `k = len` does;
+        // capping first keeps a client-supplied `k` from sizing `best`.
+        let k = k.min(self.entries.len());
         self.validate_query(query)?;
         stats.candidates = self.entries.len();
 
@@ -748,6 +752,25 @@ mod tests {
                 let hits = index.search_k(&query, k).unwrap();
                 let brute = brute_force_k(&fps, measure, None, &query, k);
                 assert_identical(&hits, &brute, &format!("{} k={k}", measure.label()));
+            }
+        }
+    }
+
+    /// A client-supplied `k` must never size an allocation: any `k` at or
+    /// past the corpus size answers exactly as `k = len` does, hits and
+    /// cascade counters alike.
+    #[test]
+    fn huge_k_answers_like_k_equal_to_the_corpus_size() {
+        let fps = corpus(12, 10, 2);
+        let query = mat(4242, 10, 2);
+        for measure in [Measure::Norm(Norm::L21), Measure::DtwIndependent] {
+            let index = Index::build(fps.clone(), measure, IndexConfig::default()).unwrap();
+            let (whole, whole_stats) = index.search_k_with_stats(&query, fps.len()).unwrap();
+            for k in [usize::MAX, 1_000_000_000_000_000] {
+                let (hits, stats) = index.search_k_with_stats(&query, k).unwrap();
+                let ctx = format!("{} k={k}", measure.label());
+                assert_identical(&hits, &whole, &ctx);
+                assert_eq!(stats, whole_stats, "{ctx}: cascade counters");
             }
         }
     }

@@ -3,20 +3,22 @@
 //!
 //! The serving shape production systems put around this kind of pipeline:
 //! a pre-built [`OfflineCorpus`] plus the features selected on it are held
-//! in memory, and the three pipeline stages are exposed as five JSON
-//! endpoints:
+//! in memory, and the three pipeline stages are exposed as HTTP
+//! endpoints with JSON bodies (`/metrics` answers Prometheus text):
 //!
 //! | Endpoint | Method | Purpose |
 //! |---|---|---|
 //! | `/healthz` | GET | liveness + corpus summary |
 //! | `/corpus` | GET | reference workloads, run counts, selected features |
 //! | `/corpus` | POST | dry-run validation of a corpus document |
-//! | `/fingerprint` | POST | telemetry runs → Hist-FP / Phase-FP fingerprints |
+//! | `/fingerprint` | POST | telemetry runs → MTS / Hist-FP / Phase-FP / Plan-Embed fingerprints |
 //! | `/similar` | POST | runs → ranked nearest reference workloads |
 //! | `/predict` | POST | runs + SKU pair → scaling prediction |
+//! | `/recommend` | POST | runs or a live tenant + SLO → cheapest SLO-meeting SKU |
 //! | `/ingest` | POST | streaming telemetry batches → live corpus evolution |
 //! | `/drift` | GET | drift-event log of the streaming engine |
 //! | `/stats` | GET | per-endpoint nanosecond timings + cache counters |
+//! | `/metrics` | GET | `wp-obs` registry in Prometheus text (only with [`ServerConfig::obs`] on) |
 //!
 //! Everything is `std`-only (hermetic build). Two serving backends share
 //! the same parser, router, and fault sites, selected by

@@ -19,11 +19,10 @@
 //! connection to one event-loop shard, whose [`ShardState`] holds that
 //! shard's caches; the blocking workers backend uses one shard.
 
-use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use wp_core::offline::OfflineCorpus;
-use wp_core::pipeline::{PipelineConfig, SimilarityVerdict};
+use wp_core::pipeline::{rank_by_mean_distance, PipelineConfig, SimilarityVerdict};
 use wp_index::IndexConfig;
 use wp_json::{obj, Json};
 use wp_linalg::Matrix;
@@ -31,7 +30,7 @@ use wp_predict::context::{PairwiseScalingModel, SingleScalingModel};
 use wp_predict::evaluation::{pairwise_cv_nrmse, single_cv_nrmse, ScalingData};
 use wp_predict::strategies::ModelStrategy;
 use wp_similarity::fingerprinter::fingerprinter;
-use wp_similarity::measure::{normalize_distances, try_distance_matrix, Measure};
+use wp_similarity::measure::Measure;
 use wp_similarity::repr::{extract, Representation, RunFeatureData};
 use wp_stream::{StreamConfig, StreamEngine};
 use wp_telemetry::io::run_from_json;
@@ -552,10 +551,15 @@ fn joint_fingerprints(
     Ok(builder.fingerprints(data))
 }
 
+/// The largest `"nbins"` `POST /fingerprint` accepts: 20× the largest bin
+/// count any experiment uses, and small enough that a fingerprint's
+/// allocation stays bounded whatever the client asks for.
+const MAX_NBINS: usize = 1024;
+
 /// `POST /fingerprint` — fingerprints the posted runs on the selected
 /// features. Optional body fields: `"representation"` (`"hist"`, the
 /// default, `"mts"`, `"phase"`, or `"embed"`) and `"nbins"` (Hist-FP
-/// only).
+/// only, at most [`MAX_NBINS`]).
 fn fingerprint(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
     let (doc, runs) = parse_target_runs(body)?;
     let repr = match doc.get("representation").and_then(Json::as_str) {
@@ -573,6 +577,11 @@ fn fingerprint(state: &ServiceState, body: &str) -> Result<String, ServiceError>
             .filter(|&n| n > 0)
             .ok_or_else(|| ServiceError::bad_request("'nbins' must be a positive integer"))?,
     };
+    if nbins > MAX_NBINS {
+        return Err(ServiceError::bad_request(format!(
+            "'nbins' must be at most {MAX_NBINS}"
+        )));
+    }
     let data: Vec<RunFeatureData> = runs.iter().map(|r| extract(r, &state.selected)).collect();
     let fps = joint_fingerprints(state, repr, nbins, None, &data)?;
     let features: Vec<Json> = state
@@ -588,11 +597,10 @@ fn fingerprint(state: &ServiceState, body: &str) -> Result<String, ServiceError>
     .compact())
 }
 
-/// Stage 2 over the cached reference data — the same computation as
-/// `wp_core::pipeline::find_most_similar` (fingerprints jointly
-/// normalized over target + reference runs, distances averaged per
-/// reference, min-max normalized, ascending), with the per-reference
-/// feature extraction served from the LRU cache.
+/// Stage 2 over the cached reference data: joint fingerprints of the
+/// target and reference runs, ranked by the same
+/// [`rank_by_mean_distance`] as `wp_core::pipeline::find_most_similar`,
+/// with the per-reference feature extraction served from the LRU cache.
 fn similar_verdicts(
     state: &ServiceState,
     shard: usize,
@@ -602,12 +610,12 @@ fn similar_verdicts(
         .iter()
         .map(|r| extract(r, &state.selected))
         .collect();
-    let mut ref_spans: Vec<Range<usize>> = Vec::with_capacity(state.corpus.references.len());
-    for i in 0..state.corpus.references.len() {
+    let mut ref_spans = Vec::with_capacity(state.corpus.references.len());
+    for (i, r) in state.corpus.references.iter().enumerate() {
         let cached = state.reference_data(shard, i);
         let start = data.len();
         data.extend(cached.iter().cloned());
-        ref_spans.push(start..data.len());
+        ref_spans.push((r.name.as_str(), start..data.len()));
     }
     let fps = joint_fingerprints(
         state,
@@ -616,37 +624,8 @@ fn similar_verdicts(
         Some(state.config.measure),
         &data,
     )?;
-    let d = try_distance_matrix(&fps, state.config.measure)
-        .map_err(|e| ServiceError::bad_request(format!("cannot compare runs: {e}")))?;
-    let d = normalize_distances(&d);
-
-    let n_target = target_runs.len();
-    let mut verdicts: Vec<SimilarityVerdict> = state
-        .corpus
-        .references
-        .iter()
-        .zip(&ref_spans)
-        .map(|(r, span)| {
-            let mut total = 0.0;
-            let mut count = 0usize;
-            for t in 0..n_target {
-                for j in span.clone() {
-                    total += d[(t, j)];
-                    count += 1;
-                }
-            }
-            SimilarityVerdict {
-                workload: r.name.clone(),
-                distance: total / count.max(1) as f64,
-            }
-        })
-        .collect();
-    verdicts.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    Ok(verdicts)
+    rank_by_mean_distance(&fps, state.config.measure, target_runs.len(), &ref_spans)
+        .map_err(|e| ServiceError::bad_request(format!("cannot compare runs: {e}")))
 }
 
 fn verdicts_to_json(verdicts: &[SimilarityVerdict]) -> Json {
@@ -1063,6 +1042,7 @@ mod tests {
     use super::*;
     use crate::corpus::simulated_corpus;
     use wp_featsel::Strategy;
+    use wp_similarity::measure::{normalize_distances, try_distance_matrix};
     use wp_workloads::engine::Simulator;
     use wp_workloads::{benchmarks, Sku};
 

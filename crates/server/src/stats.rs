@@ -70,7 +70,7 @@ static OBS_ENDPOINTS: [EndpointObs; ENDPOINTS.len()] = [
     endpoint_obs!("other"),
 ];
 
-/// Connections accepted by the worker pool.
+/// Connections accepted by either serving backend.
 static OBS_CONNECTIONS: LazyCounter = LazyCounter::new("wp_server_connections_total");
 
 struct EndpointCounters {

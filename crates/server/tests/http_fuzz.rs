@@ -562,10 +562,11 @@ fn selected_features(addr: SocketAddr) -> Vec<String> {
 
 /// Satellite invariant for `POST /fingerprint` and `POST /similar`: the
 /// representation preconditions that used to panic deep inside
-/// `wp-similarity` (unknown representation names, zero / ill-typed bin
-/// counts, empty run arrays, ragged MTS observation counts, Plan-Embed
-/// without plan statistics) are clean 400s — never a worker-killing
-/// panic — and every satisfiable representation still answers 200.
+/// `wp-similarity` (unknown representation names, zero / ill-typed /
+/// over-the-cap bin counts, empty run arrays, ragged MTS observation
+/// counts, Plan-Embed without plan statistics) are clean 400s — never a
+/// worker-killing panic — and every satisfiable representation still
+/// answers 200.
 #[test]
 fn fingerprint_poisons_die_in_validation() {
     const RESOURCE_NAMES: &[&str] = &[
@@ -596,6 +597,9 @@ fn fingerprint_poisons_die_in_validation() {
         template.replacen('{', "{\"nbins\":-4,", 1),
         template.replacen('{', "{\"nbins\":\"many\",", 1),
         template.replacen('{', "{\"nbins\":2.5,", 1),
+        // past the 1024-bin cap: 1e12 used to abort the process
+        template.replacen('{', "{\"nbins\":1025,", 1),
+        template.replacen('{', "{\"nbins\":1e12,", 1),
         "{\"runs\":[]}".to_string(),
         "{\"runs\":7}".to_string(),
         "{not json".to_string(),
@@ -622,6 +626,12 @@ fn fingerprint_poisons_die_in_validation() {
         assert_eq!(status, Some(want), "representation '{short}': {status:?}");
     }
 
+    let at_the_cap = template.replacen('{', "{\"nbins\":1024,", 1);
+    assert_eq!(
+        post_json(addr, "/fingerprint", at_the_cap.as_bytes()),
+        Some(200)
+    );
+
     // `/similar` shares the runs parser and the fingerprint dispatch.
     for body in ["{\"runs\":[]}", "{not json"] {
         let status = post_json(addr, "/similar", body.as_bytes());
@@ -642,4 +652,60 @@ fn fingerprint_poisons_die_in_validation() {
         "a read-only endpoint mutated the corpus"
     );
     server.shutdown();
+}
+
+/// Regression: an indexed `/similar` with a huge `"k"` used to size the
+/// top-k buffer from `k` and abort the whole process on the failed
+/// allocation. Any `k` at or past the corpus size must answer exactly as
+/// `k` = corpus size does, apart from the echoed `"k"`.
+#[test]
+fn huge_indexed_k_is_answered_like_the_whole_corpus() {
+    for backend in [Backend::Workers, Backend::Reactor] {
+        let server = start_backend(backend);
+        let addr = server.addr();
+        let response = fire(addr, b"GET /corpus HTTP/1.1\r\nConnection: close\r\n\r\n");
+        let text = String::from_utf8_lossy(&response);
+        let corpus_runs: usize = Json::parse(text.split("\r\n\r\n").nth(1).unwrap())
+            .unwrap()
+            .get("references")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|r| r.get("runs_from").and_then(Json::as_usize).unwrap())
+            .sum();
+
+        let template = fingerprint_template();
+        let indexed = |k: &str| {
+            let body = template.replacen('{', &format!("{{\"mode\":\"indexed\",\"k\":{k},"), 1);
+            let request = format!(
+                "POST /similar HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let response = String::from_utf8(fire(addr, request.as_bytes())).unwrap();
+            let (head, body) = response.split_once("\r\n\r\n").expect("a response");
+            assert!(
+                head.starts_with("HTTP/1.1 200"),
+                "{backend:?} k={k}: {head}"
+            );
+            Json::parse(body).unwrap()
+        };
+        let whole = indexed(&corpus_runs.to_string());
+        for k in ["1e15", "18446744073709551615"] {
+            let doc = indexed(k);
+            for field in ["most_similar", "verdicts", "pruning"] {
+                assert_eq!(
+                    doc.get(field),
+                    whole.get(field),
+                    "{backend:?} k={k}: {field}"
+                );
+            }
+        }
+
+        let health = fire(addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert!(
+            String::from_utf8_lossy(&health).starts_with("HTTP/1.1 200"),
+            "{backend:?}: server unhealthy after a huge k"
+        );
+        server.shutdown();
+    }
 }

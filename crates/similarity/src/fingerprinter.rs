@@ -17,12 +17,17 @@
 //!   on the frozen state and the query itself. This is what makes
 //!   incremental index inserts byte-identical to full rebuilds.
 //!
-//! The three paper representations delegate to the existing primitives
-//! ([`crate::repr::mts`], [`crate::histfp`], [`crate::phasefp`]) so the
-//! trait adds dispatch, not new numerics: outputs are bit-identical to
-//! the pre-trait pipeline. [`Representation::PlanEmbed`] is the learned
-//! fourth representation — a seeded autoencoder over per-query
-//! plan-statistic vectors whose bottleneck mean is the fingerprint.
+//! Both modes of the three paper representations run the same per-run
+//! code and differ only in which runs the state is derived from: MTS and
+//! Hist-FP build each matrix in `repr::mts_with_ranges` and
+//! [`crate::histfp::histfp_with_ranges`], and Phase-FP shares its
+//! segment, phase-count and emit steps with
+//! [`crate::phasefp::phasefp`]. Joint fingerprints therefore equal `fit`
+//! over the batch followed by `fingerprint` on each run, bit for bit,
+//! and stay bit-identical to the pre-trait pipeline.
+//! [`Representation::PlanEmbed`] is the learned fourth representation —
+//! a seeded autoencoder over per-query plan-statistic vectors whose
+//! bottleneck mean is the fingerprint.
 
 use std::sync::Arc;
 
@@ -30,11 +35,10 @@ use wp_linalg::Matrix;
 use wp_ml::autoencoder::{Autoencoder, AutoencoderConfig};
 use wp_telemetry::FeatureId;
 
-use crate::bcpd::segments;
 use crate::histfp::{histfp, histfp_with_ranges, DEFAULT_BINS};
 use crate::measure::Measure;
-use crate::phasefp::{phasefp, PhaseFpConfig};
-use crate::repr::{global_ranges, mts, norm01, Representation, RunFeatureData};
+use crate::phasefp::{emit, max_phases, phasefp, segment_run, PhaseFpConfig, RunSegments};
+use crate::repr::{global_ranges, mts, mts_with_ranges, Representation, RunFeatureData};
 
 /// Construction parameters for every representation, so call sites can
 /// carry one config regardless of which representation is selected.
@@ -68,8 +72,7 @@ pub trait Fingerprinter: Send + Sync {
     /// weights) over the reference corpus.
     fn fit(&mut self, corpus: &[RunFeatureData]);
 
-    /// True once [`Fingerprinter::fit`] (or an equivalent pre-frozen
-    /// constructor) has supplied corpus state.
+    /// True once [`Fingerprinter::fit`] has supplied corpus state.
     fn is_fitted(&self) -> bool;
 
     /// Corpus-stable fingerprint of one run under the frozen state.
@@ -87,13 +90,6 @@ pub trait Fingerprinter: Send + Sync {
     /// fingerprints — lets builders fail fast with a clear error instead
     /// of a shape panic deep in a distance kernel.
     fn supports_measure(&self, measure: Measure) -> bool;
-
-    /// The frozen per-feature `(lo, hi)` ranges, for range-normalized
-    /// representations; `None` for learned representations whose frozen
-    /// state is model weights.
-    fn frozen_ranges(&self) -> Option<&[(f64, f64)]> {
-        None
-    }
 }
 
 /// Builds the fingerprinter for a representation. The result is
@@ -149,26 +145,7 @@ impl Fingerprinter for MtsFingerprinter {
 
     fn fingerprint(&self, run: &RunFeatureData) -> Matrix {
         let ranges = self.ranges.as_ref().expect("MTS fingerprinter not fitted");
-        assert_eq!(
-            run.series.len(),
-            ranges.len(),
-            "run feature count must match the frozen ranges"
-        );
-        let n = run.series.first().map_or(0, Vec::len);
-        for (i, s) in run.series.iter().enumerate() {
-            assert_eq!(
-                s.len(),
-                n,
-                "MTS requires equal observation counts (feature {i})"
-            );
-        }
-        let mut m = Matrix::zeros(n, run.series.len());
-        for (f, s) in run.series.iter().enumerate() {
-            for (t, &v) in s.iter().enumerate() {
-                m[(t, f)] = norm01(v, ranges[f]);
-            }
-        }
-        m
+        mts_with_ranges(run, ranges)
     }
 
     fn fingerprints(&self, data: &[RunFeatureData]) -> Vec<Matrix> {
@@ -179,10 +156,6 @@ impl Fingerprinter for MtsFingerprinter {
         // elastic measures are MTS's home turf; norms additionally need
         // equal sample counts, which the index validates at build time
         true
-    }
-
-    fn frozen_ranges(&self) -> Option<&[(f64, f64)]> {
-        self.ranges.as_deref()
     }
 }
 
@@ -201,21 +174,6 @@ impl HistFpFingerprinter {
             nbins,
             ranges: None,
         }
-    }
-
-    /// A Hist-FP fingerprinter pre-frozen with caller-supplied ranges
-    /// (the corpus-stable state an index persists across rebuilds).
-    pub fn with_frozen_ranges(nbins: usize, ranges: Vec<(f64, f64)>) -> Self {
-        assert!(nbins > 0, "need at least one bin");
-        Self {
-            nbins,
-            ranges: Some(ranges),
-        }
-    }
-
-    /// Histogram bin count.
-    pub fn nbins(&self) -> usize {
-        self.nbins
     }
 }
 
@@ -249,10 +207,6 @@ impl Fingerprinter for HistFpFingerprinter {
     fn supports_measure(&self, _measure: Measure) -> bool {
         true
     }
-
-    fn frozen_ranges(&self) -> Option<&[(f64, f64)]> {
-        self.ranges.as_deref()
-    }
 }
 
 /// Phase-FP: BCPD phase statistics over globally normalized series.
@@ -272,19 +226,6 @@ impl PhaseFpFingerprinter {
             max_phases: 1,
         }
     }
-
-    /// Segments one normalized series, respecting the single-phase rule
-    /// for plan features.
-    fn segment(&self, feature: FeatureId, normed: Vec<f64>) -> Vec<Vec<f64>> {
-        if matches!(feature, FeatureId::Plan(_)) {
-            vec![normed]
-        } else {
-            segments(&normed, &self.config.bcpd)
-                .into_iter()
-                .map(<[f64]>::to_vec)
-                .collect()
-        }
-    }
 }
 
 impl Fingerprinter for PhaseFpFingerprinter {
@@ -294,15 +235,12 @@ impl Fingerprinter for PhaseFpFingerprinter {
 
     fn fit(&mut self, corpus: &[RunFeatureData]) {
         let ranges = global_ranges(corpus);
-        let mut max_phases = 1usize;
-        for run in corpus {
-            for (f, series) in run.series.iter().enumerate() {
-                let normed: Vec<f64> = series.iter().map(|&v| norm01(v, ranges[f])).collect();
-                max_phases = max_phases.max(self.segment(run.features[f], normed).len());
-            }
-        }
+        let segmented: Vec<RunSegments> = corpus
+            .iter()
+            .map(|run| segment_run(run, &ranges, &self.config.bcpd))
+            .collect();
+        self.max_phases = max_phases(&segmented);
         self.ranges = Some(ranges);
-        self.max_phases = max_phases;
     }
 
     fn is_fitted(&self) -> bool {
@@ -314,31 +252,8 @@ impl Fingerprinter for PhaseFpFingerprinter {
             .ranges
             .as_ref()
             .expect("Phase-FP fingerprinter not fitted");
-        assert_eq!(
-            run.series.len(),
-            ranges.len(),
-            "run feature count must match the frozen ranges"
-        );
-        let n_stats = self.config.stats.len();
-        let mut m = Matrix::zeros(run.series.len(), self.max_phases * n_stats);
-        for (f, series) in run.series.iter().enumerate() {
-            let normed: Vec<f64> = series.iter().map(|&v| norm01(v, ranges[f])).collect();
-            let mut segs = self.segment(run.features[f], normed);
-            // a query noisier than anything in the corpus may segment
-            // into more phases than the frozen dimension; overflow is
-            // merged into the final retained phase so no observation is
-            // dropped and the shape stays corpus-stable
-            if segs.len() > self.max_phases {
-                let overflow: Vec<f64> = segs.drain(self.max_phases..).flatten().collect();
-                segs[self.max_phases - 1].extend(overflow);
-            }
-            for (p, seg) in segs.iter().enumerate() {
-                for (s, stat) in self.config.stats.iter().enumerate() {
-                    m[(f, p * n_stats + s)] = stat.eval(seg);
-                }
-            }
-        }
-        m
+        let segs = segment_run(run, ranges, &self.config.bcpd);
+        emit(segs, self.max_phases, &self.config.stats)
     }
 
     fn fingerprints(&self, data: &[RunFeatureData]) -> Vec<Matrix> {
@@ -347,10 +262,6 @@ impl Fingerprinter for PhaseFpFingerprinter {
 
     fn supports_measure(&self, _measure: Measure) -> bool {
         true
-    }
-
-    fn frozen_ranges(&self) -> Option<&[(f64, f64)]> {
-        self.ranges.as_deref()
     }
 }
 
@@ -496,6 +407,98 @@ mod tests {
         RunFeatureData { features, series }
     }
 
+    /// `mixed_run` with a level shift halfway through both resource
+    /// series, so BCPD splits each into at least two phases.
+    fn phased_run(shift: f64) -> RunFeatureData {
+        let mut run = mixed_run(shift);
+        for (f, series) in run.series[..2].iter_mut().enumerate() {
+            *series = (0..120usize)
+                .map(|t| {
+                    let jitter = ((t * 2_654_435_761) % 1000) as f64 / 1000.0 - 0.5;
+                    let level = if t < 60 {
+                        shift
+                    } else {
+                        shift + 5.0 + f as f64
+                    };
+                    level + 0.2 * jitter
+                })
+                .collect();
+        }
+        run
+    }
+
+    /// Shapes and bit patterns, so `-0.0` vs `0.0` or a NaN payload
+    /// counts as a difference.
+    fn bits(fps: &[Matrix]) -> Vec<((usize, usize), Vec<u64>)> {
+        fps.iter()
+            .map(|m| {
+                (
+                    m.shape(),
+                    m.as_slice().iter().map(|v| v.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// FNV-1a over [`bits`].
+    fn digest(fps: &[Matrix]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for ((rows, cols), values) in bits(fps) {
+            for word in [rows as u64, cols as u64].into_iter().chain(values) {
+                for b in word.to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Joint mode is fit-then-fingerprint over the same batch, bit for
+    /// bit, for every representation; the digests pin the joint bits so
+    /// a change to the shared per-run code cannot drift both modes
+    /// together unnoticed.
+    #[test]
+    fn joint_fingerprints_equal_fit_then_fingerprint_bit_for_bit() {
+        const PINNED: [(Representation, u64); 4] = [
+            (Representation::Mts, 0xc243_19da_ba21_8bc0),
+            (Representation::HistFp, 0x1f34_4e29_87ca_abee),
+            (Representation::PhaseFp, 0x0bd5_0e43_b31b_24d9),
+            (Representation::PlanEmbed, 0x7c9b_5b1f_9db9_7539),
+        ];
+        let cfg = FingerprintConfig::default();
+        let phased: Vec<RunFeatureData> = (0..3).map(|i| phased_run(i as f64)).collect();
+        for (repr, pinned) in PINNED {
+            // MTS needs one shared clock: the resource series only
+            let batch: Vec<RunFeatureData> = if repr == Representation::Mts {
+                phased
+                    .iter()
+                    .map(|r| RunFeatureData {
+                        features: r.features[..2].to_vec(),
+                        series: r.series[..2].to_vec(),
+                    })
+                    .collect()
+            } else {
+                phased.clone()
+            };
+            let joint = fingerprinter(repr, &cfg).fingerprints(&batch);
+            let frozen = fitted(repr, &cfg, &batch);
+            let one_by_one: Vec<Matrix> = batch.iter().map(|r| frozen.fingerprint(r)).collect();
+            assert_eq!(bits(&joint), bits(&one_by_one), "{}", repr.label());
+            assert_eq!(
+                digest(&joint),
+                pinned,
+                "{}: joint bits drifted",
+                repr.label()
+            );
+        }
+        let phase = fingerprinter(Representation::PhaseFp, &cfg).fingerprints(&phased);
+        assert!(
+            phase[0].cols() >= 2 * cfg.phase.stats.len(),
+            "test series must split into at least two phases"
+        );
+    }
+
     #[test]
     fn hist_joint_matches_primitive_bit_for_bit() {
         let data = vec![mixed_run(0.0), mixed_run(1.5), mixed_run(3.0)];
@@ -535,7 +538,6 @@ mod tests {
         let ranges = global_ranges(&corpus);
         let direct = histfp_with_ranges(std::slice::from_ref(&query), &ranges, DEFAULT_BINS);
         assert_eq!(fp.fingerprint(&query), direct[0]);
-        assert_eq!(fp.frozen_ranges(), Some(ranges.as_slice()));
     }
 
     #[test]

@@ -18,21 +18,7 @@ pub const DEFAULT_BINS: usize = 10;
 /// Builds one Hist-FP fingerprint per run: a `nbins × features` matrix of
 /// cumulative relative frequencies with globally shared bin ranges.
 pub fn histfp(data: &[RunFeatureData], nbins: usize) -> Vec<Matrix> {
-    assert!(nbins > 0, "need at least one bin");
-    let ranges = global_ranges(data);
-    data.iter()
-        .map(|run| {
-            let mut m = Matrix::zeros(nbins, run.series.len());
-            for (f, series) in run.series.iter().enumerate() {
-                let (lo, hi) = ranges[f];
-                let cum = histogram(series, lo, hi, nbins).cumulative();
-                for (b, &v) in cum.iter().enumerate() {
-                    m[(b, f)] = v;
-                }
-            }
-            m
-        })
-        .collect()
+    histfp_with_ranges(data, &global_ranges(data), nbins)
 }
 
 /// [`histfp`] with caller-supplied per-feature `(lo, hi)` bin ranges

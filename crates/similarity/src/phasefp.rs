@@ -33,7 +33,7 @@ impl PhaseStat {
     /// §5.2's default statistic set.
     pub const DEFAULT: [PhaseStat; 3] = [PhaseStat::Mean, PhaseStat::Median, PhaseStat::Variance];
 
-    pub(crate) fn eval(self, values: &[f64]) -> f64 {
+    fn eval(self, values: &[f64]) -> f64 {
         match self {
             PhaseStat::Mean => wp_linalg::stats::mean(values),
             PhaseStat::Median => wp_linalg::stats::median(values),
@@ -67,46 +67,82 @@ impl Default for PhaseFpConfig {
 pub fn phasefp(data: &[RunFeatureData], config: &PhaseFpConfig) -> Vec<Matrix> {
     assert!(!config.stats.is_empty(), "need at least one statistic");
     let ranges = global_ranges(data);
+    let segmented: Vec<RunSegments> = data
+        .iter()
+        .map(|run| segment_run(run, &ranges, &config.bcpd))
+        .collect();
+    let max_phases = max_phases(&segmented);
+    segmented
+        .into_iter()
+        .map(|segs| emit(segs, max_phases, &config.stats))
+        .collect()
+}
 
-    // First pass: segment every (run, feature) series and remember the
-    // normalized segments.
-    let mut all_segments: Vec<Vec<Vec<Vec<f64>>>> = Vec::with_capacity(data.len());
-    let mut max_phases = 1usize;
-    for run in data {
-        let mut per_feature = Vec::with_capacity(run.series.len());
-        for (f, series) in run.series.iter().enumerate() {
+/// One run's normalized observations split into phases:
+/// `segments[feature][phase]` holds that phase's values.
+pub(crate) type RunSegments = Vec<Vec<Vec<f64>>>;
+
+/// Normalizes each of `run`'s series into `[0, 1]` under `ranges` and
+/// splits it into phases by BCPD; plan features stay a single phase.
+///
+/// # Panics
+///
+/// Panics when the run's feature count differs from `ranges`.
+pub(crate) fn segment_run(
+    run: &RunFeatureData,
+    ranges: &[(f64, f64)],
+    bcpd: &BcpdConfig,
+) -> RunSegments {
+    assert_eq!(
+        run.series.len(),
+        ranges.len(),
+        "run feature count must match the frozen ranges"
+    );
+    run.series
+        .iter()
+        .enumerate()
+        .map(|(f, series)| {
             let normed: Vec<f64> = series.iter().map(|&v| norm01(v, ranges[f])).collect();
-            let segs: Vec<Vec<f64>> = if matches!(run.features[f], FeatureId::Plan(_)) {
-                // plan features: single phase by construction
+            if matches!(run.features[f], FeatureId::Plan(_)) {
                 vec![normed]
             } else {
-                segments(&normed, &config.bcpd)
+                segments(&normed, bcpd)
                     .into_iter()
                     .map(<[f64]>::to_vec)
                     .collect()
-            };
-            max_phases = max_phases.max(segs.len());
-            per_feature.push(segs);
-        }
-        all_segments.push(per_feature);
-    }
-
-    // Second pass: emit zero-padded fingerprints.
-    let n_stats = config.stats.len();
-    all_segments
-        .iter()
-        .map(|per_feature| {
-            let mut m = Matrix::zeros(per_feature.len(), max_phases * n_stats);
-            for (f, segs) in per_feature.iter().enumerate() {
-                for (p, seg) in segs.iter().enumerate() {
-                    for (s, stat) in config.stats.iter().enumerate() {
-                        m[(f, p * n_stats + s)] = stat.eval(seg);
-                    }
-                }
             }
-            m
         })
         .collect()
+}
+
+/// The largest phase count of any feature in any of the runs, and at
+/// least 1 — the phase dimension every emitted matrix is padded to.
+pub(crate) fn max_phases(segmented: &[RunSegments]) -> usize {
+    segmented.iter().flatten().map(Vec::len).fold(1, usize::max)
+}
+
+/// Emits one run's `features × (max_phases · n_stats)` fingerprint,
+/// zero-padded past each feature's last phase.
+///
+/// A feature with more than `max_phases` phases (a query noisier than
+/// anything in the corpus the phase count was frozen over) has the
+/// overflow merged into its last retained phase, so no observation is
+/// dropped and the shape stays fixed.
+pub(crate) fn emit(mut segs: RunSegments, max_phases: usize, stats: &[PhaseStat]) -> Matrix {
+    let n_stats = stats.len();
+    let mut m = Matrix::zeros(segs.len(), max_phases * n_stats);
+    for (f, phases) in segs.iter_mut().enumerate() {
+        if phases.len() > max_phases {
+            let overflow: Vec<f64> = phases.drain(max_phases..).flatten().collect();
+            phases[max_phases - 1].extend(overflow);
+        }
+        for (p, seg) in phases.iter().enumerate() {
+            for (s, stat) in stats.iter().enumerate() {
+                m[(f, p * n_stats + s)] = stat.eval(seg);
+            }
+        }
+    }
+    m
 }
 
 #[cfg(test)]

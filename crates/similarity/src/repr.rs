@@ -156,24 +156,39 @@ pub fn norm01(v: f64, (lo, hi): (f64, f64)) -> f64 {
 pub fn mts(data: &[RunFeatureData]) -> Vec<Matrix> {
     let ranges = global_ranges(data);
     data.iter()
-        .map(|run| {
-            let n = run.series.first().map_or(0, Vec::len);
-            for (i, s) in run.series.iter().enumerate() {
-                assert_eq!(
-                    s.len(),
-                    n,
-                    "MTS requires equal observation counts (feature {i})"
-                );
-            }
-            let mut m = Matrix::zeros(n, run.series.len());
-            for (f, s) in run.series.iter().enumerate() {
-                for (t, &v) in s.iter().enumerate() {
-                    m[(t, f)] = norm01(v, ranges[f]);
-                }
-            }
-            m
-        })
+        .map(|run| mts_with_ranges(run, &ranges))
         .collect()
+}
+
+/// One run's MTS matrix with caller-supplied per-feature `(lo, hi)`
+/// ranges — the per-run step of [`mts`], and the corpus-stable form when
+/// the ranges are frozen over a reference corpus.
+///
+/// # Panics
+///
+/// Panics when the run's feature count differs from `ranges` or its
+/// features have unequal observation counts.
+pub(crate) fn mts_with_ranges(run: &RunFeatureData, ranges: &[(f64, f64)]) -> Matrix {
+    assert_eq!(
+        run.series.len(),
+        ranges.len(),
+        "run feature count must match the frozen ranges"
+    );
+    let n = run.series.first().map_or(0, Vec::len);
+    for (i, s) in run.series.iter().enumerate() {
+        assert_eq!(
+            s.len(),
+            n,
+            "MTS requires equal observation counts (feature {i})"
+        );
+    }
+    let mut m = Matrix::zeros(n, run.series.len());
+    for (f, s) in run.series.iter().enumerate() {
+        for (t, &v) in s.iter().enumerate() {
+            m[(t, f)] = norm01(v, ranges[f]);
+        }
+    }
+    m
 }
 
 #[cfg(test)]
