@@ -31,6 +31,10 @@
 //!    sequential fallback: no threads are spawned at all),
 //! 3. [`std::thread::available_parallelism`].
 //!
+//! Steps 2 and 3 are resolved once per process, on first use, and cached:
+//! the hardware query reads cgroup files on Linux, and nothing changes
+//! `WP_THREADS` at run time. The override is checked on every call.
+//!
 //! Nested parallelism is suppressed: a task already running on a pool
 //! worker executes nested `par_*` calls sequentially, so e.g. the
 //! per-channel parallelism inside `dtw_independent` does not
@@ -44,6 +48,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use wp_obs::{LazyCounter, LazyGauge, LazySpan};
 
@@ -67,8 +72,9 @@ thread_local! {
 ///
 /// Resolution order: [`with_thread_count`] override, then the
 /// `WP_THREADS` environment variable, then the machine's available
-/// parallelism. Inside a pool worker this always returns 1 (nested
-/// parallelism runs sequentially). Never returns 0.
+/// parallelism; the last two are read once per process. Inside a pool
+/// worker this always returns 1 (nested parallelism runs sequentially).
+/// Never returns 0.
 pub fn thread_count() -> usize {
     if IN_WORKER.with(Cell::get) {
         return 1;
@@ -76,14 +82,18 @@ pub fn thread_count() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n.max(1);
     }
-    if let Ok(raw) = std::env::var("WP_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static AMBIENT: OnceLock<usize> = OnceLock::new();
+    *AMBIENT.get_or_init(|| {
+        std::env::var("WP_THREADS")
+            .ok()
+            .and_then(|raw| raw.trim().parse::<usize>().ok())
+            .map(|n| n.max(1))
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+    })
 }
 
 /// Runs `f` with the thread count pinned to `n` (clamped to ≥ 1) on the

@@ -3,10 +3,13 @@
 //! The service caches two kinds of derived state: per-reference
 //! fingerprint feature data (computed once, read on every `/similar` and
 //! `/predict`) and whole response bodies for the pure `POST` endpoints
-//! (keyed by request body, so a repeated request is served from memory).
+//! (keyed by corpus generation and request bytes, so a repeated request
+//! is served from memory until an ingest publishes a newer corpus).
 //! Everything cached is a deterministic function of its key, which is
 //! what makes a hit *bit-identical* to a recompute — the cache can only
-//! ever change latency, never bytes.
+//! ever change latency, never bytes. [`LruCache::retain`] lets the owner
+//! drop entries whose keys can no longer be asked for, such as answers
+//! of a superseded generation.
 //!
 //! Reads take the shared lock: lookups update recency through a per-entry
 //! atomic timestamp (a seqlock-style trick — the recency clock is advanced
@@ -146,6 +149,14 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         let value = Arc::new(f());
         self.insert(key.clone(), Arc::clone(&value));
         value
+    }
+
+    /// Drops every entry for which `keep` returns false. Dropped entries
+    /// count as neither hits, misses nor evictions, and survivors keep
+    /// their recency.
+    pub fn retain(&self, mut keep: impl FnMut(&K, &V) -> bool) {
+        let mut inner = self.inner.write().expect("cache lock poisoned");
+        inner.map.retain(|key, entry| keep(key, &entry.value));
     }
 
     /// `(hits, misses)` counters since construction.
@@ -293,6 +304,34 @@ mod tests {
         assert_eq!(*cache.get(&3).unwrap(), 30);
         assert_eq!(*cache.get(&4).unwrap(), 40);
         assert_eq!(*held, 10);
+    }
+
+    #[test]
+    fn retain_drops_exactly_the_rejected_entries() {
+        let cache: LruCache<(u64, u32), u32> = LruCache::new(8);
+        for key in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1)] {
+            cache.insert(key, Arc::new(key.1 * 10));
+        }
+        assert!(cache.get(&(0, 1)).is_some());
+        assert!(cache.get(&(9, 9)).is_none());
+        let counters = cache.counters();
+
+        let mut seen = Vec::new();
+        cache.retain(|&(generation, _), &value| {
+            seen.push(value);
+            generation >= 1
+        });
+        seen.sort_unstable();
+        assert_eq!(seen, [10, 10, 10, 20, 20], "every entry is offered once");
+        assert_eq!(cache.counters(), counters, "a drop is no hit or miss");
+        assert_eq!(cache.len(), 3);
+
+        for key in [(1, 1), (1, 2), (2, 1)] {
+            assert_eq!(*cache.get(&key).unwrap(), key.1 * 10, "{key:?} survives");
+        }
+        for key in [(0, 1), (0, 2)] {
+            assert!(cache.get(&key).is_none(), "{key:?} was dropped");
+        }
     }
 
     #[test]

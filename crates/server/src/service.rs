@@ -5,8 +5,8 @@
 //! startup, the streaming engine published for the current generation,
 //! and per-shard LRU caches (per-reference fingerprint data and whole
 //! response bodies). Every computed response is a deterministic function
-//! of (corpus generation, request body), so a cache hit is byte-identical
-//! to a recompute.
+//! of (corpus generation, request bytes), so a cache hit is
+//! byte-identical to a recompute.
 //!
 //! ## Snapshots and shards
 //!
@@ -18,7 +18,15 @@
 //! reads never wait for an ingest. The reactor backend pins each
 //! connection to one event-loop shard, whose [`ShardState`] holds that
 //! shard's caches; the blocking workers backend uses one shard.
+//!
+//! A shard's response cache holds answers of the newest generation the
+//! shard has served a cached `POST` at, and no older ones: the first
+//! such request at a newer generation drops every older entry, on that
+//! shard's own request path. No request that starts after a newer
+//! generation is published asks for an older key, so the drop changes
+//! memory only, never an answer.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use wp_core::offline::OfflineCorpus;
@@ -97,8 +105,47 @@ pub struct ShardState {
     /// Per-reference extracted fingerprint feature data.
     pub ref_data: LruCache<String, Vec<RunFeatureData>>,
     /// Whole-response cache for the `POST` endpoints, keyed by
-    /// `generation + path + body`.
-    pub responses: LruCache<String, String>,
+    /// `(generation, path + body)`. It holds answers of the newest
+    /// generation the shard has served a cached `POST` at, no older ones.
+    pub responses: LruCache<(u64, String), String>,
+    /// The newest corpus generation this shard has served a cached
+    /// `POST` at. `Relaxed` suffices: the mark publishes no data (the
+    /// cache's lock orders its entries), and a stale read of it can only
+    /// keep or store an entry that no new request asks for.
+    newest_generation: AtomicU64,
+}
+
+impl ShardState {
+    fn new(cache_capacity: usize) -> Self {
+        Self {
+            ref_data: LruCache::with_obs(cache_capacity, &REF_DATA_OBS),
+            responses: LruCache::with_obs(cache_capacity, &RESPONSES_OBS),
+            newest_generation: AtomicU64::new(0),
+        }
+    }
+
+    /// Records a cached `POST` served at `generation`. The first one at a
+    /// newer generation drops every response of an older one: a request
+    /// that starts after a newer snapshot is published never asks for an
+    /// older key.
+    fn serve_at(&self, generation: u64) {
+        let previous = self
+            .newest_generation
+            .fetch_max(generation, Ordering::Relaxed);
+        if previous < generation {
+            self.responses.retain(|(g, _), _| *g >= generation);
+        }
+    }
+
+    /// Caches `body` under `key`, unless the shard has served a newer
+    /// generation since `key`'s snapshot was taken: no new request asks
+    /// for that key. A store racing the drop on another thread of the same
+    /// shard can still leave one such entry; the next drop removes it.
+    fn store(&self, key: (u64, String), body: &str) {
+        if key.0 >= self.newest_generation.load(Ordering::Relaxed) {
+            self.responses.insert(key, Arc::new(body.to_string()));
+        }
+    }
 }
 
 /// Everything a worker needs to answer requests; shared via `Arc`.
@@ -186,10 +233,7 @@ impl ServiceState {
             config,
             compute_threads,
             shards: (0..shards.max(1))
-                .map(|_| ShardState {
-                    ref_data: LruCache::with_obs(cache_capacity, &REF_DATA_OBS),
-                    responses: LruCache::with_obs(cache_capacity, &RESPONSES_OBS),
-                })
+                .map(|_| ShardState::new(cache_capacity))
                 .collect(),
             engine: RwLock::new(Arc::new(engine)),
             ingest_order: Mutex::new(()),
@@ -320,8 +364,8 @@ fn route(state: &ServiceState, shard: usize, req: &Request) -> Result<String, Se
 }
 
 /// The response-cache key of `req` answered against corpus `generation`.
-fn cache_key(generation: u64, req: &Request) -> String {
-    format!("g{generation}\n{}\n{}", req.path, req.body)
+fn cache_key(generation: u64, req: &Request) -> (u64, String) {
+    (generation, format!("{}\n{}", req.path, req.body))
 }
 
 /// Serves a `POST` endpoint through the response cache: identical bodies
@@ -329,8 +373,8 @@ fn cache_key(generation: u64, req: &Request) -> String {
 ///
 /// The key carries the corpus generation alongside the request bytes, so
 /// an answer computed against one corpus is never served after an ingest
-/// mutated it — stale entries age out of the LRU instead of being
-/// returned. The key's generation and the answer come from the same
+/// mutated it; the shard drops such entries at its first request on the
+/// newer corpus. The key's generation and the answer come from the same
 /// snapshot, so a body is always stored under the generation it read.
 fn cached(
     state: &ServiceState,
@@ -339,13 +383,15 @@ fn cached(
     f: impl FnOnce(&StreamEngine) -> Result<String, ServiceError>,
 ) -> Result<String, ServiceError> {
     let engine = state.snapshot();
-    let key = cache_key(engine.generation(), req);
-    let responses = &state.shard(shard).responses;
-    if let Some(hit) = responses.get(&key) {
+    let generation = engine.generation();
+    let caches = state.shard(shard);
+    caches.serve_at(generation);
+    let key = cache_key(generation, req);
+    if let Some(hit) = caches.responses.get(&key) {
         return Ok(hit.as_ref().clone());
     }
     let body = f(&engine)?;
-    responses.insert(key, Arc::new(body.clone()));
+    caches.store(key, &body);
     Ok(body)
 }
 
@@ -1047,12 +1093,17 @@ mod tests {
     use wp_workloads::{benchmarks, Sku};
 
     fn test_state() -> ServiceState {
+        sharded_test_state(1)
+    }
+
+    fn sharded_test_state(shards: usize) -> ServiceState {
         let corpus = simulated_corpus(0xEDB7_2025, 40);
         let config = PipelineConfig {
             selection: Strategy::FAnova,
             ..PipelineConfig::default()
         };
-        ServiceState::new(corpus, config, Some(1), 16, StreamConfig::default()).unwrap()
+        let stream = StreamConfig::default();
+        ServiceState::sharded(corpus, config, Some(1), 16, stream, shards).unwrap()
     }
 
     fn ingest_body(tenant: &str, workload: &str, first_run: usize, n: usize) -> String {
@@ -1346,6 +1397,52 @@ mod tests {
             Some("live:ycsb-live"),
             "{after}"
         );
+    }
+
+    /// Each shard drops its answers of older generations at its first
+    /// read on a newer corpus: after one ingest and one more read per
+    /// shard, the new answer is all that shard holds, and it equals a
+    /// fresh one-shard state's answer.
+    #[test]
+    fn shards_drop_answers_of_superseded_generations() {
+        let exact = request("POST", "/similar", &target_body(3));
+        let indexed_body = target_body(3).replacen('{', "{\"mode\":\"indexed\",\"k\":3,", 1);
+        let indexed = request("POST", "/similar", &indexed_body);
+        let ingest = request("POST", "/ingest", &ingest_body("ycsb-live", "YCSB", 10, 2));
+
+        let state = sharded_test_state(2);
+        let mut stale = Vec::new();
+        for shard in 0..2 {
+            for req in [&exact, &indexed] {
+                stale.push(handle_on(&state, shard, req));
+            }
+            assert_eq!(state.shards[shard].responses.len(), 2);
+        }
+        let (s, resp) = handle_on(&state, 0, &ingest);
+        assert_eq!(s, 200, "{resp}");
+        let answers: Vec<_> = (0..2)
+            .map(|shard| handle_on(&state, shard, &indexed))
+            .collect();
+        assert_eq!(state.response_cache_counters(), (0, 6), "drops are no hits");
+
+        let fresh = test_state();
+        let (s, resp) = handle(&fresh, &ingest);
+        assert_eq!(s, 200, "{resp}");
+        let expected = handle(&fresh, &indexed);
+        assert_eq!(expected.0, 200, "{}", expected.1);
+        assert!(
+            !stale.contains(&expected),
+            "the ingest must change the answer"
+        );
+        for (shard, answer) in answers.iter().enumerate() {
+            assert_eq!(answer, &expected, "shard {shard}");
+            let responses = &state.shards[shard].responses;
+            assert_eq!(responses.len(), 1, "shard {shard} kept a superseded answer");
+            let held = responses
+                .get(&cache_key(1, &indexed))
+                .expect("new answer cached");
+            assert_eq!(held.as_ref(), &expected.1, "shard {shard}");
+        }
     }
 
     #[test]

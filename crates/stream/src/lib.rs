@@ -25,7 +25,9 @@
 //!   detector over the window's CPU series.
 //! * **Generations** — every accepted batch bumps a generation counter;
 //!   the server keys its response caches on it, so a cached answer can
-//!   never outlive the corpus it was computed against.
+//!   never outlive the corpus it was computed against, and each server
+//!   shard drops the answers of older generations once it serves a newer
+//!   one.
 //! * **Snapshots** — cloning an engine is cheap and the clone is
 //!   isolated: ingesting into it never changes its source. The server
 //!   ingests into a clone and publishes it, so readers keep answering
