@@ -23,9 +23,6 @@ fn accuracy(data: &[RunFeatureData], labels: &[usize], representation: Represent
         Representation::HistFp => histfp(data, 10),
         Representation::PhaseFp => phasefp(data, &PhaseFpConfig::default()),
         Representation::Mts => mts(data),
-        // The ablation perturbs raw telemetry series; the learned
-        // representation has its own benchmark (exp_embed).
-        Representation::PlanEmbed => unreachable!("robustness ablation covers raw representations"),
     };
     let d =
         try_distance_matrix(&fps, Measure::Norm(Norm::L21)).expect("fingerprints share a shape");

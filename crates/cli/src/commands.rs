@@ -20,7 +20,7 @@ usage:
   wp simulate --workload <name> --sku <sku> [--terminals N] [--run N] [--json] [--seed S]
   wp select   [--strategy <name>] [--top K] [--sku <sku>] [--seed S]
   wp similar  --target <name> [--sku <sku>] [--top K] [--seed S]
-              [--representation mts|hist|phase|embed]
+              [--representation mts|hist|phase]
   wp predict  --target <name> --from <sku> --to <sku> [--terminals N] [--seed S]
   wp recommend --slo REQS (--target <name> | --scenario <zoo> [--step N])
               [--samples N] [--seed S] [--json]
@@ -251,7 +251,7 @@ fn cmd_similar(args: &Args) -> Result<(), String> {
     let representation = match args.get("representation") {
         None => Representation::HistFp,
         Some(s) => Representation::parse(s).ok_or_else(|| {
-            format!("unknown representation '{s}' (use 'mts', 'hist', 'phase', or 'embed')")
+            format!("unknown representation '{s}' (use 'mts', 'hist', or 'phase')")
         })?,
     };
     let mut pipeline = Pipeline::new(args.parsed_or("seed", DEFAULT_SEED)?);

@@ -165,15 +165,8 @@ pub fn find_most_similar(
         ref_spans.push((name.as_str(), start..all_runs.len()));
     }
     let data: Vec<_> = all_runs.iter().map(|r| extract(r, features)).collect();
-    let builder = fingerprinter(config.representation, &config.fingerprint_config());
-    if !builder.supports_measure(config.measure) {
-        return Err(format!(
-            "measure {:?} is not defined for the {} representation",
-            config.measure,
-            config.representation.label()
-        ));
-    }
-    let fps = builder.fingerprints(&data);
+    let fps =
+        fingerprinter(config.representation, &config.fingerprint_config()).fingerprints(&data);
     rank_by_mean_distance(&fps, config.measure, target_runs.len(), &ref_spans)
 }
 

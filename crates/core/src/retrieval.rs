@@ -9,24 +9,23 @@
 //! serving path.
 //!
 //! [`CorpusIndex`] is the serving-path variant: the representation's
-//! corpus state (histogram ranges, phase counts, or encoder weights) is
-//! *frozen over the corpus* at build time through the
-//! [`wp_similarity::Fingerprinter`] strategy trait, so every reference
-//! fingerprint is computed exactly once, a query fingerprint depends
-//! only on the query, and top-k retrieval goes through the
-//! [`wp_index::Index`] pruning cascade instead of a full scan. The
-//! trade-off is explicit: distances are the *raw* measure values (no
-//! query-dependent min-max pass), so they are comparable across queries
-//! but not bit-identical to the joint-normalization path.
+//! corpus state (histogram ranges or phase counts) is *frozen over the
+//! corpus* at build time through the [`wp_similarity::Fingerprinter`]
+//! strategy trait, so every reference fingerprint is computed exactly
+//! once, a query fingerprint depends only on the query, and top-k
+//! retrieval goes through the [`wp_index::Index`] pruning cascade
+//! instead of a full scan. The trade-off is explicit: distances are the
+//! *raw* measure values (no query-dependent min-max pass), so they are
+//! comparable across queries but not bit-identical to the
+//! joint-normalization path.
 //!
 //! Frozen state reaches an index only as a fitted
 //! [`wp_similarity::Fingerprinter`]:
 //! [`CorpusIndex::from_reference_runs`] fits one over the references it
 //! indexes, and [`CorpusIndex::from_reference_runs_with_fingerprinter`]
 //! takes one already fitted, which is how a rebuild shares the state of
-//! the index it replaces. Any [`wp_similarity::Representation`] — the
-//! three paper fingerprints or the learned Plan-Embed — can back the
-//! index, as long as it supports the configured measure.
+//! the index it replaces. Any [`wp_similarity::Representation`] can back
+//! the index.
 
 use std::sync::Arc;
 
@@ -59,8 +58,8 @@ pub struct RunHit {
 /// A [`wp_index::Index`] over the fingerprints of every reference run,
 /// plus the frozen state a query needs to be fingerprinted the same way:
 /// the selected features and the fitted [`Fingerprinter`] (which carries
-/// the representation's corpus state — histogram ranges, phase counts,
-/// or encoder weights).
+/// the representation's corpus state — histogram ranges or phase
+/// counts).
 #[derive(Clone)]
 pub struct CorpusIndex {
     index: Index,
@@ -145,13 +144,6 @@ impl CorpusIndex {
         if !fingerprinter.is_fitted() {
             return Err("fingerprinter must be fitted before indexing".to_string());
         }
-        if !fingerprinter.supports_measure(config.measure) {
-            return Err(format!(
-                "measure {:?} is not defined for the {} representation",
-                config.measure,
-                fingerprinter.representation().label()
-            ));
-        }
         let mut run_refs = Vec::new();
         let mut fps = Vec::new();
         for (ri, (name, runs)) in reference_runs.iter().enumerate() {
@@ -177,11 +169,6 @@ impl CorpusIndex {
     /// indexes fingerprint under identical frozen state.
     pub fn fingerprinter(&self) -> Arc<dyn Fingerprinter> {
         Arc::clone(&self.fingerprinter)
-    }
-
-    /// Which representation backs this index.
-    pub fn representation(&self) -> wp_similarity::Representation {
-        self.fingerprinter.representation()
     }
 
     /// The features fingerprints are extracted on.
@@ -559,9 +546,8 @@ mod tests {
         assert!(index.rank_references(&target, 0).is_err());
     }
 
-    /// Every representation that defines the default measure yields a
-    /// working index through the trait constructor, and its query path
-    /// stays thread-count invariant.
+    /// Every representation yields a working index through the trait
+    /// constructor, and its query path stays thread-count invariant.
     #[test]
     fn every_representation_indexes_and_ranks_thread_invariantly() {
         use wp_similarity::Representation;
@@ -578,7 +564,6 @@ mod tests {
             Representation::HistFp,
             Representation::PhaseFp,
             Representation::Mts,
-            Representation::PlanEmbed,
         ] {
             let features: Vec<FeatureId> = match repr {
                 Representation::Mts => wp_telemetry::ResourceFeature::ALL

@@ -956,9 +956,9 @@ mod tests {
         }
     }
 
-    /// Embedding-style fingerprints — single-row 1×k vectors like the
-    /// Plan-Embed bottleneck — must flow through the metric-norm
-    /// pivot/PAA cascade byte-identically to brute force.
+    /// Embedding-style fingerprints — single-row 1×k vectors — must flow
+    /// through the metric-norm pivot/PAA cascade byte-identically to
+    /// brute force.
     #[test]
     fn embedding_vectors_flow_through_the_metric_cascade() {
         let fps = corpus(40, 1, 4);

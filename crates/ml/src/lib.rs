@@ -15,8 +15,6 @@
 //! * [`gbm`] — least-squares gradient boosting.
 //! * [`svm`] — ε-SVR trained with SMO, linear and RBF kernels.
 //! * [`mlp`] — multi-layer perceptron regressor (Adam optimizer).
-//! * [`autoencoder`] — seeded symmetric MLP autoencoder whose bottleneck
-//!   supplies dense embeddings (the learned plan-representation substrate).
 //! * [`mars`] — multivariate adaptive regression splines.
 //! * [`lmm`] — linear mixed-effects model (random intercept + slope per
 //!   group).
@@ -29,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod autoencoder;
 pub mod cv;
 pub mod forest;
 pub mod gbm;

@@ -23,7 +23,7 @@ pub enum Activation {
 }
 
 impl Activation {
-    pub(crate) fn apply(&self, x: f64) -> f64 {
+    fn apply(&self, x: f64) -> f64 {
         match self {
             Activation::Relu => x.max(0.0),
             Activation::Tanh => x.tanh(),
@@ -32,7 +32,7 @@ impl Activation {
     }
 
     /// Derivative expressed in terms of the activation *output* `a`.
-    pub(crate) fn derivative_from_output(&self, a: f64) -> f64 {
+    fn derivative_from_output(&self, a: f64) -> f64 {
         match self {
             Activation::Relu => {
                 if a > 0.0 {
@@ -85,22 +85,21 @@ impl Default for MlpConfig {
     }
 }
 
-/// One dense layer with Adam state. Shared with the autoencoder, which
-/// stacks the same layers into a symmetric encoder/decoder.
+/// One dense layer with Adam state.
 #[derive(Debug, Clone)]
-pub(crate) struct Layer {
+struct Layer {
     /// `out × in` weight matrix.
-    pub(crate) w: Matrix,
-    pub(crate) b: Vec<f64>,
+    w: Matrix,
+    b: Vec<f64>,
     // Adam moments
-    pub(crate) mw: Matrix,
-    pub(crate) vw: Matrix,
-    pub(crate) mb: Vec<f64>,
-    pub(crate) vb: Vec<f64>,
+    mw: Matrix,
+    vw: Matrix,
+    mb: Vec<f64>,
+    vb: Vec<f64>,
 }
 
 impl Layer {
-    pub(crate) fn new(n_in: usize, n_out: usize, rng: &mut Rng64) -> Self {
+    fn new(n_in: usize, n_out: usize, rng: &mut Rng64) -> Self {
         // He-style initialization
         let scale = (2.0 / n_in as f64).sqrt();
         let mut w = Matrix::zeros(n_out, n_in);
@@ -119,7 +118,7 @@ impl Layer {
         }
     }
 
-    pub(crate) fn forward(&self, input: &[f64]) -> Vec<f64> {
+    fn forward(&self, input: &[f64]) -> Vec<f64> {
         let mut out = self.b.clone();
         for (r, o) in out.iter_mut().enumerate() {
             *o += wp_linalg::ops::dot(self.w.row(r), input);
@@ -184,20 +183,15 @@ impl MlpRegressor {
     }
 
     fn adam_step(t: usize, lr: f64, grad: f64, m: &mut f64, v: &mut f64, param: &mut f64) {
-        adam_step(t, lr, grad, m, v, param)
+        const B1: f64 = 0.9;
+        const B2: f64 = 0.999;
+        const EPS: f64 = 1e-8;
+        *m = B1 * *m + (1.0 - B1) * grad;
+        *v = B2 * *v + (1.0 - B2) * grad * grad;
+        let mh = *m / (1.0 - B1.powi(t as i32));
+        let vh = *v / (1.0 - B2.powi(t as i32));
+        *param -= lr * mh / (vh.sqrt() + EPS);
     }
-}
-
-/// One Adam update for a single parameter with bias-corrected moments.
-pub(crate) fn adam_step(t: usize, lr: f64, grad: f64, m: &mut f64, v: &mut f64, param: &mut f64) {
-    const B1: f64 = 0.9;
-    const B2: f64 = 0.999;
-    const EPS: f64 = 1e-8;
-    *m = B1 * *m + (1.0 - B1) * grad;
-    *v = B2 * *v + (1.0 - B2) * grad * grad;
-    let mh = *m / (1.0 - B1.powi(t as i32));
-    let vh = *v / (1.0 - B2.powi(t as i32));
-    *param -= lr * mh / (vh.sqrt() + EPS);
 }
 
 impl Regressor for MlpRegressor {

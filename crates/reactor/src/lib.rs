@@ -27,6 +27,8 @@
 //! it still compiles and [`Reactor::start`] reports an unsupported-
 //! platform error so callers can fall back to a blocking backend.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -60,6 +60,8 @@ pub(crate) mod epoll {
     }
 
     pub(crate) fn create() -> io::Result<c_int> {
+        // SAFETY: `epoll_create1` takes no pointers and `EPOLL_CLOEXEC` is
+        // a valid flag; a failure is a negative return, checked below.
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
@@ -74,6 +76,10 @@ pub(crate) mod epoll {
         } else {
             &mut event as *mut EpollEvent
         };
+        // SAFETY: `event_ptr` points at the live local `event` for the
+        // whole call, or is null only for `EPOLL_CTL_DEL`, which ignores
+        // the event (Linux >= 2.6.9). The kernel validates `epfd` and `fd`
+        // and reports a bad one as an error, not undefined behaviour.
         if unsafe { epoll_ctl(epfd, op, fd, event_ptr) } < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -86,6 +92,10 @@ pub(crate) mod epoll {
         timeout_ms: c_int,
     ) -> io::Result<usize> {
         loop {
+            // SAFETY: the pointer and length come from one live `&mut`
+            // slice of `#[repr(C)]` events, so the kernel writes at most
+            // `buf.len()` entries into memory this call borrows
+            // exclusively; the cast can only shrink the count.
             let n = unsafe { epoll_wait(epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms) };
             if n >= 0 {
                 return Ok(n as usize);
@@ -98,6 +108,9 @@ pub(crate) mod epoll {
     }
 
     pub(crate) fn close_fd(fd: c_int) {
+        // SAFETY: the only caller is `Drop` of the poller that owns `fd`,
+        // an epoll descriptor from `create`, so it is valid, closed
+        // exactly once and never used afterwards.
         unsafe {
             close(fd);
         }
@@ -133,6 +146,9 @@ pub(crate) mod pollsys {
 
     pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<usize> {
         loop {
+            // SAFETY: the pointer and length come from one live `&mut`
+            // slice of `#[repr(C)]` `pollfd`s, so the kernel reads and
+            // writes only within it; the cast can only shrink the count.
             let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
             if n >= 0 {
                 return Ok(n as usize);
@@ -177,6 +193,8 @@ pub fn raise_nofile_limit(target: u64) -> u64 {
         rlim_cur: 0,
         rlim_max: 0,
     };
+    // SAFETY: `lim` is an initialised `#[repr(C)]` `RLimit` matching
+    // `struct rlimit`, live and exclusively borrowed for the call.
     if unsafe { rlimit::getrlimit(rlimit::RLIMIT_NOFILE, &mut lim) } != 0 {
         return target;
     }
@@ -188,6 +206,8 @@ pub fn raise_nofile_limit(target: u64) -> u64 {
         rlim_cur: wanted,
         rlim_max: lim.rlim_max,
     };
+    // SAFETY: `new` is an initialised `#[repr(C)]` `RLimit` matching
+    // `struct rlimit` that outlives the call; `setrlimit` only reads it.
     if unsafe { rlimit::setrlimit(rlimit::RLIMIT_NOFILE, &new) } == 0 {
         wanted
     } else {

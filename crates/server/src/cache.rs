@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use wp_obs::LazyCounter;
 
@@ -59,6 +59,10 @@ struct Inner<K, V> {
 
 /// Shared LRU cache; cheap to clone handles via `Arc` at the call sites.
 pub struct LruCache<K, V> {
+    /// Poisoning is recovered with [`PoisonError::into_inner`]: a panic
+    /// under the lock, such as in a [`LruCache::retain`] caller's closure,
+    /// still leaves a valid map, and every value is a pure function of its
+    /// key, so whatever entries survive are still correct.
     inner: RwLock<Inner<K, V>>,
     clock: AtomicU64,
     hits: AtomicU64,
@@ -92,7 +96,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Looks `key` up, refreshing its recency. Counts a hit or miss.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let inner = self.inner.read().expect("cache lock poisoned");
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         match inner.map.get(key) {
             Some(entry) => {
                 entry.last_used.fetch_max(tick, Ordering::Relaxed);
@@ -116,7 +120,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// at capacity.
     pub fn insert(&self, key: K, value: Arc<V>) {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut inner = self.inner.write().expect("cache lock poisoned");
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         if !inner.map.contains_key(&key) && inner.map.len() >= inner.capacity {
             // O(capacity) scan; capacities here are tens of entries.
             if let Some(evict) = inner
@@ -155,7 +159,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// count as neither hits, misses nor evictions, and survivors keep
     /// their recency.
     pub fn retain(&self, mut keep: impl FnMut(&K, &V) -> bool) {
-        let mut inner = self.inner.write().expect("cache lock poisoned");
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         inner.map.retain(|key, entry| keep(key, &entry.value));
     }
 
@@ -169,7 +173,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("cache lock poisoned").map.len()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .map
+            .len()
     }
 
     /// True when no entry is cached.
@@ -332,6 +340,32 @@ mod tests {
         for key in [(0, 1), (0, 2)] {
             assert!(cache.get(&key).is_none(), "{key:?} was dropped");
         }
+    }
+
+    /// A panic inside a `retain` closure poisons the lock; every later
+    /// call must still work and see the entries the panic left behind.
+    #[test]
+    fn panic_in_retain_does_not_break_the_cache() {
+        let cache: LruCache<u32, u32> = LruCache::new(8);
+        for key in 1..=3 {
+            cache.insert(key, Arc::new(key * 10));
+        }
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.retain(|_, _| panic!("keep predicate panics"));
+        }));
+        assert!(unwound.is_err());
+        assert!(cache.inner.is_poisoned());
+
+        assert_eq!(cache.len(), 3);
+        for key in 1..=3 {
+            assert_eq!(*cache.get(&key).unwrap(), key * 10, "{key} survives");
+        }
+        cache.insert(4, Arc::new(40));
+        assert_eq!(*cache.get(&4).unwrap(), 40);
+        assert!(cache.get(&9).is_none());
+        assert_eq!(cache.counters(), (4, 1));
+        cache.retain(|&key, _| key != 1);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]

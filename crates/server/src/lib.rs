@@ -11,7 +11,7 @@
 //! | `/healthz` | GET | liveness + corpus summary |
 //! | `/corpus` | GET | reference workloads, run counts, selected features |
 //! | `/corpus` | POST | dry-run validation of a corpus document |
-//! | `/fingerprint` | POST | telemetry runs → MTS / Hist-FP / Phase-FP / Plan-Embed fingerprints |
+//! | `/fingerprint` | POST | telemetry runs → MTS / Hist-FP / Phase-FP fingerprints |
 //! | `/similar` | POST | runs → ranked nearest reference workloads |
 //! | `/predict` | POST | runs + SKU pair → scaling prediction |
 //! | `/recommend` | POST | runs or a live tenant + SLO → cheapest SLO-meeting SKU |

@@ -38,7 +38,6 @@ use wp_predict::context::{PairwiseScalingModel, SingleScalingModel};
 use wp_predict::evaluation::{pairwise_cv_nrmse, single_cv_nrmse, ScalingData};
 use wp_predict::strategies::ModelStrategy;
 use wp_similarity::fingerprinter::fingerprinter;
-use wp_similarity::measure::Measure;
 use wp_similarity::repr::{extract, Representation, RunFeatureData};
 use wp_stream::{StreamConfig, StreamEngine};
 use wp_telemetry::io::run_from_json;
@@ -534,67 +533,30 @@ fn matrix_to_json(m: &Matrix) -> Json {
 /// Joint fingerprints of `data` under `repr`, through the
 /// [`Fingerprinter`](wp_similarity::Fingerprinter) strategy trait.
 ///
-/// The representation preconditions that would otherwise panic deep in
-/// `wp-similarity` — ragged observation counts for MTS, missing or empty
-/// plan statistics for Plan-Embed, a measure the representation does not
-/// define — are checked here first and surface as clean 400s.
+/// MTS needs equal observation counts across a run's features and would
+/// otherwise panic deep in `wp-similarity`, so ragged runs are checked
+/// here first and surface as clean 400s.
 fn joint_fingerprints(
-    state: &ServiceState,
     repr: Representation,
     nbins: usize,
-    measure: Option<Measure>,
     data: &[RunFeatureData],
 ) -> Result<Vec<Matrix>, ServiceError> {
-    match repr {
-        Representation::Mts => {
-            for (r, run) in data.iter().enumerate() {
-                let n = run.series.first().map_or(0, Vec::len);
-                if run.series.iter().any(|s| s.len() != n) {
-                    return Err(ServiceError::bad_request(format!(
-                        "runs[{r}]: MTS requires equal observation counts across \
-                         features (resource features only)"
-                    )));
-                }
+    if repr == Representation::Mts {
+        for (r, run) in data.iter().enumerate() {
+            let n = run.series.first().map_or(0, Vec::len);
+            if run.series.iter().any(|s| s.len() != n) {
+                return Err(ServiceError::bad_request(format!(
+                    "runs[{r}]: MTS requires equal observation counts across \
+                     features (resource features only)"
+                )));
             }
         }
-        Representation::PlanEmbed => {
-            let plan_idx: Vec<usize> = state
-                .selected
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| matches!(f, FeatureId::Plan(_)))
-                .map(|(i, _)| i)
-                .collect();
-            if plan_idx.is_empty() {
-                return Err(ServiceError::bad_request(
-                    "Plan-Embed needs plan features, but none were selected at startup",
-                ));
-            }
-            for (r, run) in data.iter().enumerate() {
-                if plan_idx.iter().all(|&i| run.series[i].is_empty()) {
-                    return Err(ServiceError::bad_request(format!(
-                        "runs[{r}]: Plan-Embed needs at least one per-query plan observation"
-                    )));
-                }
-            }
-        }
-        Representation::HistFp | Representation::PhaseFp => {}
     }
     let config = wp_similarity::FingerprintConfig {
         nbins,
         ..Default::default()
     };
-    let builder = fingerprinter(repr, &config);
-    if let Some(m) = measure {
-        if !builder.supports_measure(m) {
-            return Err(ServiceError::bad_request(format!(
-                "measure {} is not defined for the {} representation",
-                m.label(),
-                repr.label()
-            )));
-        }
-    }
-    Ok(builder.fingerprints(data))
+    Ok(fingerprinter(repr, &config).fingerprints(data))
 }
 
 /// The largest `"nbins"` `POST /fingerprint` accepts: 20× the largest bin
@@ -604,15 +566,15 @@ const MAX_NBINS: usize = 1024;
 
 /// `POST /fingerprint` — fingerprints the posted runs on the selected
 /// features. Optional body fields: `"representation"` (`"hist"`, the
-/// default, `"mts"`, `"phase"`, or `"embed"`) and `"nbins"` (Hist-FP
-/// only, at most [`MAX_NBINS`]).
+/// default, `"mts"`, or `"phase"`) and `"nbins"` (Hist-FP only, at most
+/// [`MAX_NBINS`]).
 fn fingerprint(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
     let (doc, runs) = parse_target_runs(body)?;
     let repr = match doc.get("representation").and_then(Json::as_str) {
         None => Representation::HistFp,
         Some(s) => Representation::parse(s).ok_or_else(|| {
             ServiceError::bad_request(format!(
-                "unknown representation '{s}' (use 'mts', 'hist', 'phase', or 'embed')"
+                "unknown representation '{s}' (use 'mts', 'hist', or 'phase')"
             ))
         })?,
     };
@@ -629,7 +591,7 @@ fn fingerprint(state: &ServiceState, body: &str) -> Result<String, ServiceError>
         )));
     }
     let data: Vec<RunFeatureData> = runs.iter().map(|r| extract(r, &state.selected)).collect();
-    let fps = joint_fingerprints(state, repr, nbins, None, &data)?;
+    let fps = joint_fingerprints(repr, nbins, &data)?;
     let features: Vec<Json> = state
         .selected
         .iter()
@@ -663,13 +625,7 @@ fn similar_verdicts(
         data.extend(cached.iter().cloned());
         ref_spans.push((r.name.as_str(), start..data.len()));
     }
-    let fps = joint_fingerprints(
-        state,
-        state.config.representation,
-        state.config.nbins,
-        Some(state.config.measure),
-        &data,
-    )?;
+    let fps = joint_fingerprints(state.config.representation, state.config.nbins, &data)?;
     rank_by_mean_distance(&fps, state.config.measure, target_runs.len(), &ref_spans)
         .map_err(|e| ServiceError::bad_request(format!("cannot compare runs: {e}")))
 }

@@ -564,9 +564,8 @@ fn selected_features(addr: SocketAddr) -> Vec<String> {
 /// representation preconditions that used to panic deep inside
 /// `wp-similarity` (unknown representation names, zero / ill-typed /
 /// over-the-cap bin counts, empty run arrays, ragged MTS observation
-/// counts, Plan-Embed without plan statistics) are clean 400s — never a
-/// worker-killing panic — and every satisfiable representation still
-/// answers 200.
+/// counts) are clean 400s — never a worker-killing panic — and every
+/// satisfiable representation still answers 200.
 #[test]
 fn fingerprint_poisons_die_in_validation() {
     const RESOURCE_NAMES: &[&str] = &[
@@ -618,7 +617,8 @@ fn fingerprint_poisons_die_in_validation() {
         // MTS needs one shared observation count, impossible once plan
         // (per-query) features sit next to resource (per-sample) ones.
         ("mts", !(has_plan && has_resource)),
-        ("embed", has_plan),
+        // a formerly accepted name, now unknown like "bogus"
+        ("embed", false),
     ] {
         let body = template.replacen('{', &format!("{{\"representation\":\"{short}\","), 1);
         let status = post_json(addr, "/fingerprint", body.as_bytes());

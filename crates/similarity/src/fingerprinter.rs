@@ -1,42 +1,31 @@
 //! The representation strategy trait.
 //!
-//! Historically every consumer of the similarity pipeline (wp-core's
-//! `CorpusIndex`, wp-stream's live references, the server's `/similar`
-//! and `/fingerprint` handlers) matched on [`Representation`] and called
-//! the per-representation primitives directly, so adding a fourth
-//! representation meant touching every match arm. [`Fingerprinter`]
-//! packages the two construction modes every representation needs:
+//! [`Fingerprinter`] packages the two construction modes every
+//! representation needs:
 //!
 //! * **joint** ([`Fingerprinter::fingerprints`]) — the paper's semantics:
-//!   normalization state (global ranges, phase counts, encoder weights)
-//!   is derived from exactly the runs being compared, so a fingerprint
-//!   depends on the whole closed set.
+//!   normalization state (global ranges, phase counts) is derived from
+//!   exactly the runs being compared, so a fingerprint depends on the
+//!   whole closed set.
 //! * **corpus-stable** ([`Fingerprinter::fit`] then
 //!   [`Fingerprinter::fingerprint`]) — the state is frozen over a
 //!   reference corpus once; afterwards a query's fingerprint depends only
 //!   on the frozen state and the query itself. This is what makes
 //!   incremental index inserts byte-identical to full rebuilds.
 //!
-//! Both modes of the three paper representations run the same per-run
-//! code and differ only in which runs the state is derived from: MTS and
-//! Hist-FP build each matrix in `repr::mts_with_ranges` and
+//! Both modes of every representation run the same per-run code and
+//! differ only in which runs the state is derived from: MTS and Hist-FP
+//! build each matrix in `repr::mts_with_ranges` and
 //! [`crate::histfp::histfp_with_ranges`], and Phase-FP shares its
 //! segment, phase-count and emit steps with
 //! [`crate::phasefp::phasefp`]. Joint fingerprints therefore equal `fit`
-//! over the batch followed by `fingerprint` on each run, bit for bit,
-//! and stay bit-identical to the pre-trait pipeline.
-//! [`Representation::PlanEmbed`] is the learned fourth representation —
-//! a seeded autoencoder over per-query plan-statistic vectors whose
-//! bottleneck mean is the fingerprint.
+//! over the batch followed by `fingerprint` on each run, bit for bit.
 
 use std::sync::Arc;
 
 use wp_linalg::Matrix;
-use wp_ml::autoencoder::{Autoencoder, AutoencoderConfig};
-use wp_telemetry::FeatureId;
 
 use crate::histfp::{histfp, histfp_with_ranges, DEFAULT_BINS};
-use crate::measure::Measure;
 use crate::phasefp::{emit, max_phases, phasefp, segment_run, PhaseFpConfig, RunSegments};
 use crate::repr::{global_ranges, mts, mts_with_ranges, Representation, RunFeatureData};
 
@@ -48,8 +37,6 @@ pub struct FingerprintConfig {
     pub nbins: usize,
     /// Phase segmentation and statistics (Phase-FP).
     pub phase: PhaseFpConfig,
-    /// Autoencoder hyper-parameters (Plan-Embed).
-    pub embed: AutoencoderConfig,
 }
 
 impl Default for FingerprintConfig {
@@ -57,7 +44,6 @@ impl Default for FingerprintConfig {
         Self {
             nbins: DEFAULT_BINS,
             phase: PhaseFpConfig::default(),
-            embed: AutoencoderConfig::default(),
         }
     }
 }
@@ -65,11 +51,8 @@ impl Default for FingerprintConfig {
 /// One data representation's fingerprint constructor (see the module
 /// docs for the joint vs. corpus-stable contract).
 pub trait Fingerprinter: Send + Sync {
-    /// Which representation this builds.
-    fn representation(&self) -> Representation;
-
-    /// Freezes corpus-dependent state (ranges, phase counts, encoder
-    /// weights) over the reference corpus.
+    /// Freezes corpus-dependent state (ranges, phase counts) over the
+    /// reference corpus.
     fn fit(&mut self, corpus: &[RunFeatureData]);
 
     /// True once [`Fingerprinter::fit`] has supplied corpus state.
@@ -85,11 +68,6 @@ pub trait Fingerprinter: Send + Sync {
     /// Joint fingerprints over a closed set of runs (the paper's
     /// semantics: normalization state derived from exactly these runs).
     fn fingerprints(&self, data: &[RunFeatureData]) -> Vec<Matrix>;
-
-    /// Whether `measure` is meaningful for this representation's
-    /// fingerprints — lets builders fail fast with a clear error instead
-    /// of a shape panic deep in a distance kernel.
-    fn supports_measure(&self, measure: Measure) -> bool;
 }
 
 /// Builds the fingerprinter for a representation. The result is
@@ -100,7 +78,6 @@ pub fn fingerprinter(repr: Representation, config: &FingerprintConfig) -> Box<dy
         Representation::Mts => Box::new(MtsFingerprinter::new()),
         Representation::HistFp => Box::new(HistFpFingerprinter::new(config.nbins)),
         Representation::PhaseFp => Box::new(PhaseFpFingerprinter::new(config.phase.clone())),
-        Representation::PlanEmbed => Box::new(PlanEmbedFingerprinter::new(config.embed.clone())),
     }
 }
 
@@ -131,10 +108,6 @@ impl MtsFingerprinter {
 }
 
 impl Fingerprinter for MtsFingerprinter {
-    fn representation(&self) -> Representation {
-        Representation::Mts
-    }
-
     fn fit(&mut self, corpus: &[RunFeatureData]) {
         self.ranges = Some(global_ranges(corpus));
     }
@@ -150,12 +123,6 @@ impl Fingerprinter for MtsFingerprinter {
 
     fn fingerprints(&self, data: &[RunFeatureData]) -> Vec<Matrix> {
         mts(data)
-    }
-
-    fn supports_measure(&self, _measure: Measure) -> bool {
-        // elastic measures are MTS's home turf; norms additionally need
-        // equal sample counts, which the index validates at build time
-        true
     }
 }
 
@@ -178,10 +145,6 @@ impl HistFpFingerprinter {
 }
 
 impl Fingerprinter for HistFpFingerprinter {
-    fn representation(&self) -> Representation {
-        Representation::HistFp
-    }
-
     fn fit(&mut self, corpus: &[RunFeatureData]) {
         self.ranges = Some(global_ranges(corpus));
     }
@@ -202,10 +165,6 @@ impl Fingerprinter for HistFpFingerprinter {
 
     fn fingerprints(&self, data: &[RunFeatureData]) -> Vec<Matrix> {
         histfp(data, self.nbins)
-    }
-
-    fn supports_measure(&self, _measure: Measure) -> bool {
-        true
     }
 }
 
@@ -229,10 +188,6 @@ impl PhaseFpFingerprinter {
 }
 
 impl Fingerprinter for PhaseFpFingerprinter {
-    fn representation(&self) -> Representation {
-        Representation::PhaseFp
-    }
-
     fn fit(&mut self, corpus: &[RunFeatureData]) {
         let ranges = global_ranges(corpus);
         let segmented: Vec<RunSegments> = corpus
@@ -259,125 +214,12 @@ impl Fingerprinter for PhaseFpFingerprinter {
     fn fingerprints(&self, data: &[RunFeatureData]) -> Vec<Matrix> {
         phasefp(data, &self.config)
     }
-
-    fn supports_measure(&self, _measure: Measure) -> bool {
-        true
-    }
-}
-
-/// Plan-Embed: the mean bottleneck embedding of a run's per-query
-/// plan-statistic vectors under a seeded autoencoder.
-///
-/// The frozen corpus state is the trained encoder itself: `fit` collects
-/// every per-query plan vector in the corpus into one training matrix
-/// and trains the autoencoder on it (sequential full-batch Adam, so the
-/// weights are bit-identical on any thread count). A query's fingerprint
-/// then depends only on those weights and the query's own rows — the
-/// corpus-stable contract. The `1 × bottleneck` fingerprint is a plain
-/// vector, so the metric-norm stages of the pruning cascade (pivots,
-/// PAA) apply to it directly.
-#[derive(Debug, Clone)]
-pub struct PlanEmbedFingerprinter {
-    config: AutoencoderConfig,
-    encoder: Option<Autoencoder>,
-}
-
-impl PlanEmbedFingerprinter {
-    /// An unfitted Plan-Embed fingerprinter.
-    pub fn new(config: AutoencoderConfig) -> Self {
-        Self {
-            config,
-            encoder: None,
-        }
-    }
-
-    /// Transposes a run's plan-feature series into per-query rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the run carries no plan features (Plan-Embed needs
-    /// plan statistics) or the plan series are ragged.
-    fn plan_rows(run: &RunFeatureData) -> Vec<Vec<f64>> {
-        let plan_idx: Vec<usize> = run
-            .features
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| matches!(f, FeatureId::Plan(_)))
-            .map(|(i, _)| i)
-            .collect();
-        assert!(
-            !plan_idx.is_empty(),
-            "Plan-Embed requires at least one plan feature in the feature set"
-        );
-        let n = run.series[plan_idx[0]].len();
-        for &i in &plan_idx {
-            assert_eq!(
-                run.series[i].len(),
-                n,
-                "plan features must share the per-query observation count"
-            );
-        }
-        (0..n)
-            .map(|q| plan_idx.iter().map(|&i| run.series[i][q]).collect())
-            .collect()
-    }
-}
-
-impl Fingerprinter for PlanEmbedFingerprinter {
-    fn representation(&self) -> Representation {
-        Representation::PlanEmbed
-    }
-
-    fn fit(&mut self, corpus: &[RunFeatureData]) {
-        assert!(!corpus.is_empty(), "need at least one run");
-        let mut rows = Vec::new();
-        for run in corpus {
-            rows.extend(Self::plan_rows(run));
-        }
-        let mut encoder = Autoencoder::new(self.config.clone());
-        encoder.fit(&Matrix::from_rows(&rows));
-        self.encoder = Some(encoder);
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.encoder.is_some()
-    }
-
-    fn fingerprint(&self, run: &RunFeatureData) -> Matrix {
-        let encoder = self
-            .encoder
-            .as_ref()
-            .expect("Plan-Embed fingerprinter not fitted");
-        let rows = Self::plan_rows(run);
-        let k = encoder.bottleneck();
-        let mut mean = vec![0.0; k];
-        for row in &rows {
-            for (m, v) in mean.iter_mut().zip(encoder.encode(row)) {
-                *m += v;
-            }
-        }
-        for m in &mut mean {
-            *m /= rows.len() as f64;
-        }
-        Matrix::from_rows(&[mean])
-    }
-
-    fn fingerprints(&self, data: &[RunFeatureData]) -> Vec<Matrix> {
-        let mut fresh = Self::new(self.config.clone());
-        fresh.fit(data);
-        data.iter().map(|run| fresh.fingerprint(run)).collect()
-    }
-
-    fn supports_measure(&self, measure: Measure) -> bool {
-        // a single-row embedding has no time axis for DTW/LCSS to warp
-        matches!(measure, Measure::Norm(_))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wp_telemetry::{PlanFeature, ResourceFeature};
+    use wp_telemetry::{FeatureId, PlanFeature, ResourceFeature};
 
     fn resource_run(series: Vec<Vec<f64>>) -> RunFeatureData {
         let features = series
@@ -460,11 +302,10 @@ mod tests {
     /// together unnoticed.
     #[test]
     fn joint_fingerprints_equal_fit_then_fingerprint_bit_for_bit() {
-        const PINNED: [(Representation, u64); 4] = [
+        const PINNED: [(Representation, u64); 3] = [
             (Representation::Mts, 0xc243_19da_ba21_8bc0),
             (Representation::HistFp, 0x1f34_4e29_87ca_abee),
             (Representation::PhaseFp, 0x0bd5_0e43_b31b_24d9),
-            (Representation::PlanEmbed, 0x7c9b_5b1f_9db9_7539),
         ];
         let cfg = FingerprintConfig::default();
         let phased: Vec<RunFeatureData> = (0..3).map(|i| phased_run(i as f64)).collect();
@@ -563,55 +404,6 @@ mod tests {
             let b = fp.fingerprint(&rest[0]);
             assert_eq!(a, b, "{}: fingerprint must be pure", repr.label());
         }
-    }
-
-    #[test]
-    fn plan_embed_fingerprint_shape_and_determinism() {
-        let corpus: Vec<RunFeatureData> = (0..4).map(|i| mixed_run(i as f64)).collect();
-        let cfg = FingerprintConfig::default();
-        let a = fitted(Representation::PlanEmbed, &cfg, &corpus);
-        let b = fitted(Representation::PlanEmbed, &cfg, &corpus);
-        let query = mixed_run(9.0);
-        let fa = a.fingerprint(&query);
-        let fb = b.fingerprint(&query);
-        assert_eq!(fa.shape(), (1, cfg.embed.bottleneck));
-        let bits_a: Vec<u64> = fa.as_slice().iter().map(|v| v.to_bits()).collect();
-        let bits_b: Vec<u64> = fb.as_slice().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits_a, bits_b, "training must be deterministic");
-    }
-
-    #[test]
-    fn plan_embed_separates_different_runs() {
-        let corpus: Vec<RunFeatureData> = (0..4).map(|i| mixed_run(i as f64)).collect();
-        let fp = fitted(
-            Representation::PlanEmbed,
-            &FingerprintConfig::default(),
-            &corpus,
-        );
-        assert_ne!(fp.fingerprint(&corpus[0]), fp.fingerprint(&corpus[3]));
-    }
-
-    #[test]
-    fn plan_embed_rejects_elastic_measures() {
-        let fp = fingerprinter(Representation::PlanEmbed, &FingerprintConfig::default());
-        assert!(fp.supports_measure(Measure::Norm(crate::measure::Norm::L21)));
-        assert!(!fp.supports_measure(Measure::DtwIndependent));
-        for repr in [
-            Representation::Mts,
-            Representation::HistFp,
-            Representation::PhaseFp,
-        ] {
-            let fp = fingerprinter(repr, &FingerprintConfig::default());
-            assert!(fp.supports_measure(Measure::DtwDependent), "{:?}", repr);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one plan feature")]
-    fn plan_embed_requires_plan_features() {
-        let data = vec![resource_run(vec![vec![0.0, 1.0]])];
-        let mut fp = PlanEmbedFingerprinter::new(AutoencoderConfig::default());
-        fp.fit(&data);
     }
 
     #[test]

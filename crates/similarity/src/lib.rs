@@ -7,11 +7,8 @@
 //!   raw multivariate time-series ([`repr::mts`]), histogram-based
 //!   fingerprints ([`histfp`]), and phase-level statistical fingerprints
 //!   ([`phasefp`], backed by Bayesian online change-point detection in
-//!   [`bcpd`]).
-//!   The learned fourth representation, Plan-Embed, lives behind the
-//!   [`fingerprinter::Fingerprinter`] strategy trait, which also unifies
-//!   the paper's three representations behind one joint /
-//!   corpus-stable construction interface.
+//!   [`bcpd`]). The [`fingerprinter::Fingerprinter`] strategy trait puts
+//!   the three behind one joint / corpus-stable construction interface.
 //! * **Similarity computation** — [`norms`] implements the matrix norms
 //!   (L1,1 / L2,1 / Frobenius / Canberra / Chi² / Correlation), [`dtw`]
 //!   and [`lcss`] the elastic time-series measures (dependent and

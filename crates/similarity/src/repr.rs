@@ -10,8 +10,7 @@
 use wp_linalg::Matrix;
 use wp_telemetry::{ExperimentRun, FeatureId};
 
-/// Which data representation a similarity computation uses (§5.1.1),
-/// plus the learned plan-embedding extension.
+/// Which data representation a similarity computation uses (§5.1.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Representation {
     /// Raw multivariate time-series (resource features only).
@@ -20,18 +19,14 @@ pub enum Representation {
     HistFp,
     /// Phase-level statistical fingerprinting (BCPD phases × statistics).
     PhaseFp,
-    /// Learned plan embedding: the bottleneck of a seeded autoencoder
-    /// trained on per-query plan-statistic vectors.
-    PlanEmbed,
 }
 
 impl Representation {
-    /// Every representation, paper order first, learned extension last.
-    pub const ALL: [Representation; 4] = [
+    /// Every representation, in paper order.
+    pub const ALL: [Representation; 3] = [
         Representation::Mts,
         Representation::HistFp,
         Representation::PhaseFp,
-        Representation::PlanEmbed,
     ];
 
     /// Display label matching the paper's tables.
@@ -40,18 +35,16 @@ impl Representation {
             Representation::Mts => "MTS",
             Representation::HistFp => "Hist-FP",
             Representation::PhaseFp => "Phase-FP",
-            Representation::PlanEmbed => "Plan-Embed",
         }
     }
 
     /// Parses the short names used by the CLI and the HTTP API
-    /// (`mts`, `hist`, `phase`, `embed`).
+    /// (`mts`, `hist`, `phase`).
     pub fn parse(s: &str) -> Option<Representation> {
         match s {
             "mts" => Some(Representation::Mts),
             "hist" => Some(Representation::HistFp),
             "phase" => Some(Representation::PhaseFp),
-            "embed" => Some(Representation::PlanEmbed),
             _ => None,
         }
     }
@@ -62,7 +55,6 @@ impl Representation {
             Representation::Mts => "mts",
             Representation::HistFp => "hist",
             Representation::PhaseFp => "phase",
-            Representation::PlanEmbed => "embed",
         }
     }
 }
@@ -252,7 +244,6 @@ mod tests {
         assert_eq!(Representation::Mts.label(), "MTS");
         assert_eq!(Representation::HistFp.label(), "Hist-FP");
         assert_eq!(Representation::PhaseFp.label(), "Phase-FP");
-        assert_eq!(Representation::PlanEmbed.label(), "Plan-Embed");
     }
 
     #[test]
@@ -261,6 +252,7 @@ mod tests {
             assert_eq!(Representation::parse(repr.short_name()), Some(repr));
         }
         assert_eq!(Representation::parse("nope"), None);
+        assert_eq!(Representation::parse("embed"), None);
     }
 
     fn run_with_first_resource(values: &[f64]) -> wp_telemetry::ExperimentRun {
