@@ -404,9 +404,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// enabled, and prints the recorded trace: every counter, gauge, and
 /// span (count / total time / mean / max) the instrumented crates
 /// emitted. The same simulated corpus and request mix that back
-/// `wp serve` and `wp-loadgen` drive the handlers, plus one repeated
-/// `POST` so the response cache registers a hit. `--json` prints the
-/// snapshot as a JSON document instead of the table.
+/// `wp serve` and `wp-loadgen` drive the handlers, plus a `POST` asked
+/// twice more so the response cache stores it and registers a hit.
+/// `--json` prints the snapshot as a JSON document instead of the table.
 fn cmd_trace(args: &Args) -> Result<(), String> {
     let samples: usize = args.parsed_or("samples", 60)?;
     let seed: u64 = args.parsed_or("seed", DEFAULT_SEED)?;
@@ -425,8 +425,10 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     )?;
 
     let mut mix = wp_loadgen::default_mix(seed, samples);
-    // Replay the first POST verbatim so the response cache shows a hit.
+    // Replay the first POST verbatim twice: the first replay stores its
+    // answer, so the second shows a response-cache hit.
     if let Some(repeat) = mix.iter().find(|e| e.method == "POST").cloned() {
+        mix.push(repeat.clone());
         mix.push(repeat);
     }
     // The default mix ranks exhaustively; add one indexed retrieval so
@@ -605,10 +607,12 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
                 report.requests, report.errors
             ));
         }
-        // Invariant 2: cache hits stay byte-identical under faults.
+        // Invariant 2: cache hits stay byte-identical under faults. The
+        // second answer is stored on its miss; the third is a hit.
         let a = fetch_until_ok(&addr, "POST", "/similar", &similar_body, timeout, 25)?;
         let b = fetch_until_ok(&addr, "POST", "/similar", &similar_body, timeout, 25)?;
-        if a != b {
+        let c = fetch_until_ok(&addr, "POST", "/similar", &similar_body, timeout, 25)?;
+        if a != b || a != c {
             server.shutdown();
             return Err(
                 "cache divergence: identical /similar bodies got different responses".into(),

@@ -3,8 +3,13 @@
 //! The service caches two kinds of derived state: per-reference
 //! fingerprint feature data (computed once, read on every `/similar` and
 //! `/predict`) and whole response bodies for the pure `POST` endpoints
-//! (keyed by corpus generation and request bytes, so a repeated request
-//! is served from memory until an ingest publishes a newer corpus).
+//! (keyed by corpus generation, a digest and the request bytes, so a
+//! recurring request is served from memory until an ingest publishes a
+//! newer corpus). The cache stores whatever it is given; which answers
+//! are worth storing is the caller's policy: `service::ShardState`
+//! stores a response only once its request recurs. An eviction copies no
+//! key, since a response key holds a whole request body.
+//!
 //! Everything cached is a deterministic function of its key, which is
 //! what makes a hit *bit-identical* to a recompute — the cache can only
 //! ever change latency, never bytes. [`LruCache::retain`] lets the owner
@@ -122,14 +127,19 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         if !inner.map.contains_key(&key) && inner.map.len() >= inner.capacity {
-            // O(capacity) scan; capacities here are tens of entries.
-            if let Some(evict) = inner
+            // O(capacity) scans; capacities here are tens of entries. Every
+            // clock tick goes to one operation on one entry, so the oldest
+            // tick names exactly the victim, and removing it by tick copies
+            // no key (a response key holds a whole request body).
+            let oldest = inner
                 .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&evict);
+                .values()
+                .map(|e| e.last_used.load(Ordering::Relaxed))
+                .min();
+            if let Some(oldest) = oldest {
+                inner
+                    .map
+                    .retain(|_, e| e.last_used.load(Ordering::Relaxed) != oldest);
                 if let Some(obs) = self.obs {
                     obs.evictions.add(1);
                 }
@@ -211,6 +221,46 @@ mod tests {
         assert!(cache.get(&1).is_some());
         assert!(cache.get(&3).is_some());
         assert_eq!(cache.len(), 2);
+    }
+
+    /// A key whose `Clone` counts its calls; it compares and hashes by
+    /// its number alone.
+    struct CountedKey(u32, Arc<AtomicU64>);
+
+    impl PartialEq for CountedKey {
+        fn eq(&self, other: &Self) -> bool {
+            self.0 == other.0
+        }
+    }
+
+    impl Eq for CountedKey {}
+
+    impl Hash for CountedKey {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            self.0.hash(state);
+        }
+    }
+
+    impl Clone for CountedKey {
+        fn clone(&self) -> Self {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            Self(self.0, Arc::clone(&self.1))
+        }
+    }
+
+    #[test]
+    fn eviction_clones_no_key() {
+        let clones = Arc::new(AtomicU64::new(0));
+        let cache: LruCache<CountedKey, u32> = LruCache::new(2);
+        for k in 0..5 {
+            cache.insert(CountedKey(k, Arc::clone(&clones)), Arc::new(k));
+        }
+        assert_eq!(clones.load(Ordering::Relaxed), 0);
+        assert_eq!(cache.len(), 2);
+        for k in [3, 4] {
+            let key = CountedKey(k, Arc::clone(&clones));
+            assert_eq!(*cache.get(&key).unwrap(), k, "{k} is among the newest");
+        }
     }
 
     #[test]

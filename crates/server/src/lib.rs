@@ -116,7 +116,9 @@ pub struct ServerConfig {
     /// When set, pins the `wp-runtime` thread count used *inside* request
     /// handlers (`None` inherits `WP_THREADS` / available parallelism).
     pub compute_threads: Option<usize>,
-    /// Capacity of each LRU cache (reference data, response bodies).
+    /// Capacity of each LRU cache (reference data, response bodies), and
+    /// the number of recent response-cache misses each shard remembers:
+    /// an answer is stored only once its request recurs within them.
     pub cache_capacity: usize,
     /// Pipeline configuration. The default swaps feature selection to
     /// fANOVA so startup (stage 1 runs once) stays sub-second; the

@@ -25,9 +25,25 @@
 //! shard's own request path. No request that starts after a newer
 //! generation is published asks for an older key, so the drop changes
 //! memory only, never an answer.
+//!
+//! ## Response-cache keys and admission
+//!
+//! A request is hashed once, into a per-process-seeded digest of its
+//! path and body; a [`RequestKey`] hashes as (generation, digest) and
+//! compares the full request bytes, so a digest collision costs a byte
+//! compare, never a wrong answer. A shard stores a computed answer only
+//! if the same request already missed once among the shard's last
+//! `cache_capacity` misses ("cache on second hit", the 2Q admission
+//! rule): a body that never recurs, the common case for tenants posting
+//! fresh telemetry, is answered without ever being held as a key. So
+//! the third identical request is the first hit; the second recomputes
+//! the same bytes.
 
+use std::collections::hash_map::RandomState;
+use std::collections::VecDeque;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use wp_core::offline::OfflineCorpus;
 use wp_core::pipeline::{rank_by_mean_distance, PipelineConfig, SimilarityVerdict};
@@ -58,6 +74,10 @@ static REF_DATA_OBS: CacheObs = CacheObs::new(
     "wp_server_cache_misses_total{cache=\"ref_data\"}",
     "wp_server_cache_evictions_total{cache=\"ref_data\"}",
 );
+/// Answers computed on a response-cache miss and not stored, because
+/// their request had not missed recently.
+static RESPONSES_DECLINED: wp_obs::LazyCounter =
+    wp_obs::LazyCounter::new("wp_server_cache_declined_total{cache=\"responses\"}");
 static OBS_RECOMMEND_TOTAL: wp_obs::LazyCounter =
     wp_obs::LazyCounter::new("wp_server_recommend_requests_total");
 static OBS_RECOMMEND_FALLBACK: wp_obs::LazyCounter =
@@ -97,21 +117,95 @@ impl ServiceError {
     }
 }
 
+/// A response-cache key: the corpus generation a request read, a digest
+/// of the request's path and body, and those bytes (`"path\nbody"`).
+///
+/// The key hashes only `(generation, digest)` and compares generation,
+/// then digest, then bytes. The digest picks the bucket, and a hit is
+/// always the same request bytes, so a digest collision costs one byte
+/// compare and never a wrong answer. The digest is seeded once per
+/// process, so collisions cannot be precomputed.
+#[derive(Clone)]
+pub struct RequestKey {
+    generation: u64,
+    digest: u64,
+    bytes: String,
+}
+
+impl RequestKey {
+    /// The key of `req` answered against corpus `generation`; the one
+    /// pass a cached request makes over its body to hash it.
+    fn new(generation: u64, req: &Request) -> Self {
+        static SEED: OnceLock<RandomState> = OnceLock::new();
+        Self {
+            generation,
+            digest: SEED
+                .get_or_init(RandomState::new)
+                .hash_one((&req.path, &req.body)),
+            bytes: format!("{}\n{}", req.path, req.body),
+        }
+    }
+
+    /// A key with a chosen digest, to force a collision.
+    #[cfg(test)]
+    fn with_digest(generation: u64, digest: u64, bytes: &str) -> Self {
+        Self {
+            generation,
+            digest,
+            bytes: bytes.to_string(),
+        }
+    }
+}
+
+impl Hash for RequestKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.generation.hash(state);
+        self.digest.hash(state);
+    }
+}
+
+impl PartialEq for RequestKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.generation == other.generation
+            && self.digest == other.digest
+            && self.bytes == other.bytes
+    }
+}
+
+impl Eq for RequestKey {}
+
 /// Per-shard caches. A reactor shard serves its connections from its
 /// own `ShardState`, so the cache locks are effectively uncontended on
 /// the hot read path.
+///
+/// The response cache stores an answer only on its request's second
+/// miss within the shard's last `cache_capacity` misses, so the third
+/// identical request is the first hit; the second recomputes the same
+/// bytes. A request whose previous miss lies further back could not have
+/// been served by an LRU of that capacity either.
 pub struct ShardState {
     /// Per-reference extracted fingerprint feature data.
     pub ref_data: LruCache<String, Vec<RunFeatureData>>,
     /// Whole-response cache for the `POST` endpoints, keyed by
-    /// `(generation, path + body)`. It holds answers of the newest
-    /// generation the shard has served a cached `POST` at, no older ones.
-    pub responses: LruCache<(u64, String), String>,
+    /// [`RequestKey`]. It holds answers of the newest generation the
+    /// shard has served a cached `POST` at, no older ones, and only of
+    /// requests that recurred within the shard's last `cache_capacity`
+    /// misses.
+    pub responses: LruCache<RequestKey, String>,
     /// The newest corpus generation this shard has served a cached
     /// `POST` at. `Relaxed` suffices: the mark publishes no data (the
     /// cache's lock orders its entries), and a stale read of it can only
     /// keep or store an entry that no new request asks for.
     newest_generation: AtomicU64,
+    /// Digests of the requests behind the shard's last
+    /// `remembered_misses` misses that computed an answer, oldest first.
+    /// It holds no generation, so a request that recurs across an ingest
+    /// is stored on its first miss at the new generation. Poisoning is
+    /// recovered: every update leaves a valid queue, and a lost digest
+    /// only delays one store.
+    recent_misses: Mutex<VecDeque<u64>>,
+    /// `cache_capacity`, at least 1.
+    remembered_misses: usize,
 }
 
 impl ShardState {
@@ -120,6 +214,8 @@ impl ShardState {
             ref_data: LruCache::with_obs(cache_capacity, &REF_DATA_OBS),
             responses: LruCache::with_obs(cache_capacity, &RESPONSES_OBS),
             newest_generation: AtomicU64::new(0),
+            recent_misses: Mutex::new(VecDeque::new()),
+            remembered_misses: cache_capacity.max(1),
         }
     }
 
@@ -132,16 +228,39 @@ impl ShardState {
             .newest_generation
             .fetch_max(generation, Ordering::Relaxed);
         if previous < generation {
-            self.responses.retain(|(g, _), _| *g >= generation);
+            self.responses.retain(|key, _| key.generation >= generation);
         }
     }
 
-    /// Caches `body` under `key`, unless the shard has served a newer
-    /// generation since `key`'s snapshot was taken: no new request asks
-    /// for that key. A store racing the drop on another thread of the same
-    /// shard can still leave one such entry; the next drop removes it.
-    fn store(&self, key: (u64, String), body: &str) {
-        if key.0 >= self.newest_generation.load(Ordering::Relaxed) {
+    /// Whether the request with `digest` is among the shard's remembered
+    /// misses. If not, remembers it in place of the oldest one.
+    fn missed_recently(&self, digest: u64) -> bool {
+        let mut misses = self
+            .recent_misses
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if misses.contains(&digest) {
+            return true;
+        }
+        if misses.len() == self.remembered_misses {
+            misses.pop_front();
+        }
+        misses.push_back(digest);
+        false
+    }
+
+    /// Caches `body`, the answer computed on a miss of `key`, if its
+    /// request missed recently too. It is not cached either when the
+    /// shard has served a newer generation since `key`'s snapshot was
+    /// taken: no new request asks for that key. A store racing the drop
+    /// on another thread of the same shard can still leave one such
+    /// entry; the next drop removes it.
+    fn store(&self, key: RequestKey, body: &str) {
+        if !self.missed_recently(key.digest) {
+            RESPONSES_DECLINED.add(1);
+            return;
+        }
+        if key.generation >= self.newest_generation.load(Ordering::Relaxed) {
             self.responses.insert(key, Arc::new(body.to_string()));
         }
     }
@@ -362,13 +481,10 @@ fn route(state: &ServiceState, shard: usize, req: &Request) -> Result<String, Se
     }
 }
 
-/// The response-cache key of `req` answered against corpus `generation`.
-fn cache_key(generation: u64, req: &Request) -> (u64, String) {
-    (generation, format!("{}\n{}", req.path, req.body))
-}
-
 /// Serves a `POST` endpoint through the response cache: identical bodies
-/// get the stored bytes back; misses compute, store, and return.
+/// get the stored bytes back; misses compute and return, and store the
+/// answer only if the same request missed recently on this shard, so the
+/// third identical request is the first hit.
 ///
 /// The key carries the corpus generation alongside the request bytes, so
 /// an answer computed against one corpus is never served after an ingest
@@ -382,10 +498,9 @@ fn cached(
     f: impl FnOnce(&StreamEngine) -> Result<String, ServiceError>,
 ) -> Result<String, ServiceError> {
     let engine = state.snapshot();
-    let generation = engine.generation();
     let caches = state.shard(shard);
-    caches.serve_at(generation);
-    let key = cache_key(generation, req);
+    let key = RequestKey::new(engine.generation(), req);
+    caches.serve_at(key.generation);
     if let Some(hit) = caches.responses.get(&key) {
         return Ok(hit.as_ref().clone());
     }
@@ -1053,13 +1168,18 @@ mod tests {
     }
 
     fn sharded_test_state(shards: usize) -> ServiceState {
+        test_state_with(shards, 16)
+    }
+
+    /// `shards` shards whose caches hold `capacity` entries each.
+    fn test_state_with(shards: usize, capacity: usize) -> ServiceState {
         let corpus = simulated_corpus(0xEDB7_2025, 40);
         let config = PipelineConfig {
             selection: Strategy::FAnova,
             ..PipelineConfig::default()
         };
         let stream = StreamConfig::default();
-        ServiceState::sharded(corpus, config, Some(1), 16, stream, shards).unwrap()
+        ServiceState::sharded(corpus, config, Some(1), capacity, stream, shards).unwrap()
     }
 
     fn ingest_body(tenant: &str, workload: &str, first_run: usize, n: usize) -> String {
@@ -1302,12 +1422,136 @@ mod tests {
         let state = test_state();
         let req = request("POST", "/similar", &target_body(3));
         let (s1, cold) = handle(&state, &req);
-        let (s2, warm) = handle(&state, &req);
+        let (s2, stored) = handle(&state, &req);
+        let (s3, warm) = handle(&state, &req);
         assert_eq!(s1, 200);
         assert_eq!(s2, 200);
+        assert_eq!(s3, 200);
+        assert_eq!(cold, stored);
         assert_eq!(cold, warm);
         let (hits, _) = state.response_cache_counters();
-        assert!(hits >= 1, "second request must hit the response cache");
+        assert!(hits >= 1, "third request must hit the response cache");
+    }
+
+    /// `n` distinct `/fingerprint` requests: one target, varying bins.
+    fn distinct_requests(n: usize) -> Vec<Request> {
+        let body = target_body(3);
+        (1..=n)
+            .map(|bins| {
+                let body = body.replacen('{', &format!("{{\"nbins\":{bins},"), 1);
+                request("POST", "/fingerprint", &body)
+            })
+            .collect()
+    }
+
+    /// Asks `req` once more and returns its answer and the hit and miss
+    /// counts it added.
+    fn ask(state: &ServiceState, req: &Request) -> ((u16, String), (u64, u64)) {
+        let (hits, misses) = state.response_cache_counters();
+        let answer = handle(state, req);
+        let (h, m) = state.response_cache_counters();
+        (answer, (h - hits, m - misses))
+    }
+
+    #[test]
+    fn an_answer_is_stored_on_its_second_miss_and_hit_on_the_third_ask() {
+        let state = test_state_with(1, 2);
+        let req = &distinct_requests(1)[0];
+        let responses = &state.shards[0].responses;
+
+        let (first, counts) = ask(&state, req);
+        assert_eq!(first.0, 200, "{}", first.1);
+        assert_eq!(counts, (0, 1));
+        assert_eq!(responses.len(), 0, "a request asked once is not stored");
+        let (second, counts) = ask(&state, req);
+        assert_eq!(counts, (0, 1));
+        assert_eq!(responses.len(), 1, "a request asked twice is stored");
+        let (third, counts) = ask(&state, req);
+        assert_eq!(counts, (1, 0), "the third ask hits");
+        assert_eq!(second, first);
+        assert_eq!(third, first, "a hit is byte-identical to the first answer");
+    }
+
+    /// A cycle one request longer than the cache, the shape of the
+    /// cold-read workload, never recurs within the remembered misses.
+    #[test]
+    fn a_cycle_longer_than_the_cache_stores_nothing_and_never_hits() {
+        const C: usize = 3;
+        let state = test_state_with(1, C);
+        let cycle = distinct_requests(C + 1);
+        for _round in 0..3 {
+            for req in &cycle {
+                let (answer, counts) = ask(&state, req);
+                assert_eq!(answer.0, 200, "{}", answer.1);
+                assert_eq!(counts, (0, 1), "every ask misses");
+                assert_eq!(state.shards[0].responses.len(), 0);
+            }
+        }
+    }
+
+    /// A cycle as long as the cache, the shape of the hot-read workload,
+    /// is stored in its second round and hits throughout its third.
+    #[test]
+    fn a_cycle_that_fits_the_cache_hits_on_every_ask_of_its_third_round() {
+        const C: usize = 3;
+        let state = test_state_with(1, C);
+        let cycle = distinct_requests(C);
+        let first: Vec<_> = cycle.iter().map(|req| handle(&state, req)).collect();
+        for req in &cycle {
+            handle(&state, req);
+        }
+        assert_eq!(state.shards[0].responses.len(), C);
+        for (req, expected) in cycle.iter().zip(&first) {
+            let (answer, counts) = ask(&state, req);
+            assert_eq!(counts, (1, 0), "every third-round ask hits");
+            assert_eq!(&answer, expected);
+        }
+    }
+
+    /// The remembered misses carry no generation: a request stored before
+    /// an ingest is stored again on its first miss after it.
+    #[test]
+    fn a_stored_request_is_stored_again_on_its_first_miss_after_an_ingest() {
+        let state = test_state_with(1, 2);
+        let req = &distinct_requests(1)[0];
+        handle(&state, req);
+        handle(&state, req);
+        let held = |generation| {
+            let key = RequestKey::new(generation, req);
+            state.shards[0].responses.get(&key).is_some()
+        };
+        assert!(held(0));
+
+        let ingest = request("POST", "/ingest", &ingest_body("t", "TPC-C", 0, 2));
+        let (s, resp) = handle(&state, &ingest);
+        assert_eq!(s, 200, "{resp}");
+        let (answer, counts) = ask(&state, req);
+        assert_eq!(answer.0, 200, "{}", answer.1);
+        assert_eq!(counts, (0, 1), "the first ask after the ingest misses");
+        assert_eq!(state.shards[0].responses.len(), 1);
+        assert!(held(1), "and is stored at the new generation");
+        assert!(!held(0), "the older answer is gone");
+    }
+
+    /// Keys whose generation and digest agree but whose bytes differ are
+    /// different keys: a lookup of one in a cache holding the other is a
+    /// counted miss.
+    #[test]
+    fn a_digest_collision_is_a_counted_miss() {
+        let held = RequestKey::with_digest(4, 7, "/similar\n{\"a\":1}");
+        let other = RequestKey::with_digest(4, 7, "/similar\n{\"a\":2}");
+        assert!(held != other);
+        assert!(held == RequestKey::with_digest(4, 7, "/similar\n{\"a\":1}"));
+
+        let cache: LruCache<RequestKey, String> = LruCache::new(4);
+        cache.insert(held.clone(), Arc::new("held".to_string()));
+        assert!(cache.get(&other).is_none());
+        assert_eq!(cache.counters(), (0, 1));
+        assert_eq!(
+            cache.get(&held).as_deref().map(String::as_str),
+            Some("held")
+        );
+        assert_eq!(cache.counters(), (1, 1));
     }
 
     /// Satellite regression: before generation-aware cache keys, a
@@ -1322,7 +1566,9 @@ mod tests {
 
         let (s, before) = handle(&state, &req);
         assert_eq!(s, 200, "{before}");
-        // Warm the cache and prove it hits.
+        // Warm the cache (the second ask stores) and prove it hits.
+        let (_, stored) = handle(&state, &req);
+        assert_eq!(before, stored);
         let (_, warm) = handle(&state, &req);
         assert_eq!(before, warm);
         let (hits, _) = state.response_cache_counters();
@@ -1358,7 +1604,9 @@ mod tests {
     /// Each shard drops its answers of older generations at its first
     /// read on a newer corpus: after one ingest and one more read per
     /// shard, the new answer is all that shard holds, and it equals a
-    /// fresh one-shard state's answer.
+    /// fresh one-shard state's answer. Each pre-ingest read is sent twice,
+    /// so the shard stores it; the post-ingest read recurs across the
+    /// ingest, so its first miss stores it.
     #[test]
     fn shards_drop_answers_of_superseded_generations() {
         let exact = request("POST", "/similar", &target_body(3));
@@ -1369,7 +1617,7 @@ mod tests {
         let state = sharded_test_state(2);
         let mut stale = Vec::new();
         for shard in 0..2 {
-            for req in [&exact, &indexed] {
+            for req in [&exact, &exact, &indexed, &indexed] {
                 stale.push(handle_on(&state, shard, req));
             }
             assert_eq!(state.shards[shard].responses.len(), 2);
@@ -1379,7 +1627,11 @@ mod tests {
         let answers: Vec<_> = (0..2)
             .map(|shard| handle_on(&state, shard, &indexed))
             .collect();
-        assert_eq!(state.response_cache_counters(), (0, 6), "drops are no hits");
+        assert_eq!(
+            state.response_cache_counters(),
+            (0, 10),
+            "drops are no hits"
+        );
 
         let fresh = test_state();
         let (s, resp) = handle(&fresh, &ingest);
@@ -1395,7 +1647,7 @@ mod tests {
             let responses = &state.shards[shard].responses;
             assert_eq!(responses.len(), 1, "shard {shard} kept a superseded answer");
             let held = responses
-                .get(&cache_key(1, &indexed))
+                .get(&RequestKey::new(1, &indexed))
                 .expect("new answer cached");
             assert_eq!(held.as_ref(), &expected.1, "shard {shard}");
         }
@@ -1474,8 +1726,10 @@ mod tests {
 
         const K: usize = 40;
         const SHARDS: usize = 3;
-        // One cache entry per shard and two alternating reads: every read
-        // misses, so readers are mid-computation when the writer publishes.
+        // One cache entry per shard and two alternating reads, each sent
+        // twice in a row: both requests of a pair miss, so readers are
+        // mid-computation when the writer publishes, and the second one
+        // stores the read's answer.
         let sharded = |shards, compute_threads| {
             let config = PipelineConfig {
                 selection: Strategy::FAnova,
@@ -1511,7 +1765,7 @@ mod tests {
         let check_cache = |shard: usize, r: usize, gens: std::ops::RangeInclusive<u64>| {
             let mut found = 0;
             for g in gens {
-                let key = cache_key(g, &reads[r]);
+                let key = RequestKey::new(g, &reads[r]);
                 if let Some(body) = state.shards[shard].responses.get(&key) {
                     found += 1;
                     assert_eq!(
@@ -1533,23 +1787,38 @@ mod tests {
                     let (state, reads, answers) = (&state, &reads, &answers);
                     let (started, done, check_cache) = (&started, &done, &check_cache);
                     scope.spawn(move || {
+                        let responses = &state.shards[shard].responses;
+                        // The read whose miss the shard's one remembered
+                        // miss is: an answer computed on a miss is stored
+                        // only if its read is that one.
+                        let mut remembered = None;
                         let mut i = shard;
                         while !done.load(Ordering::SeqCst) {
                             let r = i % reads.len();
-                            let before = state.generation();
-                            started[shard].store(before + 1, Ordering::SeqCst);
-                            let answer = handle_on(state, shard, &reads[r]);
-                            let after = state.generation();
-                            assert!(
-                                (before..=after).any(|g| answers[g as usize][r] == answer),
-                                "shard {shard} answered {} between generations {before} \
-                                 and {after} with {answer:?}",
-                                reads[r].path
-                            );
-                            // The one-entry cache still holds what this
-                            // read stored, under the generation it read.
-                            let stored = usize::from(answer.0 == 200);
-                            assert_eq!(check_cache(shard, r, before..=after), stored);
+                            for _ in 0..2 {
+                                let before = state.generation();
+                                started[shard].store(before + 1, Ordering::SeqCst);
+                                let (hits, _) = responses.counters();
+                                let answer = handle_on(state, shard, &reads[r]);
+                                let hit = responses.counters().0 > hits;
+                                let after = state.generation();
+                                assert!(
+                                    (before..=after).any(|g| answers[g as usize][r] == answer),
+                                    "shard {shard} answered {} between generations {before} \
+                                     and {after} with {answer:?}",
+                                    reads[r].path
+                                );
+                                // The one-entry cache holds this read's
+                                // answer, under the generation it read, iff
+                                // the read hit or stored it.
+                                let computed = answer.0 == 200 && !hit;
+                                let stored = hit || (computed && remembered == Some(r));
+                                if computed {
+                                    remembered = Some(r);
+                                }
+                                let held = check_cache(shard, r, before..=after);
+                                assert_eq!(held, usize::from(stored));
+                            }
                             i += 1;
                         }
                     })
@@ -1836,7 +2105,11 @@ mod tests {
             Some("tenant:t-ycsb"),
             "{before}"
         );
-        // Warm: identical bytes, served by the cache.
+        // The second ask stores the answer; the warm one after it gets
+        // identical bytes, served by the cache.
+        let (s, stored) = handle(&state, &req);
+        assert_eq!(s, 200);
+        assert_eq!(before, stored);
         let (_, misses_before) = state.response_cache_counters();
         let (s, warm) = handle(&state, &req);
         assert_eq!(s, 200);

@@ -124,9 +124,9 @@ fn ingest_body(tenant: &str, first_run: usize, n: usize) -> String {
 
 /// `/recommend` answers — success, fallback, null-recommendation, and
 /// client errors — must be byte-identical across the serving backends
-/// and across compute-thread counts (1 vs 8), and a repeat of each probe
-/// on the same connection (a response-cache hit) must return the exact
-/// cold bytes.
+/// and across compute-thread counts (1 vs 8), and two repeats of each
+/// probe on the same connection (a recompute that stores the answer, then
+/// a response-cache hit) must return the exact cold bytes.
 #[test]
 fn recommend_is_byte_identical_across_backends_and_threads() {
     let servers = [
@@ -159,7 +159,13 @@ fn recommend_is_byte_identical_across_backends_and_threads() {
         let mut answers: Vec<(&str, Vec<u8>)> = Vec::new();
         for (label, conn) in conns.iter_mut() {
             let cold = conn.roundtrip("POST", "/recommend", probe);
+            // The second ask stores the answer; the third is a hit.
+            let stored = conn.roundtrip("POST", "/recommend", probe);
             let warm = conn.roundtrip("POST", "/recommend", probe);
+            assert_eq!(
+                cold, stored,
+                "{label}: probe {i} recomputed answer drifted from cold"
+            );
             assert_eq!(
                 cold, warm,
                 "{label}: probe {i} warm answer drifted from cold"

@@ -188,13 +188,19 @@ fn responses_that_arrive_under_faults_are_byte_identical_to_fault_free() {
     let addr = server.addr().to_string();
     let body = target_body();
     let first = fetch_until_ok(&addr, "POST", "/similar", &body);
+    // The second answer is stored on its miss; the third is a hit.
     let second = fetch_until_ok(&addr, "POST", "/similar", &body);
+    let third = fetch_until_ok(&addr, "POST", "/similar", &body);
     assert_eq!(
         first, clean,
         "faults may delay or drop bytes, never alter them"
     );
     assert_eq!(
         second, clean,
+        "a recompute under faults must also be byte-identical"
+    );
+    assert_eq!(
+        third, clean,
         "cache hit under faults must also be byte-identical"
     );
     let health = fetch_until_ok(&addr, "GET", "/healthz", "");

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use wp_json::Json;
 use wp_server::corpus::simulated_corpus;
-use wp_server::{Server, ServerConfig, ServerHandle};
+use wp_server::{Backend, Server, ServerConfig, ServerHandle};
 
 /// The `wp-obs` enable gate and registry are process-global (and the
 /// gate is sticky by design), so every test in this binary serializes
@@ -172,6 +172,69 @@ fn metrics_stats_and_loadgen_agree_under_multiworker_load() {
 
         server.shutdown();
     }
+}
+
+/// An answer computed on a response-cache miss is stored only once its
+/// request recurs, and `/metrics` counts the answers it declined: body A
+/// asked once and body B three times on one shard decline A's and B's
+/// first answers, store B's second and serve B's third from the cache.
+/// `/stats` reports the same hits and misses.
+#[test]
+fn declined_answers_are_counted_beside_hits_and_misses() {
+    let _lock = guard();
+    let similar = wp_loadgen::default_mix(7, 60)
+        .into_iter()
+        .find(|e| e.path == "/similar")
+        .expect("mix covers /similar");
+    let a = similar.body.clone();
+    let b = similar
+        .body
+        .replacen('{', "{\"mode\":\"indexed\",\"k\":3,", 1);
+
+    let before = wp_obs::snapshot();
+    // The workers backend serves every connection from one shard.
+    let config = ServerConfig {
+        backend: Backend::Workers,
+        workers: 1,
+        compute_threads: Some(1),
+        obs: true,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(simulated_corpus(0xEDB7_2025, 60), config).expect("server starts");
+    let addr = server.addr().to_string();
+    let mut answers = Vec::new();
+    for body in [&a, &b, &b, &b] {
+        let (status, answer) = fetch(&addr, "POST", "/similar", body);
+        assert_eq!(status, 200, "{answer}");
+        answers.push(answer);
+    }
+    assert!(answers[2..].iter().all(|answer| *answer == answers[1]));
+
+    let (status, stats_body) = fetch(&addr, "GET", "/stats", "");
+    assert_eq!(status, 200);
+    let (status, metrics_body) = fetch(&addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    server.shutdown();
+
+    let series = wp_obs::parse_prometheus(&metrics_body).expect("exposition parses");
+    let delta = |name: &str| series_value(&series, name) - snap_counter(&before, name);
+    assert_eq!(
+        delta("wp_server_cache_declined_total{cache=\"responses\"}"),
+        2.0
+    );
+    assert_eq!(
+        delta("wp_server_cache_misses_total{cache=\"responses\"}"),
+        3.0
+    );
+    assert_eq!(
+        delta("wp_server_cache_hits_total{cache=\"responses\"}"),
+        1.0
+    );
+
+    let stats = Json::parse(&stats_body).expect("/stats is JSON");
+    let cache = stats.get("cache").expect("/stats has cache counters");
+    assert_eq!(cache.get("hits").and_then(Json::as_f64), Some(1.0));
+    assert_eq!(cache.get("misses").and_then(Json::as_f64), Some(3.0));
 }
 
 /// The observability flag must never change response bytes: the same

@@ -146,11 +146,15 @@ fn similar_is_byte_identical_cold_vs_warm_cache() {
 
     let (status, cold) = http(addr, "POST", "/similar", &body);
     assert_eq!(status, 200, "{cold}");
+    // The second request stores the answer; the third is served from it.
+    let (status, stored) = http(addr, "POST", "/similar", &body);
+    assert_eq!(status, 200, "{stored}");
+    assert_eq!(cold, stored, "a recompute must be byte-identical");
     let (status, warm) = http(addr, "POST", "/similar", &body);
     assert_eq!(status, 200, "{warm}");
     assert_eq!(cold, warm, "cache hit must be byte-identical to recompute");
 
-    // The second request was served by the response cache.
+    // The third request was served by the response cache.
     let (_, stats) = http(addr, "GET", "/stats", "");
     let stats = Json::parse(&stats).unwrap();
     let hits = stats
