@@ -1,5 +1,5 @@
 //! The event-loop shards: accept, per-connection state machines,
-//! deadline wheel, and drain-on-shutdown.
+//! per-connection timers, and drain-on-shutdown.
 //!
 //! Connection lifecycle (half-duplex — a pipelined successor request
 //! is parsed only after the current response is fully written):
@@ -21,6 +21,7 @@
 //!                                                             closed
 //! ```
 
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -32,16 +33,10 @@ use std::time::{Duration, Instant};
 
 use crate::poller::{Event, Poller, INTEREST_NONE, INTEREST_READ, INTEREST_WRITE};
 use crate::slab::Slab;
-use crate::wheel::DeadlineWheel;
 use crate::{App, Parse, ReactorConfig, Response, WriteMode};
 
 const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKE: u64 = u64::MAX - 1;
-
-/// Wheel resolution: 5ms ticks over 2048 slots gives a ~10s horizon;
-/// longer deadlines (the 30s idle default) ride the lazy re-insert.
-const WHEEL_TICK: Duration = Duration::from_millis(5);
-const WHEEL_SLOTS: usize = 2048;
 
 /// Upper bound on one poll sleep, so the shutdown flag is observed on
 /// a bounded cadence even if a wake byte is lost.
@@ -64,27 +59,8 @@ pub(crate) fn start<A: App>(
     let mut joins = Vec::with_capacity(threads);
     let mut backend = "poll";
     for id in 0..threads {
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        let shard_listener = listener.try_clone()?;
-        let mut poller = Poller::new(config.force_poll)?;
-        backend = poller.backend_name();
-        poller.add(shard_listener.as_raw_fd(), TOKEN_LISTENER, INTEREST_READ)?;
-        poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, INTEREST_READ)?;
-        let shard = Shard {
-            id,
-            app: Arc::clone(&app),
-            listener: shard_listener,
-            wake: wake_rx,
-            poller,
-            conns: Slab::new(),
-            wheel: DeadlineWheel::new(WHEEL_TICK, WHEEL_SLOTS, Instant::now()),
-            idle_timeout: config.idle_timeout,
-            drain_timeout: config.drain_timeout,
-            draining: false,
-            drain_deadline: None,
-            shutdown: Arc::clone(&shutdown),
-        };
+        let (shard, wake_tx) = Shard::new(id, &app, &listener, &config, &shutdown)?;
+        backend = shard.poller.backend_name();
         joins.push(
             std::thread::Builder::new()
                 .name(format!("wp-reactor-{id}"))
@@ -166,6 +142,9 @@ struct Conn {
     phase: Phase,
     interest: u8,
     deadline: Option<Instant>,
+    /// Fire time of this connection's one entry in `Shard::timers`,
+    /// never later than `deadline`.
+    timer: Option<Instant>,
 }
 
 impl Conn {
@@ -184,6 +163,7 @@ impl Conn {
             phase: Phase::Idle,
             interest: INTEREST_READ,
             deadline: Some(deadline),
+            timer: None,
         }
     }
 
@@ -233,7 +213,8 @@ struct Shard<A: App> {
     wake: UnixStream,
     poller: Poller,
     conns: Slab<Conn>,
-    wheel: DeadlineWheel,
+    /// `(fire time, token)`: at most one entry per connection.
+    timers: BTreeSet<(Instant, usize)>,
     idle_timeout: Duration,
     drain_timeout: Duration,
     draining: bool,
@@ -242,45 +223,80 @@ struct Shard<A: App> {
 }
 
 impl<A: App> Shard<A> {
+    /// Builds shard `id` with its own poller over a handle on
+    /// `listener`; returns it with the write end of its wake pipe.
+    fn new(
+        id: usize,
+        app: &Arc<A>,
+        listener: &TcpListener,
+        config: &ReactorConfig,
+        shutdown: &Arc<AtomicBool>,
+    ) -> std::io::Result<(Shard<A>, UnixStream)> {
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        let listener = listener.try_clone()?;
+        let mut poller = Poller::new(config.force_poll)?;
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, INTEREST_READ)?;
+        poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, INTEREST_READ)?;
+        let shard = Shard {
+            id,
+            app: Arc::clone(app),
+            listener,
+            wake: wake_rx,
+            poller,
+            conns: Slab::new(),
+            timers: BTreeSet::new(),
+            idle_timeout: config.idle_timeout,
+            drain_timeout: config.drain_timeout,
+            draining: false,
+            drain_deadline: None,
+            shutdown: Arc::clone(shutdown),
+        };
+        Ok((shard, wake_tx))
+    }
+
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::with_capacity(1024);
-        loop {
-            let now = Instant::now();
-            if self.shutdown.load(Ordering::SeqCst) && !self.draining {
-                self.begin_drain(now);
-            }
-            if self.draining {
-                let expired = self.drain_deadline.is_some_and(|d| now >= d);
-                if self.conns.is_empty() || expired {
-                    for token in self.conns.keys() {
-                        self.close(token);
-                    }
-                    return;
-                }
-            }
-            let timeout = self.wait_budget(now);
-            events.clear();
-            if self.poller.wait(&mut events, Some(timeout)).is_err() {
-                // A transient poller failure must not spin the loop.
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let now = Instant::now();
-            let batch = std::mem::take(&mut events);
-            for ev in &batch {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(now),
-                    TOKEN_WAKE => self.drain_wake(),
-                    token => self.on_event(token as usize, *ev, now),
-                }
-            }
-            events = batch;
-            self.fire_timers(Instant::now());
+        while self.turn(&mut events) {}
+    }
+
+    /// One pass of the event loop: one poller wait, its events, then
+    /// the timers that came due. Returns false once the shard is done.
+    fn turn(&mut self, events: &mut Vec<Event>) -> bool {
+        let now = Instant::now();
+        if self.shutdown.load(Ordering::SeqCst) && !self.draining {
+            self.begin_drain(now);
         }
+        if self.draining {
+            let expired = self.drain_deadline.is_some_and(|d| now >= d);
+            if self.conns.is_empty() || expired {
+                for token in self.conns.keys() {
+                    self.close(token);
+                }
+                return false;
+            }
+        }
+        let timeout = self.wait_budget(now);
+        events.clear();
+        if self.poller.wait(events, Some(timeout)).is_err() {
+            // A transient poller failure must not spin the loop.
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let now = Instant::now();
+        for ev in events.iter() {
+            match ev.token {
+                TOKEN_LISTENER => self.accept_ready(now),
+                TOKEN_WAKE => self.drain_wake(),
+                token => self.on_event(token as usize, *ev, now),
+            }
+        }
+        self.fire_timers(Instant::now());
+        true
     }
 
     fn wait_budget(&self, now: Instant) -> Duration {
         let mut budget = MAX_WAIT;
-        if let Some(next) = self.wheel.next_deadline() {
+        if let Some(&(next, _)) = self.timers.first() {
             budget = budget.min(next.saturating_duration_since(now));
         }
         if let Some(drain) = self.drain_deadline {
@@ -323,7 +339,7 @@ impl<A: App> Shard<A> {
                         self.conns.remove(token);
                         continue;
                     }
-                    self.wheel.insert(token, deadline);
+                    self.arm(token);
                 }
                 Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -389,8 +405,8 @@ impl<A: App> Shard<A> {
                 }
             }
             if progressed && !failed {
-                // Activity refreshes the idle deadline; the stale wheel
-                // entry re-inserts itself when it fires early.
+                // Activity extends the idle deadline only: the armed
+                // timer fires early and re-arms to it once.
                 conn.deadline = Some(now + self.idle_timeout);
             }
         }
@@ -422,14 +438,13 @@ impl<A: App> Shard<A> {
                             self.close(token);
                             return;
                         }
-                        let deadline = now + self.idle_timeout;
                         if let Some(conn) = self.conns.get_mut(token) {
                             conn.phase = Phase::Idle;
-                            conn.deadline = Some(deadline);
+                            conn.deadline = Some(now + self.idle_timeout);
                             conn.write_buf = Vec::new();
                             conn.write_pos = 0;
                         }
-                        self.wheel.insert(token, deadline);
+                        self.arm(token);
                         self.set_interest(token, INTEREST_READ);
                         // Loop: a pipelined request may already be
                         // buffered.
@@ -437,24 +452,21 @@ impl<A: App> Shard<A> {
                     WriteStep::Blocked => {
                         // Cap how long an unread response may pin the
                         // connection (a never-reading client).
-                        let deadline = now + self.idle_timeout;
                         if let Some(conn) = self.conns.get_mut(token) {
                             if conn.deadline.is_none() {
-                                conn.deadline = Some(deadline);
+                                conn.deadline = Some(now + self.idle_timeout);
                             }
                         }
-                        self.wheel.insert(token, deadline);
+                        self.arm(token);
                         self.set_interest(token, INTEREST_WRITE);
                         return;
                     }
                     WriteStep::Pause => {
-                        let deadline =
-                            now + self.conns.get(token).map(|c| c.pause).unwrap_or_default();
                         if let Some(conn) = self.conns.get_mut(token) {
                             conn.phase = Phase::WritePause;
-                            conn.deadline = Some(deadline);
+                            conn.deadline = Some(now + conn.pause);
                         }
-                        self.wheel.insert(token, deadline);
+                        self.arm(token);
                         self.set_interest(token, INTEREST_NONE);
                         return;
                     }
@@ -547,7 +559,7 @@ impl<A: App> Shard<A> {
                     }
                 }
                 if !delay.is_zero() {
-                    self.wheel.insert(token, now + delay);
+                    self.arm(token);
                     self.set_interest(token, INTEREST_NONE);
                     return false;
                 }
@@ -586,44 +598,60 @@ impl<A: App> Shard<A> {
         }
     }
 
+    /// Makes `token`'s one timer entry fire no later than its deadline.
+    /// An entry that fires earlier is left alone; `fire_timers` re-arms
+    /// it then, so a busy connection costs one set operation per idle
+    /// timeout, not one per request.
+    fn arm(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(token) else {
+            return;
+        };
+        let Some(deadline) = conn.deadline else {
+            return;
+        };
+        if conn.timer.is_some_and(|at| at <= deadline) {
+            return;
+        }
+        if let Some(old) = conn.timer.replace(deadline) {
+            self.timers.remove(&(old, token));
+        }
+        self.timers.insert((deadline, token));
+        debug_assert!(self.timers.len() <= self.conns.len());
+    }
+
     fn fire_timers(&mut self, now: Instant) {
-        let mut expired = Vec::new();
-        self.wheel.expired(now, &mut expired);
-        for token in expired {
-            let Some((deadline, phase)) = self.conns.get(token).map(|c| (c.deadline, c.phase))
-            else {
+        while let Some(&(at, token)) = self.timers.first() {
+            if at > now {
+                return;
+            }
+            self.timers.pop_first();
+            let Some(conn) = self.conns.get_mut(token) else {
                 continue;
             };
-            let Some(deadline) = deadline else { continue };
+            conn.timer = None;
+            let Some(deadline) = conn.deadline else {
+                continue;
+            };
             if deadline > now {
-                // Re-armed or clamped-to-horizon entry: push it back
-                // out to its real deadline.
-                self.wheel.insert(token, deadline);
+                // The deadline moved out after this entry was armed.
+                self.arm(token);
                 continue;
             }
-            match phase {
+            match conn.phase {
                 Phase::Delay | Phase::WritePause => {
-                    if let Some(conn) = self.conns.get_mut(token) {
-                        conn.phase = Phase::Writing;
-                        conn.deadline = None;
-                    }
+                    conn.phase = Phase::Writing;
+                    conn.deadline = None;
                     self.drive(token, now);
                 }
                 Phase::Idle | Phase::Reading => {
-                    let partial = self
-                        .conns
-                        .get(token)
-                        .map(|c| !c.read_buf.is_empty())
-                        .unwrap_or(false);
+                    let partial = !conn.read_buf.is_empty();
                     match self.app.on_idle_timeout(self.id, partial) {
                         None => self.close(token),
                         Some(bytes) => {
-                            if let Some(conn) = self.conns.get_mut(token) {
-                                conn.read_buf.clear();
-                                conn.load_final_bytes(bytes);
-                                conn.phase = Phase::Writing;
-                                conn.deadline = None;
-                            }
+                            conn.read_buf.clear();
+                            conn.load_final_bytes(bytes);
+                            conn.phase = Phase::Writing;
+                            conn.deadline = None;
                             self.drive(token, now);
                         }
                     }
@@ -657,6 +685,9 @@ impl<A: App> Shard<A> {
 
     fn close(&mut self, token: usize) {
         if let Some(conn) = self.conns.remove(token) {
+            if let Some(at) = conn.timer {
+                self.timers.remove(&(at, token));
+            }
             let _ = self.poller.remove(conn.stream.as_raw_fd());
         }
     }
@@ -675,5 +706,97 @@ impl<A: App> Shard<A> {
                 self.close(token);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    /// One request is one `\n`-terminated line, echoed back verbatim.
+    #[derive(Default)]
+    struct LineEcho {
+        answered: AtomicUsize,
+    }
+
+    impl App for LineEcho {
+        type Request = Vec<u8>;
+
+        fn parse(&self, _shard: usize, buf: &[u8], eof: bool) -> Parse<Vec<u8>> {
+            match buf.iter().position(|b| *b == b'\n') {
+                Some(end) => Parse::Complete {
+                    request: buf[..=end].to_vec(),
+                    consumed: end + 1,
+                },
+                None if eof => Parse::Close,
+                None => Parse::Incomplete,
+            }
+        }
+
+        fn respond(&self, _shard: usize, request: Vec<u8>, _force_close: bool) -> Response {
+            self.answered.fetch_add(1, Ordering::SeqCst);
+            Response::new(request, true)
+        }
+
+        fn on_idle_timeout(&self, _shard: usize, _partial: bool) -> Option<Vec<u8>> {
+            None
+        }
+    }
+
+    /// Turns `shard` on the calling thread until `done` holds.
+    fn turn_until(
+        shard: &mut Shard<LineEcho>,
+        events: &mut Vec<Event>,
+        done: impl Fn(&Shard<LineEcho>) -> bool,
+    ) {
+        let started = Instant::now();
+        while !done(shard) {
+            assert!(started.elapsed() < Duration::from_secs(10), "shard stalled");
+            assert!(shard.turn(events), "shard stopped");
+        }
+    }
+
+    #[test]
+    fn a_keep_alive_connection_holds_one_timer_entry_for_its_whole_life() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener
+            .set_nonblocking(true)
+            .expect("nonblocking listener");
+        let addr = listener.local_addr().expect("addr");
+        let app = Arc::new(LineEcho::default());
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let config = ReactorConfig::default();
+        let (mut shard, _wake) = Shard::new(0, &app, &listener, &config, &shutdown).expect("shard");
+        let mut events = Vec::new();
+
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        turn_until(&mut shard, &mut events, |s| s.conns.len() == 1);
+        let token = shard.conns.keys()[0];
+        assert_eq!(shard.timers.len(), 1, "after accept");
+
+        let mut echo = [0u8; 5];
+        for served in 1..=10_000 {
+            client.write_all(b"ping\n").expect("write");
+            turn_until(&mut shard, &mut events, |s| {
+                s.app.answered.load(Ordering::SeqCst) == served
+                    && s.conns.get(token).is_some_and(|c| c.phase == Phase::Idle)
+            });
+            assert_eq!(shard.timers.len(), 1, "after response {served}");
+            client.read_exact(&mut echo).expect("echo");
+            assert_eq!(&echo, b"ping\n");
+        }
+
+        drop(client);
+        turn_until(&mut shard, &mut events, |s| s.conns.is_empty());
+        assert_eq!(shard.timers.len(), 0, "after the client closed");
+
+        let _next = TcpStream::connect(addr).expect("reconnect");
+        turn_until(&mut shard, &mut events, |s| s.conns.len() == 1);
+        assert_eq!(shard.conns.keys(), vec![token], "the freed token is reused");
+        assert_eq!(shard.timers.len(), 1, "after the token's reuse");
     }
 }

@@ -15,10 +15,12 @@
 //!   every shard; whichever shard's `accept` wins keeps the connection
 //!   for its whole life, so per-shard application state needs no
 //!   cross-shard locking on the hot path.
-//! - **Timers are a deadline wheel.** Idle keep-alive deadlines,
-//!   injected latency, and inter-chunk write pauses all live in a
-//!   fixed-tick wheel ([`wheel`]), so a slow or silent client costs a
-//!   timer entry instead of a blocked thread.
+//! - **One timer per connection.** Each connection stores its
+//!   authoritative deadline (idle keep-alive, injected latency, or an
+//!   inter-chunk write pause) and holds at most one entry in its
+//!   shard's ordered timer set, so a slow or silent client costs a
+//!   timer entry instead of a blocked thread, and timer memory tracks
+//!   open connections, not requests served.
 //! - **The application is a trait.** The reactor knows nothing about
 //!   HTTP: an [`App`] supplies incremental parsing, request handling,
 //!   and timeout responses, keyed by shard so state can be partitioned.
@@ -40,8 +42,6 @@ mod engine;
 mod poller;
 #[cfg(unix)]
 mod slab;
-#[cfg(unix)]
-mod wheel;
 
 pub use sys::raise_nofile_limit;
 #[cfg(unix)]

@@ -53,6 +53,10 @@ impl<T> Slab<T> {
         self.entries.get_mut(key).and_then(|slot| slot.as_mut())
     }
 
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }

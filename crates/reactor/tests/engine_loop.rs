@@ -226,6 +226,46 @@ fn idle_connection_is_closed_silently_and_partial_gets_a_response() {
     rig.handle.shutdown();
 }
 
+/// Requests every 40ms keep a 150ms-idle connection open past several
+/// idle timeouts; once they stop, it closes one idle timeout later.
+fn busy_connection_outlives_its_idle_timeout_and_a_quiet_one_closes_on_time(force_poll: bool) {
+    let rig = start(1, Duration::from_millis(150), force_poll);
+    let mut stream = connect(rig.addr);
+    let started = Instant::now();
+    let mut last_response = started;
+    while started.elapsed() < Duration::from_millis(600) {
+        stream.write_all(b"ping\n").expect("write");
+        let line = read_line(&mut stream);
+        assert!(
+            line.starts_with("PING#"),
+            "busy connection answered: {line:?}"
+        );
+        last_response = Instant::now();
+        std::thread::sleep(Duration::from_millis(40));
+    }
+    assert_eq!(rig.app.timeouts.load(Ordering::SeqCst), 0);
+
+    assert_eq!(read_to_end(&mut stream), Vec::<u8>::new());
+    let quiet = last_response.elapsed();
+    assert!(
+        quiet >= Duration::from_millis(140) && quiet <= Duration::from_millis(400),
+        "closed {quiet:?} after the last response"
+    );
+    assert_eq!(rig.app.timeouts.load(Ordering::SeqCst), 1);
+    assert_eq!(rig.app.accepted.load(Ordering::SeqCst), 1);
+    rig.handle.shutdown();
+}
+
+#[test]
+fn busy_connection_outlives_its_idle_timeout_epoll() {
+    busy_connection_outlives_its_idle_timeout_and_a_quiet_one_closes_on_time(false);
+}
+
+#[test]
+fn busy_connection_outlives_its_idle_timeout_poll_backend() {
+    busy_connection_outlives_its_idle_timeout_and_a_quiet_one_closes_on_time(true);
+}
+
 #[test]
 fn shutdown_drains_idle_keepalive_connections_promptly() {
     let rig = start(2, Duration::from_secs(30), false);

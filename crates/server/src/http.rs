@@ -194,7 +194,7 @@ impl BufRead for SliceReader<'_> {
 /// are identical to the blocking path by construction. Re-running from
 /// scratch as the buffer grows is sound because the parser's verdicts
 /// depend only on the byte stream, never on how it is chunked (see
-/// [`read_line`]'s cap contract) — a prefix that parses to an error
+/// `read_line`'s cap contract) — a prefix that parses to an error
 /// still parses to that same error with more bytes appended, and a
 /// prefix that suspends has rejected nothing yet.
 pub fn parse_request(buf: &[u8], eof: bool) -> Parsed {

@@ -499,8 +499,8 @@ fn worker_loop(
 /// wake even while parked on an idle keep-alive connection) and the idle
 /// deadline. A connection idle past [`ServerConfig::idle_timeout`] with
 /// an empty buffer is closed silently; one stalled mid-request gets a
-/// `400` first — the same semantics the reactor backend's deadline wheel
-/// enforces.
+/// `400` first — the same semantics the reactor backend's per-connection
+/// timers enforce.
 fn handle_connection(
     mut stream: TcpStream,
     state: &ServiceState,

@@ -166,7 +166,7 @@ impl ServerStats {
     /// Snapshot as the `/stats` JSON document.
     ///
     /// `cache` is `(hits, misses)` from the response cache. The
-    /// percentiles cover the last [`RING_SIZE`] requests per endpoint
+    /// percentiles cover the last `RING_SIZE` requests per endpoint
     /// (nearest rank — each value is an observed latency).
     pub fn to_json(&self, cache: (u64, u64)) -> Json {
         let endpoints: Vec<Json> = ENDPOINTS
