@@ -25,15 +25,13 @@ usage:
   wp recommend --slo REQS (--target <name> | --scenario <zoo> [--step N])
               [--samples N] [--seed S] [--json]
   wp export   --workload <name> --sku <sku> [--terminals N] [--runs N] [--seed S]
-  wp serve    [--addr HOST:PORT] [--threads N] [--backend workers|reactor]
+  wp serve    [--addr HOST:PORT] [--threads N]
               [--corpus FILE] [--samples N] [--seed S] [--faults SPEC] [--obs]
   wp chaos    [--plan SPEC] [--requests N] [--connections N] [--seed S] [--samples N]
-              [--timeout SECONDS] [--retries N] [--out FILE] [--verify-determinism]
-              [--backend workers|reactor] [--obs]
+              [--timeout SECONDS] [--retries N] [--out FILE] [--verify-determinism] [--obs]
   wp stream   [--rate HZ] [--tenants N] [--batches N] [--runs-per-batch N]
               [--shift-after N] [--zoo] [--samples N] [--seed S] [--timeout SECONDS]
-              [--faults SPEC] [--out FILE] [--verify-determinism]
-              [--backend workers|reactor] [--obs]
+              [--faults SPEC] [--out FILE] [--verify-determinism] [--obs]
   wp trace    [--samples N] [--seed S] [--json]
   wp index-bench [--size N] [--queries N] [--k K] [--samples N] [--json] [--seed S]
 
@@ -46,17 +44,6 @@ strategies: variance | pearson | fanova | migain | lasso | elasticnet |
             randomforest | rfe-linear | rfe-dectree | rfe-logreg | baseline";
 
 const DEFAULT_SEED: u64 = 0xEDB7_2025;
-
-/// Parses the `--backend` flag shared by `serve`, `chaos`, and
-/// `stream`: `workers` (the default blocking pool) or `reactor` (the
-/// event-driven tier).
-fn backend_from(args: &Args) -> Result<wp_server::Backend, String> {
-    match args.get("backend") {
-        None => Ok(wp_server::Backend::default()),
-        Some(name) => wp_server::Backend::parse(name)
-            .ok_or_else(|| format!("unknown backend '{name}' (expected workers|reactor)")),
-    }
-}
 
 /// True when the `WP_OBS` environment variable asks for observability
 /// (set to anything but `""` or `"0"`), mirroring how `WP_FAULTS` arms
@@ -336,17 +323,14 @@ fn cmd_export(args: &Args) -> Result<(), String> {
 /// the server's responses are byte-identical to a build without the
 /// observability layer.
 ///
-/// `--backend reactor` swaps the blocking worker pool for the
-/// `wp-reactor` event loop: the same endpoints, byte-identical
-/// responses, but thousands of keep-alive connections multiplexed over
-/// `--threads` event-loop threads instead of one thread per connection.
+/// `--threads` sets the `wp-reactor` event-loop shard count; every
+/// connection is served by one shard, from that shard's caches.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:8080").to_string();
     let threads: usize = args.parsed_or("threads", 4)?;
     let samples: usize = args.parsed_or("samples", 120)?;
     let seed: u64 = args.parsed_or("seed", DEFAULT_SEED)?;
     let obs = args.switch("obs") || obs_from_env();
-    let backend = backend_from(args)?;
     let faults = match args.get("faults") {
         Some(spec) => wp_faults::FaultPlan::parse(spec)?,
         None => wp_faults::FaultPlan::from_env()?.unwrap_or_default(),
@@ -377,7 +361,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let config = wp_server::ServerConfig {
         addr,
         workers: threads.max(1),
-        backend,
         faults,
         obs,
         ..wp_server::ServerConfig::default()
@@ -512,8 +495,10 @@ fn fetch_until_ok(
 ///
 /// 1. every logical request resolves to a classification — successes
 ///    plus errors add up to the configured request count, nothing hangs;
-/// 2. the response cache stays correct under faults — two retried
-///    `POST /similar` with the same body return byte-identical bodies;
+/// 2. the response cache stays correct under faults — three retried
+///    `POST /similar` with the same body return byte-identical bodies,
+///    and the third is a response-cache hit (the server runs one shard,
+///    so every fresh connection shares its cache);
 /// 3. the server survives the storm — `/healthz` still answers 200.
 ///
 /// The error taxonomy (never the timings) goes to `--out`
@@ -527,10 +512,6 @@ fn fetch_until_ok(
 /// an `"obs"` section of the output document. The section carries
 /// timings, so it is deliberately excluded from the determinism
 /// comparison — only the taxonomy is replay-compared.
-///
-/// `--backend reactor` runs the storm against the event-driven serving
-/// tier instead of the worker pool; the invariants and the determinism
-/// contract are identical.
 fn cmd_chaos(args: &Args) -> Result<(), String> {
     use std::time::Duration;
     use wp_faults::FaultPlan;
@@ -554,7 +535,6 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     let timeout = Duration::from_secs_f64(args.parsed_or("timeout", 2.0)?);
     let out = args.get("out").unwrap_or("BENCH_chaos.json").to_string();
     let obs = args.switch("obs") || obs_from_env();
-    let backend = backend_from(args)?;
     if requests == 0 {
         return Err("--requests must be positive".to_string());
     }
@@ -580,8 +560,9 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
             corpus,
             wp_server::ServerConfig {
                 addr: "127.0.0.1:0".to_string(),
-                workers: 2,
-                backend,
+                // One shard: invariant 2 opens a fresh connection per
+                // fetch, and only one shard gives them one cache.
+                workers: 1,
                 faults: plan.clone(),
                 ..wp_server::ServerConfig::default()
             },
@@ -611,12 +592,18 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         // second answer is stored on its miss; the third is a hit.
         let a = fetch_until_ok(&addr, "POST", "/similar", &similar_body, timeout, 25)?;
         let b = fetch_until_ok(&addr, "POST", "/similar", &similar_body, timeout, 25)?;
+        let (hits_before, _) = server.state().response_cache_counters();
         let c = fetch_until_ok(&addr, "POST", "/similar", &similar_body, timeout, 25)?;
+        let (hits_after, _) = server.state().response_cache_counters();
         if a != b || a != c {
             server.shutdown();
             return Err(
                 "cache divergence: identical /similar bodies got different responses".into(),
             );
+        }
+        if hits_after == hits_before {
+            server.shutdown();
+            return Err("the third /similar answer did not come from the cache".into());
         }
         // Invariant 3: the server outlives the storm.
         let health = fetch_until_ok(&addr, "GET", "/healthz", "", timeout, 25)?;
@@ -708,10 +695,6 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
 /// plan to the ingest path (e.g. `error:/ingest=0.3`) to keep the
 /// post-run probes clean.
 ///
-/// `--backend reactor` streams into the event-driven serving tier; the
-/// ledger invariants and the `/drift` determinism contract hold
-/// unchanged because ingest ordering is serialized in both backends.
-///
 /// `--zoo` streams the scenario zoo instead of frozen benchmark mixes:
 /// each tenant replays one `wp_workloads::zoo` scenario (recurring or
 /// shifting transaction mixes), advancing one evolution step per batch.
@@ -730,7 +713,6 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     let timeout = Duration::from_secs_f64(args.parsed_or("timeout", 10.0)?);
     let out = args.get("out").unwrap_or("BENCH_stream.json").to_string();
     let obs = args.switch("obs") || obs_from_env();
-    let backend = backend_from(args)?;
     if batches == 0 || tenants == 0 {
         return Err("--batches and --tenants must be positive".to_string());
     }
@@ -755,7 +737,6 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             wp_server::ServerConfig {
                 addr: "127.0.0.1:0".to_string(),
                 workers: 2,
-                backend,
                 faults: plan.clone().unwrap_or_default(),
                 obs,
                 ..wp_server::ServerConfig::default()

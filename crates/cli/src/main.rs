@@ -7,7 +7,6 @@
 //! wp similar   --target YCSB --sku cpu2          find similar workloads
 //! wp predict   --target YCSB --from cpu2 --to cpu8   end-to-end prediction
 //! wp serve     --addr 127.0.0.1:0 --threads 4    HTTP prediction service
-//! wp serve     --backend reactor                 event-driven serving tier
 //! ```
 //!
 //! Every command accepts `--seed <u64>` (default `0xEDB72025`) and

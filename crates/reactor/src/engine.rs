@@ -1,5 +1,5 @@
-//! The event-loop shards: accept, per-connection state machines,
-//! per-connection timers, and drain-on-shutdown.
+//! The event-loop shards: accept and hand-off, per-connection state
+//! machines, per-connection timers, and drain-on-shutdown.
 //!
 //! Connection lifecycle (half-duplex — a pipelined successor request
 //! is parsed only after the current response is fully written):
@@ -27,7 +27,8 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,8 +45,10 @@ const MAX_WAIT: Duration = Duration::from_millis(500);
 
 /// Per-readiness-event read budget: keeps one firehose connection from
 /// starving the rest of the shard (level-triggered polling re-reports
-/// the remainder).
-const READ_BUDGET: usize = 256 * 1024;
+/// the remainder), and bounds what a shard reads of a malformed request
+/// before the app rejects it. A two-run telemetry body (~98 KB) still
+/// arrives in one event.
+const READ_BUDGET: usize = 128 * 1024;
 
 pub(crate) fn start<A: App>(
     listener: TcpListener,
@@ -55,25 +58,65 @@ pub(crate) fn start<A: App>(
     listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let threads = config.threads.max(1);
+    let mut ends = Vec::with_capacity(threads);
+    let mut inboxes = Vec::with_capacity(threads);
     let mut wakers = Vec::with_capacity(threads);
+    for _ in 0..threads {
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        let (inbox_tx, inbox_rx) = mpsc::channel();
+        ends.push((wake_rx, inbox_rx));
+        inboxes.push(inbox_tx);
+        wakers.push(wake_tx);
+    }
+    let handoff = Arc::new(Handoff {
+        accepted: AtomicUsize::new(0),
+        inboxes,
+        wakers,
+    });
     let mut joins = Vec::with_capacity(threads);
     let mut backend = "poll";
-    for id in 0..threads {
-        let (shard, wake_tx) = Shard::new(id, &app, &listener, &config, &shutdown)?;
+    for (id, ends) in ends.into_iter().enumerate() {
+        let shard = Shard::new(id, &app, &listener, ends, &handoff, &config, &shutdown)?;
         backend = shard.poller.backend_name();
         joins.push(
             std::thread::Builder::new()
                 .name(format!("wp-reactor-{id}"))
                 .spawn(move || shard.run())?,
         );
-        wakers.push(wake_tx);
     }
     Ok(ReactorHandle {
         shutdown,
-        wakers,
+        handoff,
         joins,
         backend,
     })
+}
+
+/// Places connections: whichever shard accepts the k-th connection
+/// `App::on_accept` keeps hands it to shard `k mod shards` through that
+/// shard's inbox and wake socket.
+struct Handoff {
+    /// Connections kept so far, over every shard.
+    accepted: AtomicUsize,
+    inboxes: Vec<Sender<TcpStream>>,
+    /// Nonblocking: a full socket already holds a pending wake.
+    wakers: Vec<UnixStream>,
+}
+
+impl Handoff {
+    /// Queues `stream` for shard `target`, then wakes it. The target
+    /// drains its inbox after its wake bytes, so a stream sent before
+    /// the byte is never left waiting for a later wake. A shard that
+    /// has exited drops the stream, which closes it.
+    fn send(&self, target: usize, stream: TcpStream) {
+        let _ = self.inboxes[target].send(stream);
+        self.wake(target);
+    }
+
+    fn wake(&self, target: usize) {
+        let _ = (&self.wakers[target]).write(&[1]);
+    }
 }
 
 /// Owns the shard threads. `shutdown` drains gracefully; `wait` parks
@@ -81,7 +124,7 @@ pub(crate) fn start<A: App>(
 /// from elsewhere or every shard dies).
 pub struct ReactorHandle {
     shutdown: Arc<AtomicBool>,
-    wakers: Vec<UnixStream>,
+    handoff: Arc<Handoff>,
     joins: Vec<std::thread::JoinHandle<()>>,
     backend: &'static str,
 }
@@ -96,8 +139,8 @@ impl ReactorHandle {
     /// immediately; in-flight ones get the drain window to finish.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for waker in &self.wakers {
-            let _ = (&*waker).write(&[1]);
+        for shard in 0..self.handoff.wakers.len() {
+            self.handoff.wake(shard);
         }
         for join in self.joins.drain(..) {
             let _ = join.join();
@@ -210,7 +253,10 @@ struct Shard<A: App> {
     id: usize,
     app: Arc<A>,
     listener: TcpListener,
+    handoff: Arc<Handoff>,
     wake: UnixStream,
+    /// Connections other shards accepted for this one.
+    inbox: Receiver<TcpStream>,
     poller: Poller,
     conns: Slab<Conn>,
     /// `(fire time, token)`: at most one entry per connection.
@@ -224,25 +270,29 @@ struct Shard<A: App> {
 
 impl<A: App> Shard<A> {
     /// Builds shard `id` with its own poller over a handle on
-    /// `listener`; returns it with the write end of its wake pipe.
+    /// `listener` and its wake socket; the shard reads its inbox when
+    /// woken.
     fn new(
         id: usize,
         app: &Arc<A>,
         listener: &TcpListener,
+        (wake, inbox): (UnixStream, Receiver<TcpStream>),
+        handoff: &Arc<Handoff>,
         config: &ReactorConfig,
         shutdown: &Arc<AtomicBool>,
-    ) -> std::io::Result<(Shard<A>, UnixStream)> {
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
+    ) -> std::io::Result<Shard<A>> {
+        wake.set_nonblocking(true)?;
         let listener = listener.try_clone()?;
         let mut poller = Poller::new(config.force_poll)?;
         poller.add(listener.as_raw_fd(), TOKEN_LISTENER, INTEREST_READ)?;
-        poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, INTEREST_READ)?;
-        let shard = Shard {
+        poller.add(wake.as_raw_fd(), TOKEN_WAKE, INTEREST_READ)?;
+        Ok(Shard {
             id,
             app: Arc::clone(app),
             listener,
-            wake: wake_rx,
+            handoff: Arc::clone(handoff),
+            wake,
+            inbox,
             poller,
             conns: Slab::new(),
             timers: BTreeSet::new(),
@@ -251,8 +301,7 @@ impl<A: App> Shard<A> {
             draining: false,
             drain_deadline: None,
             shutdown: Arc::clone(shutdown),
-        };
-        Ok((shard, wake_tx))
+        })
     }
 
     fn run(mut self) {
@@ -286,7 +335,7 @@ impl<A: App> Shard<A> {
         for ev in events.iter() {
             match ev.token {
                 TOKEN_LISTENER => self.accept_ready(now),
-                TOKEN_WAKE => self.drain_wake(),
+                TOKEN_WAKE => self.drain_wake(now),
                 token => self.on_event(token as usize, *ev, now),
             }
         }
@@ -305,18 +354,27 @@ impl<A: App> Shard<A> {
         budget
     }
 
-    fn drain_wake(&mut self) {
+    /// Reads the pending wake bytes, then adopts the connections other
+    /// shards handed over (a draining shard closes them instead).
+    fn drain_wake(&mut self, now: Instant) {
         let mut sink = [0u8; 64];
         loop {
             match self.wake.read(&mut sink) {
-                Ok(0) => return,
+                Ok(0) => break,
                 Ok(_) => continue,
                 Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
+                Err(_) => break,
+            }
+        }
+        while let Ok(stream) = self.inbox.try_recv() {
+            if !self.draining {
+                self.adopt(stream, now);
             }
         }
     }
 
+    /// Accepts every pending connection and places the k-th one
+    /// `on_accept` keeps on shard `k mod shards`.
     fn accept_ready(&mut self, now: Instant) {
         if self.draining {
             return;
@@ -328,18 +386,13 @@ impl<A: App> Shard<A> {
                         drop(stream);
                         continue;
                     }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+                    let k = self.handoff.accepted.fetch_add(1, Ordering::Relaxed);
+                    let target = k % self.handoff.inboxes.len();
+                    if target == self.id {
+                        self.adopt(stream, now);
+                    } else {
+                        self.handoff.send(target, stream);
                     }
-                    let _ = stream.set_nodelay(true);
-                    let deadline = now + self.idle_timeout;
-                    let fd = stream.as_raw_fd();
-                    let token = self.conns.insert(Conn::new(stream, deadline));
-                    if self.poller.add(fd, token as u64, INTEREST_READ).is_err() {
-                        self.conns.remove(token);
-                        continue;
-                    }
-                    self.arm(token);
                 }
                 Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -348,6 +401,24 @@ impl<A: App> Shard<A> {
                 Err(_) => return,
             }
         }
+    }
+
+    /// Registers a connection with this shard: an idle deadline, READ
+    /// interest and its timer.
+    fn adopt(&mut self, stream: TcpStream, now: Instant) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        let fd = stream.as_raw_fd();
+        let token = self
+            .conns
+            .insert(Conn::new(stream, now + self.idle_timeout));
+        if self.poller.add(fd, token as u64, INTEREST_READ).is_err() {
+            self.conns.remove(token);
+            return;
+        }
+        self.arm(token);
     }
 
     fn on_event(&mut self, token: usize, ev: Event, now: Instant) {
@@ -541,8 +612,7 @@ impl<A: App> Shard<A> {
                     Ok(response) => response,
                     Err(_) => {
                         // A panicking handler forfeits the
-                        // connection, like a panicking worker
-                        // thread in the blocking pool.
+                        // connection, not the shard.
                         self.close(token);
                         return false;
                     }
@@ -767,7 +837,23 @@ mod tests {
         let app = Arc::new(LineEcho::default());
         let shutdown = Arc::new(AtomicBool::new(false));
         let config = ReactorConfig::default();
-        let (mut shard, _wake) = Shard::new(0, &app, &listener, &config, &shutdown).expect("shard");
+        let (wake, waker) = UnixStream::pair().expect("wake pair");
+        let (inbox_tx, inbox) = mpsc::channel();
+        let handoff = Arc::new(Handoff {
+            accepted: AtomicUsize::new(0),
+            inboxes: vec![inbox_tx],
+            wakers: vec![waker],
+        });
+        let mut shard = Shard::new(
+            0,
+            &app,
+            &listener,
+            (wake, inbox),
+            &handoff,
+            &config,
+            &shutdown,
+        )
+        .expect("shard");
         let mut events = Vec::new();
 
         let mut client = TcpStream::connect(addr).expect("connect");

@@ -11,10 +11,14 @@
 //!   accepted as a state machine: reading a request, running the
 //!   handler, writing the response (possibly in fault-injected chunks
 //!   or truncated), or sitting in idle keep-alive.
-//! - **Shards own their connections.** The listener is registered with
-//!   every shard; whichever shard's `accept` wins keeps the connection
-//!   for its whole life, so per-shard application state needs no
-//!   cross-shard locking on the hot path.
+//! - **Shards own their connections.** Every shard listens, so a busy
+//!   shard never holds up an accept. Whichever shard accepts the k-th
+//!   connection [`App::on_accept`] keeps gives it to shard
+//!   `k mod shards`, sending it to that shard's inbox and waking it
+//!   through its wake socket, so connections spread evenly and, when
+//!   they arrive one at a time, deterministically. A shard keeps each
+//!   connection for its whole life, so per-shard application state
+//!   needs no cross-shard locking on the hot path.
 //! - **One timer per connection.** Each connection stores its
 //!   authoritative deadline (idle keep-alive, injected latency, or an
 //!   inter-chunk write pause) and holds at most one entry in its
@@ -27,7 +31,7 @@
 //!
 //! The crate is Unix-only at runtime (epoll or poll); on other targets
 //! it still compiles and [`Reactor::start`] reports an unsupported-
-//! platform error so callers can fall back to a blocking backend.
+//! platform error.
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 
@@ -44,8 +48,6 @@ mod poller;
 mod slab;
 
 pub use sys::raise_nofile_limit;
-#[cfg(unix)]
-pub use sys::wait_readable;
 
 #[cfg(unix)]
 pub use engine::ReactorHandle;
@@ -184,7 +186,7 @@ impl Reactor {
     ) -> std::io::Result<ReactorHandle> {
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "wp-reactor needs a Unix readiness poller; use the blocking workers backend",
+            "wp-reactor needs a Unix readiness poller (epoll or poll)",
         ))
     }
 }

@@ -6,8 +6,6 @@
 //! declarations are enough — no external crate is pulled in.
 
 #[cfg(unix)]
-use std::io;
-#[cfg(unix)]
 use std::time::Duration;
 
 /// Converts a wait budget to the millisecond argument `epoll_wait` and
@@ -215,23 +213,9 @@ pub fn raise_nofile_limit(target: u64) -> u64 {
     }
 }
 
-/// No-op off Unix: the blocking fallback server does not hold enough
-/// descriptors to need it.
+/// No-op off Unix, where [`crate::Reactor::start`] fails and no socket
+/// is held.
 #[cfg(not(unix))]
 pub fn raise_nofile_limit(target: u64) -> u64 {
     target
-}
-
-/// Blocks until `fd` is readable or `timeout` elapses; returns whether
-/// it became readable. Lets a blocking accept loop wait on the listener
-/// *and* still observe a shutdown flag on a bounded cadence.
-#[cfg(unix)]
-pub fn wait_readable<T: std::os::unix::io::AsRawFd>(fd: &T, timeout: Duration) -> io::Result<bool> {
-    let mut fds = [pollsys::PollFd {
-        fd: fd.as_raw_fd(),
-        events: pollsys::POLLIN,
-        revents: 0,
-    }];
-    let n = pollsys::poll_fds(&mut fds, timeout_ms(Some(timeout)))?;
-    Ok(n > 0)
 }

@@ -1,12 +1,13 @@
 //! Engine-level tests over a minimal line-based protocol app: one
 //! request is one `\n`-terminated line, the response echoes it back
-//! uppercased. Exercises keep-alive cycling, pipelining, fault write
-//! modes, idle timeouts, and graceful drain on both poller backends.
+//! uppercased with the answering shard's id. Exercises connection
+//! placement, keep-alive cycling, pipelining, fault write modes, idle
+//! timeouts, and graceful drain on both poller backends.
 #![cfg(unix)]
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,9 +15,11 @@ use wp_reactor::{App, Parse, Reactor, ReactorConfig, Response, WriteMode};
 
 /// `quit\n` closes after responding; `slow\n` answers in paced chunks;
 /// `half\n` truncates mid-response; `bad!` anywhere in a line rejects.
+/// `refuse_next` makes `on_accept` drop the next connection.
 struct EchoApp {
     accepted: AtomicUsize,
     timeouts: AtomicUsize,
+    refuse_next: AtomicBool,
 }
 
 impl App for EchoApp {
@@ -24,7 +27,7 @@ impl App for EchoApp {
 
     fn on_accept(&self) -> bool {
         self.accepted.fetch_add(1, Ordering::SeqCst);
-        true
+        !self.refuse_next.swap(false, Ordering::SeqCst)
     }
 
     fn parse(&self, _shard: usize, buf: &[u8], eof: bool) -> Parse<String> {
@@ -91,6 +94,7 @@ fn start(threads: usize, idle: Duration, force_poll: bool) -> Rig {
     let app = Arc::new(EchoApp {
         accepted: AtomicUsize::new(0),
         timeouts: AtomicUsize::new(0),
+        refuse_next: AtomicBool::new(false),
     });
     let handle = Reactor::start(
         listener,
@@ -160,6 +164,50 @@ fn keep_alive_roundtrips_epoll() {
 #[test]
 fn keep_alive_roundtrips_poll_backend() {
     keep_alive_roundtrips(true);
+}
+
+/// Whichever shard accepts it, the k-th connection kept lands on shard
+/// `k mod 3`; a connection `on_accept` refuses takes no ordinal, so it
+/// shifts nothing.
+fn connections_are_placed_round_robin(force_poll: bool) {
+    let rig = start(3, Duration::from_secs(30), force_poll);
+    let mut kept = Vec::new();
+    for round in 0..2 {
+        for shard in 0..3 {
+            let k = round * 3 + shard;
+            let mut stream = connect(rig.addr);
+            stream
+                .write_all(format!("c{k}\n").as_bytes())
+                .expect("write");
+            assert_eq!(read_line(&mut stream), format!("C{k}#{shard}"));
+            kept.push(stream);
+        }
+        rig.app.refuse_next.store(true, Ordering::SeqCst);
+        let mut refused = connect(rig.addr);
+        let mut byte = [0u8; 1];
+        assert!(
+            matches!(refused.read(&mut byte), Ok(0) | Err(_)),
+            "a refused connection is closed unanswered"
+        );
+        assert!(!rig.app.refuse_next.load(Ordering::SeqCst));
+    }
+    // Every kept connection stays on its shard.
+    for (k, stream) in kept.iter_mut().enumerate() {
+        stream.write_all(b"again\n").expect("write");
+        assert_eq!(read_line(stream), format!("AGAIN#{}", k % 3));
+    }
+    assert_eq!(rig.app.accepted.load(Ordering::SeqCst), 8);
+    rig.handle.shutdown();
+}
+
+#[test]
+fn connections_are_placed_round_robin_epoll() {
+    connections_are_placed_round_robin(false);
+}
+
+#[test]
+fn connections_are_placed_round_robin_poll_backend() {
+    connections_are_placed_round_robin(true);
 }
 
 #[test]

@@ -2,11 +2,11 @@
 //!
 //! Just enough of the protocol for a JSON service driven by a known
 //! client set: request-line + header parsing, `Content-Length` bodies,
-//! keep-alive, and response writing. No chunked transfer encoding, no
+//! keep-alive, and response rendering. No chunked transfer encoding, no
 //! `Expect: 100-continue`, no TLS — requests using unsupported framing
 //! are rejected with an error the caller maps to a `4xx`.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// Upper bound on accepted request bodies (16 MiB): a full 360-sample
 /// telemetry corpus posts in well under 1 MiB, so anything larger is a
@@ -37,6 +37,16 @@ pub struct Request {
 /// Returns `Ok(None)` on a clean EOF before the first byte (the peer
 /// closed an idle keep-alive connection) and `Err` on malformed framing.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String> {
+    let Some((mut request, content_length)) = read_head(reader)? else {
+        return Ok(None);
+    };
+    request.body = read_body(reader, content_length)?;
+    Ok(Some(request))
+}
+
+/// Reads the request line and headers: the request with an empty body,
+/// and the length of the body still to read.
+fn read_head(reader: &mut impl BufRead) -> Result<Option<(Request, usize)>, String> {
     let Some(request_line) = read_line(reader)? else {
         return Ok(None);
     };
@@ -100,18 +110,21 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String
     if content_length > MAX_BODY_BYTES {
         return Err(format!("body of {content_length} bytes exceeds limit"));
     }
+    let request = Request {
+        method,
+        path,
+        body: String::new(),
+        keep_alive,
+    };
+    Ok(Some((request, content_length)))
+}
+
+fn read_body(reader: &mut impl BufRead, content_length: usize) -> Result<String, String> {
     let mut raw = vec![0u8; content_length];
     reader
         .read_exact(&mut raw)
         .map_err(|e| format!("reading body: {e}"))?;
-    let body = String::from_utf8(raw).map_err(|_| "body is not valid UTF-8".to_string())?;
-
-    Ok(Some(Request {
-        method,
-        path,
-        body,
-        keep_alive,
-    }))
+    String::from_utf8(raw).map_err(|_| "body is not valid UTF-8".to_string())
 }
 
 /// Outcome of one incremental parse attempt over buffered bytes.
@@ -189,9 +202,11 @@ impl BufRead for SliceReader<'_> {
 /// the peer will send nothing further, which resolves every pending
 /// case (clean close, a final body, or a mid-frame truncation error).
 ///
-/// It literally runs [`read_request`] over the buffer, suspending it
+/// It runs [`read_request`]'s steps over the buffer, suspending them
 /// when the bytes run out, so accept/reject verdicts and error strings
-/// are identical to the blocking path by construction. Re-running from
+/// are identical to the blocking parser's by construction. A body that
+/// has not fully arrived suspends the parse before it is copied, so a
+/// large body is copied once, not once per read. Re-running from
 /// scratch as the buffer grows is sound because the parser's verdicts
 /// depend only on the byte stream, never on how it is chunked (see
 /// `read_line`'s cap contract) — a prefix that parses to an error
@@ -199,7 +214,17 @@ impl BufRead for SliceReader<'_> {
 /// prefix that suspends has rejected nothing yet.
 pub fn parse_request(buf: &[u8], eof: bool) -> Parsed {
     let mut reader = SliceReader { buf, pos: 0, eof };
-    match read_request(&mut reader) {
+    let framed = read_head(&mut reader).and_then(|head| {
+        let Some((mut request, content_length)) = head else {
+            return Ok(None);
+        };
+        if !eof && buf.len() - reader.pos < content_length {
+            return Err(NEED_MORE.to_string());
+        }
+        request.body = read_body(&mut reader, content_length)?;
+        Ok(Some(request))
+    });
+    match framed {
         Ok(Some(request)) => Parsed::Request {
             request,
             consumed: reader.pos,
@@ -282,8 +307,7 @@ pub fn reason(status: u16) -> &'static str {
 /// Serializes one `application/json` response with explicit
 /// `Content-Length` into a byte buffer. `extra_headers` (e.g.
 /// `Retry-After` on an overload `503`) are inserted before the blank
-/// line; an empty slice yields exactly the bytes [`write_response`]
-/// always wrote.
+/// line.
 pub fn render_response(
     status: u16,
     body: &str,
@@ -320,17 +344,6 @@ pub fn render_response_typed(
     let mut bytes = head.into_bytes();
     bytes.extend_from_slice(body.as_bytes());
     bytes
-}
-
-/// Writes one `application/json` response with explicit `Content-Length`.
-pub fn write_response(
-    writer: &mut impl Write,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    writer.write_all(&render_response(status, body, keep_alive, &[]))?;
-    writer.flush()
 }
 
 #[cfg(test)]
@@ -506,6 +519,7 @@ mod tests {
             b"POST / HTTP/1.1\r\nContent-Length: 11\r\nContent-Length: 3\r\n\r\n{\"runs\":[]}",
             b"GET / HTTP/1.1\r\nX-Tail: v\r\n\r", // EOF inside the final CRLF
             b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", // body truncated at EOF
+            b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\na\xff\xfe", // not UTF-8
             b"",
         ];
         for case in cases {
@@ -565,8 +579,7 @@ mod tests {
 
     #[test]
     fn response_is_well_formed() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "{\"ok\":true}", true).unwrap();
+        let out = render_response(200, "{\"ok\":true}", true, &[]);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 11\r\n"));

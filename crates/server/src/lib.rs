@@ -20,24 +20,19 @@
 //! | `/stats` | GET | per-endpoint nanosecond timings + cache counters |
 //! | `/metrics` | GET | `wp-obs` registry in Prometheus text (only with [`ServerConfig::obs`] on) |
 //!
-//! Everything is `std`-only (hermetic build). Two serving backends share
-//! the same parser, router, and fault sites, selected by
-//! [`ServerConfig::backend`]:
+//! Everything is `std`-only (hermetic build). Connections are served by
+//! the `wp-reactor` event loop: a few shard threads multiplex thousands
+//! of keep-alive connections as readiness-driven state machines. The
+//! k-th connection lands on shard `k mod workers`, whichever shard
+//! accepted it, and that shard serves it from its own
+//! [`service::ShardState`] caches for the connection's whole life.
 //!
-//! * [`Backend::Workers`] — a fixed-size blocking worker pool over one
-//!   shared [`TcpListener`]: one thread per in-flight connection, reads
-//!   in short ticks so idle keep-alive connections time out and
-//!   shutdown wakes promptly. The reference implementation.
-//! * [`Backend::Reactor`] — the `wp-reactor` event loop: a few shard
-//!   threads multiplex thousands of keep-alive connections as
-//!   readiness-driven state machines, each connection pinned to its
-//!   accepting shard's [`service::ShardState`] caches.
-//!
-//! Both backends read one streaming engine, published per corpus
+//! Every shard reads one streaming engine, published per corpus
 //! generation: every request answers from a single snapshot, and an
 //! ingest publishes a new one without blocking reads.
 //!
-//! Both backends produce byte-identical responses for every endpoint:
+//! The wire bytes of every response are those of the pure handler,
+//! [`service::handle`], rendered by [`http::render_response_typed`]:
 //! request bodies use the `wp_telemetry::io` interchange schema, derived
 //! state lives in LRU caches (a cache hit is bit-identical to a
 //! recompute — handlers are deterministic functions of the request
@@ -51,12 +46,8 @@ pub mod http;
 pub mod service;
 pub mod stats;
 
-use std::io::{BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wp_core::offline::OfflineCorpus;
@@ -67,51 +58,30 @@ use wp_stream::StreamConfig;
 
 use service::ServiceState;
 
-/// Which serving tier answers connections.
+/// Selects nothing: the reactor is the only serving tier. Kept, with
+/// [`ServerConfig::backend`], only because the benchmark names it; both
+/// go with the benchmark's next change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Blocking worker pool: `workers` threads, one connection at a time
-    /// each. Simple and portable; the reference backend.
+    /// The `wp-reactor` event loop.
     #[default]
-    Workers,
-    /// `wp-reactor` event loop: `workers` shard threads multiplexing all
-    /// connections via readiness (epoll on Linux, poll elsewhere).
     Reactor,
 }
 
-impl Backend {
-    /// Parses a CLI-facing backend name.
-    pub fn parse(name: &str) -> Option<Backend> {
-        match name {
-            "workers" => Some(Backend::Workers),
-            "reactor" => Some(Backend::Reactor),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Backend::Workers => "workers",
-            Backend::Reactor => "reactor",
-        }
-    }
-}
-
-/// How a [`Server`] binds, sizes its pool, and computes.
+/// How a [`Server`] binds, sizes its shards, and computes.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port `0` asks the OS for a free port (the bound
     /// address is on the returned handle).
     pub addr: String,
-    /// Serving backend (worker pool or event-loop reactor).
+    /// Selects nothing (see [`Backend`]); goes with the benchmark's next
+    /// change.
     pub backend: Backend,
-    /// Worker threads (pool size for [`Backend::Workers`], event-loop
-    /// shard count for [`Backend::Reactor`]).
+    /// Event-loop shard threads, each with its own caches.
     pub workers: usize,
     /// Close keep-alive connections that sit idle longer than this; a
     /// connection stalled mid-request gets a `408`-style `400` response
-    /// first. Applies to both backends.
+    /// first.
     pub idle_timeout: Duration,
     /// When set, pins the `wp-runtime` thread count used *inside* request
     /// handlers (`None` inherits `WP_THREADS` / available parallelism).
@@ -144,7 +114,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            backend: Backend::Workers,
+            backend: Backend::Reactor,
             workers: 4,
             idle_timeout: Duration::from_secs(30),
             compute_threads: None,
@@ -165,7 +135,7 @@ pub struct Server;
 
 impl Server {
     /// Validates the corpus, selects features (stage 1, once), binds the
-    /// listener, and spawns the worker pool.
+    /// listener, and starts the reactor's shards.
     ///
     /// When the fault plan enables corpus corruption, the corruption is
     /// applied *before* validation — a corrupted corpus is expected to
@@ -182,13 +152,7 @@ impl Server {
         if config.obs {
             wp_obs::enable();
         }
-        let n = config.workers.max(1);
-        // The reactor pins connections to shards, so each shard gets its
-        // own caches; the pool routes everything through shard 0.
-        let shards = match config.backend {
-            Backend::Workers => 1,
-            Backend::Reactor => n,
-        };
+        let shards = config.workers.max(1);
         let mut state = ServiceState::sharded(
             corpus,
             config.pipeline.clone(),
@@ -204,78 +168,35 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("cannot read bound address: {e}"))?;
-
-        if config.backend == Backend::Reactor {
-            let app = Arc::new(ReactorApp {
-                state: Arc::clone(&state),
-                injector,
-            });
-            let handle = wp_reactor::Reactor::start(
-                listener,
-                app,
-                wp_reactor::ReactorConfig {
-                    threads: n,
-                    idle_timeout: config.idle_timeout,
-                    drain_timeout: Duration::from_secs(5),
-                    force_poll: false,
-                },
-            )
-            .map_err(|e| format!("cannot start reactor: {e}"))?;
-            return Ok(ServerHandle {
-                addr,
-                state,
-                runner: Runner::Reactor(handle),
-            });
-        }
-
-        // Workers poll accept so they can notice the shutdown message
-        // without a wake-up connection.
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set nonblocking accept: {e}"))?;
-        let mut controls = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = std::sync::mpsc::channel::<()>();
-            controls.push(tx);
-            let listener = listener
-                .try_clone()
-                .map_err(|e| format!("cannot clone listener: {e}"))?;
-            let state = Arc::clone(&state);
-            let injector = injector.clone();
-            let idle = config.idle_timeout;
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("wp-server-{i}"))
-                    .spawn(move || worker_loop(&listener, &state, &rx, injector.as_deref(), idle))
-                    .map_err(|e| format!("cannot spawn worker: {e}"))?,
-            );
-        }
+        let app = Arc::new(ReactorApp {
+            state: Arc::clone(&state),
+            injector,
+        });
+        let reactor = wp_reactor::Reactor::start(
+            listener,
+            app,
+            wp_reactor::ReactorConfig {
+                threads: shards,
+                idle_timeout: config.idle_timeout,
+                drain_timeout: Duration::from_secs(5),
+                force_poll: false,
+            },
+        )
+        .map_err(|e| format!("cannot start reactor: {e}"))?;
         Ok(ServerHandle {
             addr,
             state,
-            runner: Runner::Pool { controls, workers },
+            reactor,
         })
     }
 }
 
-/// The backend-specific running half of a [`ServerHandle`].
-enum Runner {
-    /// Blocking pool: one control channel + join handle per worker.
-    Pool {
-        controls: Vec<Sender<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    /// Event loop: the reactor owns its shard threads.
-    Reactor(wp_reactor::ReactorHandle),
-}
-
 /// A running server: its bound address, shared state (for inspection),
-/// and the backend runner.
+/// and the reactor serving it.
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServiceState>,
-    runner: Runner,
+    reactor: wp_reactor::ReactorHandle,
 }
 
 impl ServerHandle {
@@ -289,60 +210,31 @@ impl ServerHandle {
         &self.state
     }
 
-    /// The running backend: `"workers"`, or the reactor's poller name
-    /// (`"epoll"` / `"poll"`).
+    /// The reactor's poller (`"epoll"` / `"poll"`).
     pub fn backend(&self) -> &'static str {
-        match &self.runner {
-            Runner::Pool { .. } => "workers",
-            Runner::Reactor(handle) => handle.backend(),
-        }
+        self.reactor.backend()
     }
 
-    /// Graceful shutdown. Pool: signals every worker over its control
-    /// channel and joins them; idle keep-alive connections are closed at
-    /// their next read tick. Reactor: wakes every shard, drains in-flight
+    /// Graceful shutdown: wakes every shard, drains in-flight
     /// connections (closing idle ones immediately), and joins.
     pub fn shutdown(self) {
-        match self.runner {
-            Runner::Pool { controls, workers } => {
-                for tx in &controls {
-                    // A dead worker has already dropped its receiver; that
-                    // is exactly the state shutdown wants.
-                    let _ = tx.send(());
-                }
-                for w in workers {
-                    let _ = w.join();
-                }
-            }
-            Runner::Reactor(handle) => handle.shutdown(),
-        }
+        self.reactor.shutdown();
     }
 
     /// Blocks until every serving thread exits (i.e. until
     /// [`Self::shutdown`] is triggered from another handle-less path —
     /// used by the CLI, which serves until the process is killed).
     pub fn wait(self) {
-        match self.runner {
-            Runner::Pool { workers, .. } => {
-                for w in workers {
-                    let _ = w.join();
-                }
-            }
-            Runner::Reactor(handle) => handle.wait(),
-        }
+        self.reactor.wait();
     }
 }
 
-/// The shared serving logic, exposed to `wp-reactor` as its [`App`]:
-/// parsing via the incremental parser, routing via the shard-pinned
-/// service, and all per-request fault sites mapped onto reactor
-/// state-machine transitions.
-///
-/// Fault parity with the pool: the pool sleeps `pre_latency` before the
-/// handler and `stall` after it (both before any byte is written), so
-/// here both fold into the response's pre-write delay — the bytes are
-/// identical and the client-observed latency matches; only the handler's
-/// position inside the delay window differs.
+/// The serving logic, exposed to `wp-reactor` as its [`App`]: parsing
+/// via the incremental parser, routing via the shard-pinned service,
+/// and all per-request fault sites mapped onto reactor state-machine
+/// transitions. The injected latency and the stall both hold the
+/// finished response before its first byte, so they fold into one
+/// pre-write delay.
 ///
 /// [`App`]: wp_reactor::App
 struct ReactorApp {
@@ -369,7 +261,8 @@ impl wp_reactor::App for ReactorApp {
             }
             http::Parsed::Closed => wp_reactor::Parse::Close,
             http::Parsed::Invalid(msg) => {
-                // Same answer the pool gives a framing error: 400, close.
+                // A framing error leaves the stream position unknown:
+                // answer 400 and close.
                 let body = wp_json::obj! { "error" => msg }.compact();
                 wp_reactor::Parse::Reject {
                     response: http::render_response(400, &body, false, &[]),
@@ -441,241 +334,11 @@ impl wp_reactor::App for ReactorApp {
     }
 }
 
-/// How long a pool worker blocks in one `accept`/`read` attempt before
-/// re-checking its control channel and the connection's idle deadline.
-/// Bounds shutdown latency for workers parked on idle connections.
-const WORKER_TICK: Duration = Duration::from_millis(25);
-
-/// Accept-and-serve loop of one pool worker.
-fn worker_loop(
-    listener: &TcpListener,
-    state: &Arc<ServiceState>,
-    control: &Receiver<()>,
-    injector: Option<&FaultInjector>,
-    idle_timeout: Duration,
-) {
-    loop {
-        match control.try_recv() {
-            Ok(()) | Err(TryRecvError::Disconnected) => return,
-            Err(TryRecvError::Empty) => {}
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                state.stats.record_connection();
-                if injector.is_some_and(FaultInjector::reset_connection) {
-                    // Injected reset: drop the socket before reading a
-                    // byte. The client sees ECONNRESET / EOF.
-                    drop(stream);
-                    continue;
-                }
-                let done = catch_unwind(AssertUnwindSafe(|| {
-                    handle_connection(stream, state, control, injector, idle_timeout)
-                }))
-                .unwrap_or(false);
-                if done {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Park in the poller until a connection arrives (or the
-                // tick elapses and the control channel is re-checked),
-                // instead of a busy accept/sleep cycle.
-                #[cfg(unix)]
-                let _ = wp_reactor::wait_readable(listener, WORKER_TICK);
-                #[cfg(not(unix))]
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-/// Serves one connection until close / error / timeout / shutdown.
-/// Returns `true` when a shutdown message was consumed and the worker
-/// should exit.
-///
-/// Reads are ticked: the socket read timeout is [`WORKER_TICK`], and
-/// every dry tick re-checks the control channel (deterministic shutdown
-/// wake even while parked on an idle keep-alive connection) and the idle
-/// deadline. A connection idle past [`ServerConfig::idle_timeout`] with
-/// an empty buffer is closed silently; one stalled mid-request gets a
-/// `400` first — the same semantics the reactor backend's per-connection
-/// timers enforce.
-fn handle_connection(
-    mut stream: TcpStream,
-    state: &ServiceState,
-    control: &Receiver<()>,
-    injector: Option<&FaultInjector>,
-    idle_timeout: Duration,
-) -> bool {
-    // The listener is nonblocking; the accepted stream must not be.
-    if stream.set_nonblocking(false).is_err() {
-        return false;
-    }
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(WORKER_TICK));
-    let mut writer = BufWriter::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return false,
-    });
-
-    let mut buf: Vec<u8> = Vec::new();
-    let mut scratch = [0u8; 16 * 1024];
-    let mut eof = false;
-    let mut idle_deadline = Instant::now() + idle_timeout;
-
-    loop {
-        let request = match http::parse_request(&buf, eof) {
-            http::Parsed::Request { request, consumed } => {
-                buf.drain(..consumed);
-                request
-            }
-            http::Parsed::Closed => return false, // clean close
-            http::Parsed::Invalid(msg) => {
-                // Framing errors: answer 400 and drop the connection (the
-                // stream position is unknown).
-                let body = wp_json::obj! { "error" => msg }.compact();
-                let _ = http::write_response(&mut writer, 400, &body, false);
-                return false;
-            }
-            http::Parsed::Incomplete => {
-                match stream.read(&mut scratch) {
-                    Ok(0) => eof = true,
-                    Ok(n) => {
-                        buf.extend_from_slice(&scratch[..n]);
-                        idle_deadline = Instant::now() + idle_timeout;
-                    }
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        match control.try_recv() {
-                            // Shutdown while waiting for a request: the
-                            // connection is between frames, drop it.
-                            Ok(()) | Err(TryRecvError::Disconnected) => return true,
-                            Err(TryRecvError::Empty) => {}
-                        }
-                        if Instant::now() >= idle_deadline {
-                            if !buf.is_empty() {
-                                // Stalled mid-request: say so, then close.
-                                let body = wp_json::obj! {
-                                    "error" => "timed out waiting for a complete request"
-                                }
-                                .compact();
-                                let _ = http::write_response(&mut writer, 400, &body, false);
-                            }
-                            return false;
-                        }
-                    }
-                    Err(_) => return false,
-                }
-                continue;
-            }
-        };
-
-        // All fault decisions for this request are drawn here, in one
-        // shot, keyed by a global request ordinal — never during the
-        // handler or the write, where thread timing could reorder draws.
-        let faults = match injector {
-            Some(i) => i.request_faults(&request.path),
-            None => RequestFaults::CLEAN,
-        };
-        if let Some(pause) = faults.pre_latency {
-            std::thread::sleep(pause);
-        }
-
-        let started = Instant::now();
-        let (status, body) = if faults.error_503 {
-            (
-                503,
-                wp_json::obj! { "error" => "injected overload" }.compact(),
-            )
-        } else {
-            service::handle(state, &request)
-        };
-        let elapsed_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        state.stats.record(&request.path, elapsed_ns, status >= 400);
-
-        if let Some(pause) = faults.stall {
-            // Hold the finished response past the client's patience.
-            std::thread::sleep(pause);
-        }
-
-        let shutdown_requested = matches!(control.try_recv(), Ok(()));
-        let keep_alive = request.keep_alive && !shutdown_requested;
-        let extra: &[(&str, &str)] = if status == 503 {
-            &[("Retry-After", "0")]
-        } else {
-            &[]
-        };
-        // The one non-JSON response in the service: a successful metrics
-        // scrape is Prometheus text. The branch only exists with obs on.
-        let content_type = if state.obs
-            && status == 200
-            && request.method == "GET"
-            && request.path == "/metrics"
-        {
-            "text/plain; version=0.0.4"
-        } else {
-            "application/json"
-        };
-        let bytes = http::render_response_typed(status, &body, keep_alive, content_type, extra);
-        match write_faulted(&mut writer, &bytes, &faults.write) {
-            Ok(true) => return shutdown_requested, // fault closed the connection
-            Ok(false) => {}
-            Err(_) => return shutdown_requested,
-        }
-        if shutdown_requested {
-            return true;
-        }
-        if !request.keep_alive {
-            return false;
-        }
-        idle_deadline = Instant::now() + idle_timeout;
-    }
-}
-
-/// Writes one rendered response, applying the drawn write fault.
-/// `Ok(true)` means the fault requires the connection to close.
-fn write_faulted(
-    writer: &mut impl Write,
-    bytes: &[u8],
-    fault: &WriteFault,
-) -> std::io::Result<bool> {
-    match fault {
-        WriteFault::Clean => {
-            writer.write_all(bytes)?;
-            writer.flush()?;
-            Ok(false)
-        }
-        WriteFault::Slow {
-            chunks, pause_ms, ..
-        } => {
-            // Dribble the same bytes out in chunks with pauses between
-            // them: correct data, pathological pacing.
-            let n = (*chunks).max(1);
-            let step = bytes.len().div_ceil(n);
-            for chunk in bytes.chunks(step.max(1)) {
-                writer.write_all(chunk)?;
-                writer.flush()?;
-                std::thread::sleep(Duration::from_millis(*pause_ms));
-            }
-            Ok(false)
-        }
-        WriteFault::Truncate => {
-            // Half the response, then a hard close mid-body (or even
-            // mid-headers for small responses).
-            writer.write_all(&bytes[..bytes.len() / 2])?;
-            writer.flush()?;
-            Ok(true)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn small_server(workers: usize) -> ServerHandle {
         let corpus = corpus::simulated_corpus(0xEDB7_2025, 40);

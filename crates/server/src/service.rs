@@ -15,9 +15,8 @@
 //! and for its answer alike, so no answer mixes two generations.
 //! `POST /ingest` is serialized by an ingest-order mutex; it applies the
 //! batch to a clone of the published engine and swaps the clone in, so
-//! reads never wait for an ingest. The reactor backend pins each
-//! connection to one event-loop shard, whose [`ShardState`] holds that
-//! shard's caches; the blocking workers backend uses one shard.
+//! reads never wait for an ingest. The reactor pins each connection to
+//! one event-loop shard, whose [`ShardState`] holds that shard's caches.
 //!
 //! A shard's response cache holds answers of the newest generation the
 //! shard has served a cached `POST` at, and no older ones: the first
@@ -415,8 +414,9 @@ impl ServiceState {
 /// Routes one request to its handler and renders the response.
 ///
 /// Returns `(status, body)`; the body is always a compact JSON document.
-/// Single-shard entry point — the blocking workers backend and in-process
-/// callers route everything through shard 0.
+/// Single-shard entry point for in-process callers (`wp trace`,
+/// `wp recommend`, and the tests and benchmark that use it as the
+/// server's oracle): everything routes through shard 0.
 pub fn handle(state: &ServiceState, req: &Request) -> (u16, String) {
     handle_on(state, 0, req)
 }

@@ -70,7 +70,7 @@ static OBS_ENDPOINTS: [EndpointObs; ENDPOINTS.len()] = [
     endpoint_obs!("other"),
 ];
 
-/// Connections accepted by either serving backend.
+/// Connections accepted, those the accept-reset fault drops included.
 static OBS_CONNECTIONS: LazyCounter = LazyCounter::new("wp_server_connections_total");
 
 struct EndpointCounters {

@@ -23,7 +23,7 @@ use wp_json::Json;
 use wp_linalg::Rng64;
 use wp_server::corpus::simulated_corpus;
 use wp_server::http::{parse_request, read_request, Parsed};
-use wp_server::{Backend, Server, ServerConfig, ServerHandle};
+use wp_server::{Server, ServerConfig, ServerHandle};
 use wp_workloads::engine::Simulator;
 use wp_workloads::{benchmarks, Sku};
 
@@ -175,14 +175,9 @@ fn incremental_parser_matches_blocking_parser_on_mutants() {
 }
 
 fn start_server() -> ServerHandle {
-    start_backend(Backend::Workers)
-}
-
-fn start_backend(backend: Backend) -> ServerHandle {
     let corpus = simulated_corpus(0xEDB7_2025, 60);
     let config = ServerConfig {
         workers: 2,
-        backend,
         compute_threads: Some(1),
         ..ServerConfig::default()
     };
@@ -409,100 +404,85 @@ fn recommend_template() -> String {
 
 /// Satellite invariant for `POST /recommend`: hostile bodies — malformed
 /// JSON, non-finite/negative/absent SLOs, unknown or ill-typed tenant
-/// names, truncated payloads — are clean 400s on *both* backends, never
-/// a panic, a hang, or a 200 that smuggles a recommendation out of
-/// garbage. Byte-level mutants of a valid body may stay valid (200) or
-/// die in validation (400); anything else fails the test. `/recommend`
-/// is read-only, so the generation ledger must never move.
+/// names, truncated payloads — are clean 400s, never a panic, a hang,
+/// or a 200 that smuggles a recommendation out of garbage. Byte-level
+/// mutants of a valid body may stay valid (200) or die in validation
+/// (400); anything else fails the test. `/recommend` is read-only, so
+/// the generation ledger must never move.
 #[test]
 fn recommend_mutants_never_yield_garbage_recommendations() {
-    for backend in [Backend::Workers, Backend::Reactor] {
-        let server = start_backend(backend);
-        let addr = server.addr();
-        let template = recommend_template();
+    let server = start_server();
+    let addr = server.addr();
+    let template = recommend_template();
 
-        // Anchor: the unmutated template is a real recommendation.
-        assert_eq!(
-            post_json(addr, "/recommend", template.as_bytes()),
-            Some(200),
-            "{backend:?}: template must recommend"
-        );
+    // Anchor: the unmutated template is a real recommendation.
+    assert_eq!(
+        post_json(addr, "/recommend", template.as_bytes()),
+        Some(200),
+        "template must recommend"
+    );
 
-        // Targeted poisons, each a must-400 (never 200, never a panic).
-        let poisons = [
-            "{not json".to_string(),
-            "{}".to_string(),
-            template.replacen("\"slo\":50.0", "\"slo\":-5", 1),
-            template.replacen("\"slo\":50.0", "\"slo\":0", 1),
-            template.replacen("\"slo\":50.0", "\"slo\":1e999", 1),
-            template.replacen("\"slo\":50.0", "\"slo\":null", 1),
-            template.replacen("\"slo\":50.0", "\"slo\":\"fast\"", 1),
-            template.replacen("\"slo\":50.0,", "", 1),
-            template.replacen('{', "{\"tenant\":\"also\",", 1),
-            template.replacen('{', "{\"observed_cpus\":-2,", 1),
-            "{\"slo\":5,\"tenant\":\"no-such-tenant\"}".to_string(),
-            "{\"slo\":5,\"tenant\":7}".to_string(),
-            "{\"slo\":5,\"tenant\":\"bad name!\"}".to_string(),
-            "{\"slo\":5,\"runs\":[]}".to_string(),
-        ];
-        for (i, body) in poisons.iter().enumerate() {
-            assert_ne!(body.as_str(), template, "poison {i} failed to splice");
-            let status = post_json(addr, "/recommend", body.as_bytes());
-            assert_eq!(status, Some(400), "{backend:?}: poison {i}: {status:?}");
-        }
-
-        // Truncations framed honestly (Content-Length matches the cut):
-        // always malformed JSON, always 400.
-        for cut in [1, 10, template.len() / 2, template.len() - 1] {
-            let status = post_json(addr, "/recommend", &template.as_bytes()[..cut]);
-            assert_eq!(status, Some(400), "{backend:?}: truncation at {cut}");
-        }
-
-        // Seeded byte-level mutants: 200 (still valid), 400, or closed.
-        let mut rng = Rng64::new(SEED ^ 0x7EC0_33E4);
-        for case in 0..120 {
-            let bytes = mutate(&mut rng, template.as_bytes());
-            match post_json(addr, "/recommend", &bytes) {
-                None | Some(200) | Some(400) => {}
-                Some(s) => panic!("{backend:?}: recommend mutant {case}: status {s}"),
-            }
-        }
-
-        // Read-only endpoint: nothing above may have touched the corpus,
-        // and the barrage must leave a working recommender behind.
-        assert_eq!(
-            generation(addr),
-            0,
-            "{backend:?}: /recommend mutated the corpus"
-        );
-        assert_eq!(
-            post_json(addr, "/recommend", template.as_bytes()),
-            Some(200)
-        );
-        let health = fire(addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
-        assert!(
-            String::from_utf8_lossy(&health).starts_with("HTTP/1.1 200"),
-            "{backend:?}: server unhealthy after the recommend barrage"
-        );
-        server.shutdown();
+    // Targeted poisons, each a must-400 (never 200, never a panic).
+    let poisons = [
+        "{not json".to_string(),
+        "{}".to_string(),
+        template.replacen("\"slo\":50.0", "\"slo\":-5", 1),
+        template.replacen("\"slo\":50.0", "\"slo\":0", 1),
+        template.replacen("\"slo\":50.0", "\"slo\":1e999", 1),
+        template.replacen("\"slo\":50.0", "\"slo\":null", 1),
+        template.replacen("\"slo\":50.0", "\"slo\":\"fast\"", 1),
+        template.replacen("\"slo\":50.0,", "", 1),
+        template.replacen('{', "{\"tenant\":\"also\",", 1),
+        template.replacen('{', "{\"observed_cpus\":-2,", 1),
+        "{\"slo\":5,\"tenant\":\"no-such-tenant\"}".to_string(),
+        "{\"slo\":5,\"tenant\":7}".to_string(),
+        "{\"slo\":5,\"tenant\":\"bad name!\"}".to_string(),
+        "{\"slo\":5,\"runs\":[]}".to_string(),
+    ];
+    for (i, body) in poisons.iter().enumerate() {
+        assert_ne!(body.as_str(), template, "poison {i} failed to splice");
+        let status = post_json(addr, "/recommend", body.as_bytes());
+        assert_eq!(status, Some(400), "poison {i}: {status:?}");
     }
+
+    // Truncations framed honestly (Content-Length matches the cut):
+    // always malformed JSON, always 400.
+    for cut in [1, 10, template.len() / 2, template.len() - 1] {
+        let status = post_json(addr, "/recommend", &template.as_bytes()[..cut]);
+        assert_eq!(status, Some(400), "truncation at {cut}");
+    }
+
+    // Seeded byte-level mutants: 200 (still valid), 400, or closed.
+    let mut rng = Rng64::new(SEED ^ 0x7EC0_33E4);
+    for case in 0..120 {
+        let bytes = mutate(&mut rng, template.as_bytes());
+        match post_json(addr, "/recommend", &bytes) {
+            None | Some(200) | Some(400) => {}
+            Some(s) => panic!("recommend mutant {case}: status {s}"),
+        }
+    }
+
+    // Read-only endpoint: nothing above may have touched the corpus,
+    // and the barrage must leave a working recommender behind.
+    assert_eq!(generation(addr), 0, "/recommend mutated the corpus");
+    assert_eq!(
+        post_json(addr, "/recommend", template.as_bytes()),
+        Some(200)
+    );
+    let health = fire(addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert!(
+        String::from_utf8_lossy(&health).starts_with("HTTP/1.1 200"),
+        "server unhealthy after the recommend barrage"
+    );
+    server.shutdown();
 }
 
+/// The socket-level barrage: the event-driven state machines answer
+/// or close on every mutant, and a wedged connection shows up as a hung
+/// `/healthz` afterwards.
 #[test]
 fn live_server_answers_or_closes_on_every_mutant() {
-    mutant_barrage(Backend::Workers);
-}
-
-/// Same socket-level barrage, reactor backend: the event-driven state
-/// machines must uphold the same answer-or-close contract the blocking
-/// workers do.
-#[test]
-fn live_reactor_answers_or_closes_on_every_mutant() {
-    mutant_barrage(Backend::Reactor);
-}
-
-fn mutant_barrage(backend: Backend) {
-    let server = start_backend(backend);
+    let server = start_server();
     let addr = server.addr();
 
     for (case, bytes) in mutants().take(250) {
@@ -525,7 +505,7 @@ fn mutant_barrage(backend: Backend) {
         }
     }
 
-    // The barrage must not have wedged a worker.
+    // The barrage must not have wedged a shard.
     let health = fire(addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
     let head = String::from_utf8_lossy(&health);
     assert!(
@@ -660,52 +640,43 @@ fn fingerprint_poisons_die_in_validation() {
 /// `k` = corpus size does, apart from the echoed `"k"`.
 #[test]
 fn huge_indexed_k_is_answered_like_the_whole_corpus() {
-    for backend in [Backend::Workers, Backend::Reactor] {
-        let server = start_backend(backend);
-        let addr = server.addr();
-        let response = fire(addr, b"GET /corpus HTTP/1.1\r\nConnection: close\r\n\r\n");
-        let text = String::from_utf8_lossy(&response);
-        let corpus_runs: usize = Json::parse(text.split("\r\n\r\n").nth(1).unwrap())
-            .unwrap()
-            .get("references")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .map(|r| r.get("runs_from").and_then(Json::as_usize).unwrap())
-            .sum();
+    let server = start_server();
+    let addr = server.addr();
+    let response = fire(addr, b"GET /corpus HTTP/1.1\r\nConnection: close\r\n\r\n");
+    let text = String::from_utf8_lossy(&response);
+    let corpus_runs: usize = Json::parse(text.split("\r\n\r\n").nth(1).unwrap())
+        .unwrap()
+        .get("references")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|r| r.get("runs_from").and_then(Json::as_usize).unwrap())
+        .sum();
 
-        let template = fingerprint_template();
-        let indexed = |k: &str| {
-            let body = template.replacen('{', &format!("{{\"mode\":\"indexed\",\"k\":{k},"), 1);
-            let request = format!(
-                "POST /similar HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            );
-            let response = String::from_utf8(fire(addr, request.as_bytes())).unwrap();
-            let (head, body) = response.split_once("\r\n\r\n").expect("a response");
-            assert!(
-                head.starts_with("HTTP/1.1 200"),
-                "{backend:?} k={k}: {head}"
-            );
-            Json::parse(body).unwrap()
-        };
-        let whole = indexed(&corpus_runs.to_string());
-        for k in ["1e15", "18446744073709551615"] {
-            let doc = indexed(k);
-            for field in ["most_similar", "verdicts", "pruning"] {
-                assert_eq!(
-                    doc.get(field),
-                    whole.get(field),
-                    "{backend:?} k={k}: {field}"
-                );
-            }
-        }
-
-        let health = fire(addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
-        assert!(
-            String::from_utf8_lossy(&health).starts_with("HTTP/1.1 200"),
-            "{backend:?}: server unhealthy after a huge k"
+    let template = fingerprint_template();
+    let indexed = |k: &str| {
+        let body = template.replacen('{', &format!("{{\"mode\":\"indexed\",\"k\":{k},"), 1);
+        let request = format!(
+            "POST /similar HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
         );
-        server.shutdown();
+        let response = String::from_utf8(fire(addr, request.as_bytes())).unwrap();
+        let (head, body) = response.split_once("\r\n\r\n").expect("a response");
+        assert!(head.starts_with("HTTP/1.1 200"), "k={k}: {head}");
+        Json::parse(body).unwrap()
+    };
+    let whole = indexed(&corpus_runs.to_string());
+    for k in ["1e15", "18446744073709551615"] {
+        let doc = indexed(k);
+        for field in ["most_similar", "verdicts", "pruning"] {
+            assert_eq!(doc.get(field), whole.get(field), "k={k}: {field}");
+        }
     }
+
+    let health = fire(addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert!(
+        String::from_utf8_lossy(&health).starts_with("HTTP/1.1 200"),
+        "server unhealthy after a huge k"
+    );
+    server.shutdown();
 }

@@ -1,9 +1,8 @@
-//! Cross-backend end-to-end contract tests: the `wp-reactor` event loop
-//! must be observationally indistinguishable from the blocking worker
-//! pool at the socket — byte-identical responses for every endpoint,
-//! the same keep-alive and idle-timeout semantics, the same connection
-//! accounting — while actually multiplexing (the scale test holds 1024
-//! keep-alive connections open against four event-loop threads).
+//! End-to-end contract tests of the serving tier at the socket: every
+//! endpoint answers with the bytes the pure handler renders, keep-alive
+//! and idle-timeout semantics, connection accounting, and shutdown
+//! while actually multiplexing (the scale test holds 1024 keep-alive
+//! connections open against four event-loop threads).
 //!
 //! The clients here are deliberately hand-rolled over `TcpStream` so
 //! the tests observe raw wire bytes, not what a higher-level client
@@ -15,17 +14,18 @@ use std::time::Duration;
 
 use wp_json::Json;
 use wp_server::corpus::simulated_corpus;
-use wp_server::{Backend, Server, ServerConfig, ServerHandle};
+use wp_server::http::{render_response_typed, Request};
+use wp_server::service::{handle, ServiceState};
+use wp_server::{Server, ServerConfig, ServerHandle};
 use wp_workloads::engine::Simulator;
 use wp_workloads::{benchmarks, Sku};
 
 const SEED: u64 = 0xEDB7_2025;
 
-fn start(backend: Backend, workers: usize, idle_timeout: Duration) -> ServerHandle {
+fn start(workers: usize, idle_timeout: Duration) -> ServerHandle {
     let corpus = simulated_corpus(SEED, 60);
     let config = ServerConfig {
         workers,
-        backend,
         idle_timeout,
         compute_threads: Some(1),
         ..ServerConfig::default()
@@ -34,7 +34,7 @@ fn start(backend: Backend, workers: usize, idle_timeout: Duration) -> ServerHand
 }
 
 /// A keep-alive HTTP/1.1 client connection that hands back the raw
-/// bytes of each response, so backends can be diffed wire-for-wire.
+/// bytes of each response, so they can be diffed wire-for-wire.
 struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
@@ -113,7 +113,7 @@ fn body_of(raw: &[u8]) -> String {
     String::from_utf8_lossy(&raw[at + 4..]).to_string()
 }
 
-/// One well-formed `/ingest` body, shared by both backends.
+/// One well-formed `/ingest` body.
 fn ingest_body() -> String {
     let mut sim = Simulator::new(SEED);
     sim.config.samples = 30;
@@ -127,18 +127,26 @@ fn ingest_body() -> String {
     )
 }
 
-/// Every endpoint with a deterministic body must answer byte-identically
-/// — status line, headers, and body — on both backends, before and
-/// after an ingest advances the corpus generation. `/drift` equality
-/// after the ingest is the cross-backend determinism check for the
-/// streaming layer; `/stats` changes per request so it is compared
-/// structurally instead (same fields, same endpoint set).
+/// Every endpoint must answer with exactly the bytes the pure handler
+/// renders — status line, headers, and body — before and after an
+/// ingest advances the corpus generation. The handler runs on its own
+/// single-shard state, fed the same requests in the same order, so
+/// `/drift` equality after the ingest checks the streaming layer too.
+/// `/stats` changes per request so it is checked structurally instead.
 #[test]
-fn every_endpoint_is_byte_identical_across_backends() {
-    let pool = start(Backend::Workers, 2, Duration::from_secs(30));
-    let reactor = start(Backend::Reactor, 2, Duration::from_secs(30));
-    let mut a = Conn::open(pool.addr());
-    let mut b = Conn::open(reactor.addr());
+fn every_endpoint_is_byte_identical_to_the_pure_handler() {
+    let server = start(2, Duration::from_secs(30));
+    let config = ServerConfig::default();
+    let oracle = ServiceState::sharded(
+        simulated_corpus(SEED, 60),
+        config.pipeline,
+        Some(1),
+        config.cache_capacity,
+        config.stream,
+        1,
+    )
+    .expect("oracle state builds");
+    let mut conn = Conn::open(server.addr());
 
     let ingest = ingest_body();
     let mut probes: Vec<(&str, &str, String)> = vec![
@@ -156,27 +164,34 @@ fn every_endpoint_is_byte_identical_across_backends() {
     for entry in wp_loadgen::validated_mix(SEED, 60) {
         probes.push((entry.method, entry.path, entry.body));
     }
-    // An invalid body must produce the same 400 on both backends.
+    // Error answers are diffed too.
     probes.push(("POST", "/similar", "{not json".to_string()));
     probes.push(("GET", "/nosuch", String::new()));
 
     for (i, (method, path, body)) in probes.iter().enumerate() {
-        let ra = a.roundtrip(method, path, body, true);
-        let rb = b.roundtrip(method, path, body, true);
+        let wire = conn.roundtrip(method, path, body, true);
+        let (status, answer) = handle(
+            &oracle,
+            &Request {
+                method: method.to_string(),
+                path: path.to_string(),
+                body: body.clone(),
+                keep_alive: true,
+            },
+        );
+        let expected = render_response_typed(status, &answer, true, "application/json", &[]);
         assert_eq!(
-            ra,
-            rb,
-            "probe {i} ({method} {path}) diverged:\npool:    {:?}\nreactor: {:?}",
-            String::from_utf8_lossy(&ra),
-            String::from_utf8_lossy(&rb)
+            wire,
+            expected,
+            "probe {i} ({method} {path}) diverged:\nserver:  {:?}\nhandler: {:?}",
+            String::from_utf8_lossy(&wire),
+            String::from_utf8_lossy(&expected)
         );
     }
 
-    // /stats carries per-request timings; compare its shape, not bytes.
-    let sa =
-        Json::parse(&body_of(&a.roundtrip("GET", "/stats", "", true))).expect("pool /stats parses");
-    let sb = Json::parse(&body_of(&b.roundtrip("GET", "/stats", "", true)))
-        .expect("reactor /stats parses");
+    // /stats carries per-request timings; check its shape, not bytes.
+    let stats =
+        Json::parse(&body_of(&conn.roundtrip("GET", "/stats", "", true))).expect("/stats parses");
     for key in [
         "total_requests",
         "connections",
@@ -184,79 +199,73 @@ fn every_endpoint_is_byte_identical_across_backends() {
         "stream",
         "cache",
     ] {
-        assert!(sa.get(key).is_some(), "pool /stats missing '{key}'");
-        assert!(sb.get(key).is_some(), "reactor /stats missing '{key}'");
+        assert!(stats.get(key).is_some(), "/stats missing '{key}'");
     }
     assert_eq!(
-        sa.get("stream")
+        stats
+            .get("stream")
             .and_then(|s| s.get("generation"))
             .and_then(Json::as_f64),
-        sb.get("stream")
-            .and_then(|s| s.get("generation"))
-            .and_then(Json::as_f64),
+        Some(oracle.generation() as f64),
         "generations diverged after identical ingests"
     );
 
-    pool.shutdown();
-    reactor.shutdown();
+    server.shutdown();
 }
 
-/// Keep-alive connections are reused on both backends: one socket
-/// serves many requests, `/stats` counts exactly the connections that
-/// were accepted, and `Connection: close` actually closes.
+/// Keep-alive connections are reused: one socket serves many requests,
+/// `/stats` counts exactly the connections that were accepted, and
+/// `Connection: close` actually closes.
 #[test]
 fn keep_alive_reuse_and_connection_accounting() {
-    for backend in [Backend::Workers, Backend::Reactor] {
-        let server = start(backend, 2, Duration::from_secs(30));
-        let mut conn = Conn::open(server.addr());
+    let server = start(2, Duration::from_secs(30));
+    let mut conn = Conn::open(server.addr());
 
-        let first = conn.roundtrip("GET", "/healthz", "", true);
-        assert_eq!(status_of(&first), 200, "{backend:?}");
-        for _ in 0..9 {
-            assert_eq!(
-                conn.roundtrip("GET", "/healthz", "", true),
-                first,
-                "{backend:?}: keep-alive responses must not drift"
-            );
-        }
-
-        // Ten served requests, one accepted connection. (The /stats
-        // request itself is recorded after its body is rendered, so it
-        // is absent from its own snapshot.)
-        let stats = Json::parse(&body_of(&conn.roundtrip("GET", "/stats", "", true)))
-            .expect("/stats parses");
+    let first = conn.roundtrip("GET", "/healthz", "", true);
+    assert_eq!(status_of(&first), 200);
+    for _ in 0..9 {
         assert_eq!(
-            stats.get("connections").and_then(Json::as_f64),
-            Some(1.0),
-            "{backend:?}: connection accounting"
+            conn.roundtrip("GET", "/healthz", "", true),
+            first,
+            "keep-alive responses must not drift"
         );
-        assert_eq!(
-            stats.get("total_requests").and_then(Json::as_f64),
-            Some(10.0),
-            "{backend:?}: request accounting"
-        );
-
-        // Connection: close answers, then EOF.
-        let last = conn.roundtrip("GET", "/healthz", "", false);
-        assert_eq!(status_of(&last), 200);
-        let mut tail = Vec::new();
-        conn.stream.read_to_end(&mut tail).expect("read EOF");
-        assert!(tail.is_empty(), "{backend:?}: bytes after close response");
-
-        server.shutdown();
     }
+
+    // Ten served requests, one accepted connection. (The /stats
+    // request itself is recorded after its body is rendered, so it
+    // is absent from its own snapshot.)
+    let stats =
+        Json::parse(&body_of(&conn.roundtrip("GET", "/stats", "", true))).expect("/stats parses");
+    assert_eq!(
+        stats.get("connections").and_then(Json::as_f64),
+        Some(1.0),
+        "connection accounting"
+    );
+    assert_eq!(
+        stats.get("total_requests").and_then(Json::as_f64),
+        Some(10.0),
+        "request accounting"
+    );
+
+    // Connection: close answers, then EOF.
+    let last = conn.roundtrip("GET", "/healthz", "", false);
+    assert_eq!(status_of(&last), 200);
+    let mut tail = Vec::new();
+    conn.stream.read_to_end(&mut tail).expect("read EOF");
+    assert!(tail.is_empty(), "bytes after close response");
+
+    server.shutdown();
 }
 
-/// The scale contract from the issue: the reactor holds ≥1024
-/// concurrent keep-alive connections on ≤4 event-loop threads, every
-/// one of them live (two validated rounds of requests while all 1024
-/// stay open). The worker pool cannot pass this test with 4 threads —
-/// that asymmetry is the point of the backend.
+/// The scale contract: the reactor holds ≥1024 concurrent keep-alive
+/// connections on ≤4 event-loop threads, every one of them live (two
+/// validated rounds of requests while all 1024 stay open). A server
+/// with one thread per connection could not pass it with 4 threads.
 #[test]
 fn reactor_sustains_1024_concurrent_keepalive_connections() {
     const CONNS: usize = 1024;
     wp_reactor::raise_nofile_limit(CONNS as u64 * 2 + 512);
-    let server = start(Backend::Reactor, 4, Duration::from_secs(120));
+    let server = start(4, Duration::from_secs(120));
     let addr = server.addr();
 
     let mut conns: Vec<Conn> = (0..CONNS).map(|_| Conn::open(addr)).collect();
@@ -283,79 +292,96 @@ fn reactor_sustains_1024_concurrent_keepalive_connections() {
     server.shutdown();
 }
 
-/// Shutdown must not wait out idle keep-alive connections: with a
-/// parked (mid-keep-alive, no request in flight) client on each
-/// backend, `shutdown()` returns promptly instead of blocking until
-/// the 30-second idle timeout would have fired.
+/// Shutdown must not wait out idle keep-alive connections: with one
+/// parked (mid-keep-alive, no request in flight) client on each of three
+/// shards, `shutdown()` returns promptly instead of blocking until the
+/// 30-second idle timeout would have fired.
 #[test]
 fn shutdown_returns_despite_idle_keepalive_connections() {
-    for backend in [Backend::Workers, Backend::Reactor] {
-        let server = start(backend, 2, Duration::from_secs(30));
+    const SHARDS: usize = 3;
+    let server = start(SHARDS, Duration::from_secs(30));
+    // Each connection's cheap 400 records one response-cache miss on
+    // the shard that owns it.
+    let mut parked = Vec::new();
+    for _ in 0..SHARDS {
         let mut conn = Conn::open(server.addr());
-        assert_eq!(status_of(&conn.roundtrip("GET", "/healthz", "", true)), 200);
+        assert_eq!(
+            status_of(&conn.roundtrip("POST", "/similar", "{not json", true)),
+            400
+        );
+        parked.push(conn);
+    }
+    let misses: Vec<u64> = server
+        .state()
+        .shards
+        .iter()
+        .map(|shard| shard.responses.counters().1)
+        .collect();
+    assert_eq!(misses, vec![1; SHARDS], "one parked connection per shard");
 
-        let (tx, rx) = std::sync::mpsc::channel();
-        let waiter = std::thread::spawn(move || {
-            server.shutdown();
-            let _ = tx.send(());
-        });
-        rx.recv_timeout(Duration::from_secs(10))
-            .unwrap_or_else(|_| {
-                panic!("{backend:?}: shutdown hung on an idle keep-alive connection")
-            });
-        waiter.join().unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("shutdown hung on idle keep-alive connections");
+    waiter.join().unwrap();
+    // The drain closed every parked connection.
+    for conn in &mut parked {
+        let mut tail = Vec::new();
+        conn.stream.read_to_end(&mut tail).expect("read EOF");
+        assert!(tail.is_empty(), "bytes after the drain");
     }
 }
 
-/// Idle-timeout semantics, identical on both backends: a connection
-/// that never sends a byte is closed silently; one that stalls mid-
-/// request gets `400` with the timeout message, then the close.
+/// Idle-timeout semantics: a connection that never sends a byte is
+/// closed silently; one that stalls mid-request gets `400` with the
+/// timeout message, then the close.
 #[test]
-fn idle_connections_time_out_with_identical_semantics() {
-    for backend in [Backend::Workers, Backend::Reactor] {
-        let server = start(backend, 2, Duration::from_millis(250));
-        let addr = server.addr();
+fn idle_connections_time_out() {
+    let server = start(2, Duration::from_millis(250));
+    let addr = server.addr();
 
-        // Silent close: no bytes in, no bytes out.
-        let mut idle = TcpStream::connect(addr).expect("connect");
-        idle.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut out = Vec::new();
-        idle.read_to_end(&mut out).expect("server closes idle conn");
-        assert!(
-            out.is_empty(),
-            "{backend:?}: idle close must be silent, got {:?}",
-            String::from_utf8_lossy(&out)
-        );
+    // Silent close: no bytes in, no bytes out.
+    let mut idle = TcpStream::connect(addr).expect("connect");
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut out = Vec::new();
+    idle.read_to_end(&mut out).expect("server closes idle conn");
+    assert!(
+        out.is_empty(),
+        "idle close must be silent, got {:?}",
+        String::from_utf8_lossy(&out)
+    );
 
-        // Stalled mid-request: 400 with the timeout message, then close.
-        let mut stalled = TcpStream::connect(addr).expect("connect");
-        stalled
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stalled
-            .write_all(b"GET /healthz HTT")
-            .expect("write partial request");
-        let mut out = Vec::new();
-        stalled
-            .read_to_end(&mut out)
-            .expect("server answers the stalled conn");
-        let text = String::from_utf8_lossy(&out);
-        assert!(
-            text.starts_with("HTTP/1.1 400"),
-            "{backend:?}: expected 400, got {text:?}"
-        );
-        assert!(
-            text.contains("timed out waiting for a complete request"),
-            "{backend:?}: wrong timeout body: {text:?}"
-        );
+    // Stalled mid-request: 400 with the timeout message, then close.
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stalled
+        .write_all(b"GET /healthz HTT")
+        .expect("write partial request");
+    let mut out = Vec::new();
+    stalled
+        .read_to_end(&mut out)
+        .expect("server answers the stalled conn");
+    let text = String::from_utf8_lossy(&out);
+    assert!(
+        text.starts_with("HTTP/1.1 400"),
+        "expected 400, got {text:?}"
+    );
+    assert!(
+        text.contains("timed out waiting for a complete request"),
+        "wrong timeout body: {text:?}"
+    );
 
-        // A fresh, prompt client is still served after the timeouts.
-        let mut live = Conn::open(addr);
-        assert_eq!(
-            status_of(&live.roundtrip("GET", "/healthz", "", false)),
-            200
-        );
-        server.shutdown();
-    }
+    // A fresh, prompt client is still served after the timeouts.
+    let mut live = Conn::open(addr);
+    assert_eq!(
+        status_of(&live.roundtrip("GET", "/healthz", "", false)),
+        200
+    );
+    server.shutdown();
 }

@@ -1,8 +1,8 @@
 //! End-to-end contract tests for `POST /recommend`: the what-if SKU
-//! advisor must answer byte-identically on both serving backends and at
-//! every compute-thread count, from cold and warm caches alike — and an
-//! ingest that changes a tenant's telemetry must invalidate any cached
-//! recommendation instead of replaying a stale SKU choice.
+//! advisor must answer byte-identically at every compute-thread count,
+//! from cold and warm caches alike, and as the pure handler does — and
+//! an ingest that changes a tenant's telemetry must invalidate any
+//! cached recommendation instead of replaying a stale SKU choice.
 //!
 //! Clients are hand-rolled over `TcpStream` so the diffs observe raw
 //! wire bytes (status line, headers, body), not a client's re-rendering.
@@ -13,17 +13,18 @@ use std::time::Duration;
 
 use wp_json::Json;
 use wp_server::corpus::simulated_corpus;
-use wp_server::{Backend, Server, ServerConfig, ServerHandle};
+use wp_server::http::{render_response_typed, Request};
+use wp_server::service::{handle, ServiceState};
+use wp_server::{Server, ServerConfig, ServerHandle};
 use wp_workloads::engine::Simulator;
 use wp_workloads::{benchmarks, Sku};
 
 const SEED: u64 = 0xEDB7_2025;
 
-fn start(backend: Backend, compute_threads: usize) -> ServerHandle {
+fn start(compute_threads: usize) -> ServerHandle {
     let corpus = simulated_corpus(SEED, 60);
     let config = ServerConfig {
         workers: 2,
-        backend,
         idle_timeout: Duration::from_secs(30),
         compute_threads: Some(compute_threads),
         ..ServerConfig::default()
@@ -122,19 +123,41 @@ fn ingest_body(tenant: &str, first_run: usize, n: usize) -> String {
     )
 }
 
+/// The single-shard state the pure handler answers from, built like
+/// the servers' state.
+fn oracle() -> ServiceState {
+    let config = ServerConfig::default();
+    ServiceState::sharded(
+        simulated_corpus(SEED, 60),
+        config.pipeline,
+        Some(1),
+        config.cache_capacity,
+        config.stream,
+        1,
+    )
+    .expect("oracle state builds")
+}
+
+/// The wire bytes the pure handler renders for one keep-alive request.
+fn oracle_roundtrip(state: &ServiceState, method: &str, path: &str, body: &str) -> Vec<u8> {
+    let request = Request {
+        method: method.to_string(),
+        path: path.to_string(),
+        body: body.to_string(),
+        keep_alive: true,
+    };
+    let (status, answer) = handle(state, &request);
+    render_response_typed(status, &answer, true, "application/json", &[])
+}
+
 /// `/recommend` answers — success, fallback, null-recommendation, and
-/// client errors — must be byte-identical across the serving backends
-/// and across compute-thread counts (1 vs 8), and two repeats of each
-/// probe on the same connection (a recompute that stores the answer, then
-/// a response-cache hit) must return the exact cold bytes.
+/// client errors — must be byte-identical across compute-thread counts
+/// (1 vs 8), and two repeats of each probe on the same connection (a
+/// recompute that stores the answer, then a response-cache hit) must
+/// return the exact cold bytes.
 #[test]
-fn recommend_is_byte_identical_across_backends_and_threads() {
-    let servers = [
-        ("workers/1", start(Backend::Workers, 1)),
-        ("reactor/1", start(Backend::Reactor, 1)),
-        ("workers/8", start(Backend::Workers, 8)),
-        ("reactor/8", start(Backend::Reactor, 8)),
-    ];
+fn recommend_is_byte_identical_across_threads() {
+    let servers = [("threads/1", start(1)), ("threads/8", start(8))];
     let mut conns: Vec<(&str, Conn)> = servers
         .iter()
         .map(|(label, s)| (*label, Conn::open(s.addr())))
@@ -203,55 +226,57 @@ fn recommend_is_byte_identical_across_backends_and_threads() {
     }
 }
 
-/// The stale-recommendation regression, at the socket on both backends:
-/// a cached tenant recommendation must not survive an ingest that grows
-/// that tenant's window. Both backends must also agree byte-for-byte
-/// after replaying the identical ingest sequence.
+/// The stale-recommendation regression, at the socket: a cached tenant
+/// recommendation must not survive an ingest that grows that tenant's
+/// window. The server must also answer as the pure handler does after
+/// the identical ingest sequence.
 #[test]
 fn post_ingest_recommendation_is_recomputed_not_replayed() {
-    let pool = start(Backend::Workers, 1);
-    let reactor = start(Backend::Reactor, 1);
-    let mut a = Conn::open(pool.addr());
-    let mut b = Conn::open(reactor.addr());
+    let server = start(1);
+    let oracle = oracle();
+    let mut conn = Conn::open(server.addr());
     let recommend = "{\"slo\":5,\"tenant\":\"live-t\"}";
 
-    // Unknown tenant until it streams in — on both backends.
+    // Unknown tenant until it streams in.
     assert_eq!(
-        status_of(&a.roundtrip("POST", "/recommend", recommend)),
+        status_of(&conn.roundtrip("POST", "/recommend", recommend)),
         400
     );
-    assert_eq!(
-        status_of(&b.roundtrip("POST", "/recommend", recommend)),
-        400
-    );
+    oracle_roundtrip(&oracle, "POST", "/recommend", recommend);
 
     let first = ingest_body("live-t", 0, 2);
-    assert_eq!(status_of(&a.roundtrip("POST", "/ingest", &first)), 200);
-    assert_eq!(status_of(&b.roundtrip("POST", "/ingest", &first)), 200);
+    assert_eq!(status_of(&conn.roundtrip("POST", "/ingest", &first)), 200);
+    oracle_roundtrip(&oracle, "POST", "/ingest", &first);
 
-    let before_a = a.roundtrip("POST", "/recommend", recommend);
-    let before_b = b.roundtrip("POST", "/recommend", recommend);
-    assert_eq!(status_of(&before_a), 200, "{}", body_of(&before_a));
-    assert_eq!(before_a, before_b, "backends diverged pre-ingest");
+    let before = conn.roundtrip("POST", "/recommend", recommend);
+    assert_eq!(status_of(&before), 200, "{}", body_of(&before));
+    assert_eq!(
+        before,
+        oracle_roundtrip(&oracle, "POST", "/recommend", recommend),
+        "server diverged from the handler pre-ingest"
+    );
     // Warm the cache: identical bytes again.
-    assert_eq!(a.roundtrip("POST", "/recommend", recommend), before_a);
+    assert_eq!(conn.roundtrip("POST", "/recommend", recommend), before);
 
     // Grow the window; the cached answer is now for a dead generation.
     let second = ingest_body("live-t", 2, 2);
-    assert_eq!(status_of(&a.roundtrip("POST", "/ingest", &second)), 200);
-    assert_eq!(status_of(&b.roundtrip("POST", "/ingest", &second)), 200);
+    assert_eq!(status_of(&conn.roundtrip("POST", "/ingest", &second)), 200);
+    oracle_roundtrip(&oracle, "POST", "/ingest", &second);
 
-    let after_a = a.roundtrip("POST", "/recommend", recommend);
-    let after_b = b.roundtrip("POST", "/recommend", recommend);
-    assert_eq!(status_of(&after_a), 200, "{}", body_of(&after_a));
+    let after = conn.roundtrip("POST", "/recommend", recommend);
+    assert_eq!(status_of(&after), 200, "{}", body_of(&after));
     assert_ne!(
-        after_a, before_a,
+        after, before,
         "post-ingest recommendation served stale cached bytes"
     );
-    assert_eq!(after_a, after_b, "backends diverged post-ingest");
+    assert_eq!(
+        after,
+        oracle_roundtrip(&oracle, "POST", "/recommend", recommend),
+        "server diverged from the handler post-ingest"
+    );
 
     // The recomputed answer reflects the doubled window.
-    let doc = Json::parse(&body_of(&after_a)).unwrap();
+    let doc = Json::parse(&body_of(&after)).unwrap();
     assert_eq!(
         doc.get("source").and_then(Json::as_str),
         Some("tenant:live-t")
@@ -262,9 +287,8 @@ fn post_ingest_recommendation_is_recomputed_not_replayed() {
             .unwrap()
             > 0.0,
         "{}",
-        body_of(&after_a)
+        body_of(&after)
     );
 
-    pool.shutdown();
-    reactor.shutdown();
+    server.shutdown();
 }

@@ -9,7 +9,7 @@ use std::time::Duration;
 use wp_json::Json;
 use wp_loadgen::fetch;
 use wp_server::corpus::simulated_corpus;
-use wp_server::{Backend, Server, ServerConfig};
+use wp_server::{Server, ServerConfig};
 use wp_workloads::engine::Simulator;
 use wp_workloads::{benchmarks, Sku};
 
@@ -45,7 +45,6 @@ fn scrape(addr: &str) -> impl Fn(&str) -> f64 {
 #[test]
 fn stream_series_count_each_batch_once_across_shards() {
     let config = ServerConfig {
-        backend: Backend::Reactor,
         workers: 2,
         compute_threads: Some(1),
         obs: true,

@@ -223,10 +223,12 @@ struct TenantWindow {
 /// The evolving corpus: startup references plus live per-tenant windows,
 /// all indexed under a fingerprinter frozen at construction.
 ///
-/// A clone shares the startup references, every tenant window and the
-/// index with its source. An ingest into the clone copies only what the
-/// batch changes: the ingesting tenant's window, and the index when the
-/// batch grows it in place (an eviction builds a fresh index instead).
+/// A clone shares the startup references, every tenant window, the
+/// index and the drift log with its source. An ingest into the clone
+/// copies only what the batch changes: the ingesting tenant's window,
+/// the index when the batch grows it in place (an eviction builds a
+/// fresh index instead), and the drift log when the batch fires an
+/// event.
 #[derive(Clone)]
 pub struct StreamEngine {
     config: StreamConfig,
@@ -244,7 +246,7 @@ pub struct StreamEngine {
     /// rebuild reproduces, so incremental and rebuilt indexes agree.
     live_order: Vec<String>,
     generation: u64,
-    events: Vec<DriftEvent>,
+    events: Arc<Vec<DriftEvent>>,
     counters: StreamCounters,
 }
 
@@ -413,7 +415,7 @@ impl StreamEngine {
             tenants: BTreeMap::new(),
             live_order: Vec::new(),
             generation: 0,
-            events: Vec::new(),
+            events: Arc::default(),
             counters: StreamCounters::default(),
         };
         engine.publish_gauges();
@@ -552,7 +554,7 @@ impl StreamEngine {
                 phases_before,
                 phases_after,
             };
-            self.events.push(event);
+            Arc::make_mut(&mut self.events).push(event);
             self.counters.drift_events += 1;
             OBS_DRIFT.add(1);
             OBS_DRIFT_RATIO.set((ratio * 1e6) as u64);
@@ -781,6 +783,30 @@ mod tests {
         );
         assert_eq!(a.events(), b.events(), "drift log must be deterministic");
         assert_eq!(a.events_json().pretty(), b.events_json().pretty());
+    }
+
+    #[test]
+    fn an_ingest_without_drift_shares_the_drift_log() {
+        let sim = sim();
+        let mut source = engine(StreamConfig::default());
+        for batch in 0..6 {
+            source
+                .ingest("tenant-a", runs(&sim, "TPC-C", 10 + batch * 2, 2))
+                .unwrap();
+        }
+        for batch in 0..4 {
+            source
+                .ingest("tenant-a", runs(&sim, "TPC-H", 10 + batch * 2, 2))
+                .unwrap();
+        }
+        assert!(!source.events().is_empty(), "the shape shift fires drift");
+
+        let mut next = source.clone();
+        let out = next
+            .ingest("tenant-b", runs(&sim, "Twitter", 20, 2))
+            .unwrap();
+        assert!(!out.drifted, "{out:?}");
+        assert!(Arc::ptr_eq(&next.events, &source.events));
     }
 
     #[test]

@@ -32,10 +32,15 @@ const MODERATE_PLAN: &str =
     "seed=7,reset=0.05,latency=0.2,latency_ms=1..3,error=0.15,slow=0.1,truncate=0.08";
 
 fn start_faulted(plan: &str, compute_threads: usize) -> ServerHandle {
+    start_faulted_on(plan, compute_threads, 2)
+}
+
+/// [`start_faulted`] on `shards` event-loop shards.
+fn start_faulted_on(plan: &str, compute_threads: usize, shards: usize) -> ServerHandle {
     let faults = FaultPlan::parse(plan).expect("plan must parse");
     let corpus = simulated_corpus(0xEDB7_2025, 40);
     let config = ServerConfig {
-        workers: 2,
+        workers: shards,
         compute_threads: Some(compute_threads),
         faults,
         ..ServerConfig::default()
@@ -184,13 +189,21 @@ fn responses_that_arrive_under_faults_are_byte_identical_to_fault_free() {
     // sanity: a disabled plan means that server really was fault-free
     assert!(clean.contains("most_similar"), "{clean}");
 
-    let server = start_faulted(MODERATE_PLAN, 1);
+    // One shard: each fetch opens a fresh connection, and only one
+    // shard makes them all share one response cache.
+    let server = start_faulted_on(MODERATE_PLAN, 1, 1);
     let addr = server.addr().to_string();
     let body = target_body();
     let first = fetch_until_ok(&addr, "POST", "/similar", &body);
     // The second answer is stored on its miss; the third is a hit.
     let second = fetch_until_ok(&addr, "POST", "/similar", &body);
+    let (hits_before, _) = server.state().response_cache_counters();
     let third = fetch_until_ok(&addr, "POST", "/similar", &body);
+    let (hits_after, _) = server.state().response_cache_counters();
+    assert!(
+        hits_after > hits_before,
+        "the third answer must come from the response cache"
+    );
     assert_eq!(
         first, clean,
         "faults may delay or drop bytes, never alter them"

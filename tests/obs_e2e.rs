@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use wp_json::Json;
 use wp_server::corpus::simulated_corpus;
-use wp_server::{Backend, Server, ServerConfig, ServerHandle};
+use wp_server::{Server, ServerConfig, ServerHandle};
 
 /// The `wp-obs` enable gate and registry are process-global (and the
 /// gate is sticky by design), so every test in this binary serializes
@@ -192,9 +192,8 @@ fn declined_answers_are_counted_beside_hits_and_misses() {
         .replacen('{', "{\"mode\":\"indexed\",\"k\":3,", 1);
 
     let before = wp_obs::snapshot();
-    // The workers backend serves every connection from one shard.
+    // One shard serves every connection.
     let config = ServerConfig {
-        backend: Backend::Workers,
         workers: 1,
         compute_threads: Some(1),
         obs: true,

@@ -6,7 +6,7 @@
 //! functions of the request body — byte-identical across cache
 //! cold/warm and across compute thread counts.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -52,6 +52,42 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
         .map(|(_, b)| b.to_string())
         .unwrap_or_default();
     (status, body)
+}
+
+/// A keep-alive connection that answers like [`http`]. It stays on one
+/// shard, so the requests it sends share that shard's caches.
+fn keep_alive(addr: SocketAddr) -> impl FnMut(&str, &str, &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    move |method, path, body| {
+        write!(
+            stream,
+            "{method} {path} HTTP/1.1\r\nConnection: keep-alive\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .expect("request write");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("status line");
+        let status: u16 = line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("malformed status line: {line:?}"));
+        let mut length = 0;
+        while line != "\r\n" {
+            line.clear();
+            reader.read_line(&mut line).expect("header line");
+            if let Some(value) = line.strip_prefix("Content-Length:") {
+                length = value.trim().parse().expect("Content-Length");
+            }
+        }
+        let mut answer = vec![0; length];
+        reader.read_exact(&mut answer).expect("response body");
+        (status, String::from_utf8(answer).expect("UTF-8 body"))
+    }
 }
 
 /// A deterministic target-workload body: two simulated YCSB runs on the
@@ -144,13 +180,15 @@ fn similar_is_byte_identical_cold_vs_warm_cache() {
     let addr = server.addr();
     let body = target_body();
 
-    let (status, cold) = http(addr, "POST", "/similar", &body);
+    // One connection, so one shard's cache.
+    let mut send = keep_alive(addr);
+    let (status, cold) = send("POST", "/similar", &body);
     assert_eq!(status, 200, "{cold}");
     // The second request stores the answer; the third is served from it.
-    let (status, stored) = http(addr, "POST", "/similar", &body);
+    let (status, stored) = send("POST", "/similar", &body);
     assert_eq!(status, 200, "{stored}");
     assert_eq!(cold, stored, "a recompute must be byte-identical");
-    let (status, warm) = http(addr, "POST", "/similar", &body);
+    let (status, warm) = send("POST", "/similar", &body);
     assert_eq!(status, 200, "{warm}");
     assert_eq!(cold, warm, "cache hit must be byte-identical to recompute");
 
