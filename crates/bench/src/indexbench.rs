@@ -1,5 +1,4 @@
-//! Brute-force vs. indexed top-k retrieval benchmark (`exp_index` and
-//! `wp index-bench`).
+//! Brute-force vs. indexed top-k retrieval benchmark (`exp_index`).
 //!
 //! Each scenario fixes a fingerprint representation and a measure, then
 //! for a range of corpus sizes times the same top-k queries through

@@ -33,7 +33,6 @@ usage:
               [--shift-after N] [--zoo] [--samples N] [--seed S] [--timeout SECONDS]
               [--faults SPEC] [--out FILE] [--verify-determinism] [--obs]
   wp trace    [--samples N] [--seed S] [--json]
-  wp index-bench [--size N] [--queries N] [--k K] [--samples N] [--json] [--seed S]
 
 fault SPEC: seed=7,reset=0.05,latency=0.2,latency_ms=1..5,error=0.15,
             error:/similar=0.3,slow=0.1,truncate=0.05 (also read from WP_FAULTS)
@@ -68,7 +67,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "chaos" => cmd_chaos(&args),
         "stream" => cmd_stream(&args),
         "trace" => cmd_trace(&args),
-        "index-bench" => cmd_index_bench(&args),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -385,15 +383,28 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 /// Runs the serving pipeline once, in process, with observability
 /// enabled, and prints the recorded trace: every counter, gauge, and
-/// span (count / total time / mean / max) the instrumented crates
-/// emitted. The same simulated corpus and request mix that back
-/// `wp serve` and `wp-loadgen` drive the handlers, plus a `POST` asked
-/// twice more so the response cache stores it and registers a hit.
-/// `--json` prints the snapshot as a JSON document instead of the table.
+/// span (count / total time / mean / max) the instrumented crates and
+/// the service emitted. `--json` prints the snapshot as a JSON document
+/// instead of the table.
 fn cmd_trace(args: &Args) -> Result<(), String> {
     let samples: usize = args.parsed_or("samples", 60)?;
     let seed: u64 = args.parsed_or("seed", DEFAULT_SEED)?;
+    let (driven, snap) = trace(samples, seed)?;
+    if args.switch("json") {
+        println!("{}", snap.to_json().pretty());
+        return Ok(());
+    }
+    println!("trace of {driven} requests over the simulated corpus (seed {seed}, {samples} samples/run):");
+    print!("{}", snap.render_summary());
+    Ok(())
+}
 
+/// Drives `wp trace`'s requests through an in-process service and
+/// returns how many it sent and the service's metrics snapshot. The
+/// same simulated corpus and request mix that back `wp serve` and
+/// `wp-loadgen` drive the handlers, plus a `POST` asked twice more so
+/// the response cache stores it and registers a hit.
+fn trace(samples: usize, seed: u64) -> Result<(usize, wp_obs::Snapshot), String> {
     wp_obs::enable();
     wp_obs::reset();
 
@@ -435,7 +446,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         let started = std::time::Instant::now();
         let (status, body) = wp_server::service::handle(&state, &req);
         // Same accounting the live server does around each request, so
-        // the per-endpoint span series show up in the trace.
+        // the per-endpoint series count the trace's requests.
         state.stats.record(
             &req.path,
             started.elapsed().as_nanos() as u64,
@@ -449,14 +460,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         }
     }
 
-    let snap = wp_obs::snapshot();
-    if args.switch("json") {
-        println!("{}", snap.to_json().pretty());
-        return Ok(());
-    }
-    println!("trace of {driven} requests over the simulated corpus (seed {seed}, {samples} samples/run):");
-    print!("{}", snap.render_summary());
-    Ok(())
+    Ok((driven, state.metrics()))
 }
 
 /// The fault plan `wp chaos` runs when neither `--plan` nor `WP_FAULTS`
@@ -508,10 +512,11 @@ fn fetch_until_ok(
 /// two taxonomies are byte-identical.
 ///
 /// `--obs` additionally enables the `wp-obs` registry (reset before
-/// each run) and appends the span/counter snapshot of the last run as
-/// an `"obs"` section of the output document. The section carries
-/// timings, so it is deliberately excluded from the determinism
-/// comparison — only the taxonomy is replay-compared.
+/// each run) and appends the metrics snapshot of the stormed server,
+/// taken before it shuts down, as an `"obs"` section of the output
+/// document. It covers the run whose taxonomy the document holds. The
+/// section carries timings, so it is deliberately excluded from the
+/// determinism comparison — only the taxonomy is replay-compared.
 fn cmd_chaos(args: &Args) -> Result<(), String> {
     use std::time::Duration;
     use wp_faults::FaultPlan;
@@ -549,10 +554,11 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         .map(|e| e.body.clone())
         .expect("default mix serves /similar");
 
-    let run_once = || -> Result<(wp_loadgen::Report, String), String> {
+    type Run = (wp_loadgen::Report, String, Option<wp_obs::Snapshot>);
+    let run_once = || -> Result<Run, String> {
         if obs {
-            // Each run starts from a zeroed registry, so the appended
-            // snapshot describes exactly one experiment (the last one).
+            // Each run starts from a zeroed registry, so a run's
+            // snapshot describes exactly that one experiment.
             wp_obs::reset();
         }
         let corpus = wp_server::corpus::simulated_corpus(seed, samples);
@@ -611,6 +617,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
             server.shutdown();
             return Err(format!("unhealthy after chaos: {health}"));
         }
+        let metrics = obs.then(|| server.state().metrics());
         server.shutdown();
 
         let mut doc = Json::parse(&report.taxonomy_json())
@@ -618,7 +625,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         if let Json::Obj(pairs) = &mut doc {
             pairs.insert(1, ("plan".to_string(), Json::from(plan.render().as_str())));
         }
-        Ok((report, doc.pretty()))
+        Ok((report, doc.pretty(), metrics))
     };
 
     println!("chaos plan: {}", plan.render());
@@ -627,10 +634,10 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         connections.max(1),
         timeout.as_secs_f64()
     );
-    let (report, taxonomy) = run_once()?;
+    let (report, taxonomy, metrics) = run_once()?;
 
     if args.switch("verify-determinism") {
-        let (_, replay) = run_once()?;
+        let (_, replay, _) = run_once()?;
         if taxonomy != replay {
             return Err(format!(
                 "non-deterministic taxonomy:\nrun 1: {taxonomy}\nrun 2: {replay}"
@@ -641,15 +648,16 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
 
     // The obs snapshot rides along *after* the determinism comparison:
     // its span timings are wall-clock and may not replay byte-identical.
-    let output = if obs {
-        let mut doc =
-            Json::parse(&taxonomy).map_err(|e| format!("taxonomy JSON does not parse: {e}"))?;
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.push(("obs".to_string(), wp_obs::snapshot().to_json()));
+    let output = match metrics {
+        Some(snap) => {
+            let mut doc =
+                Json::parse(&taxonomy).map_err(|e| format!("taxonomy JSON does not parse: {e}"))?;
+            if let Json::Obj(pairs) = &mut doc {
+                pairs.push(("obs".to_string(), snap.to_json()));
+            }
+            doc.pretty()
         }
-        doc.pretty()
-    } else {
-        taxonomy.clone()
+        None => taxonomy.clone(),
     };
     std::fs::write(&out, format!("{output}\n")).map_err(|e| format!("cannot write {out}: {e}"))?;
     let t = &report.taxonomy;
@@ -848,74 +856,6 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         report.evicted_runs,
         report.generation
     );
-    Ok(())
-}
-
-/// Benchmarks the `wp-index` pruning cascade against brute-force top-k
-/// at one corpus size: the pipeline's Hist-FP/L2,1 setting and the
-/// elastic MTS/Dependent-DTW (band 8) setting. Both runs verify that the
-/// indexed top-k is byte-identical to brute force before reporting.
-fn cmd_index_bench(args: &Args) -> Result<(), String> {
-    use wp_bench::indexbench::{fingerprints, run_scenario};
-    use wp_index::IndexConfig;
-    use wp_similarity::Measure;
-    use wp_similarity::Norm;
-
-    let size: usize = args.parsed_or("size", 128)?;
-    let queries: usize = args.parsed_or("queries", 8)?;
-    let k: usize = args.parsed_or("k", 5)?;
-    let samples: usize = args.parsed_or("samples", 60)?;
-    if size == 0 || queries == 0 || k == 0 {
-        return Err("--size, --queries, and --k must be positive".to_string());
-    }
-    let mut sim = sim_with_seed(args)?;
-    sim.config.samples = samples;
-
-    let scenarios: [(&str, Measure, IndexConfig); 2] = [
-        ("Hist-FP", Measure::Norm(Norm::L21), IndexConfig::default()),
-        (
-            "MTS",
-            Measure::DtwDependent,
-            IndexConfig {
-                band: Some(8),
-                ..IndexConfig::default()
-            },
-        ),
-    ];
-    let results: Vec<_> = scenarios
-        .iter()
-        .map(|(scenario, measure, config)| {
-            let (corpus, qs) = fingerprints(&sim, size, queries, scenario);
-            run_scenario(scenario, *measure, *config, &corpus, &qs, k)
-        })
-        .collect();
-
-    if args.switch("json") {
-        let doc = obj! {
-            "experiment" => "index_cascade",
-            "corpus_size" => size,
-            "queries" => queries,
-            "k" => k,
-            "exact_topk_verified" => true,
-            "results" => Json::Arr(results.iter().map(|r| r.to_json()).collect()),
-        };
-        println!("{}", doc.pretty());
-        return Ok(());
-    }
-
-    println!("index cascade vs brute force ({size} fingerprints, {queries} queries, k={k}):");
-    for r in &results {
-        println!(
-            "  {:<8} {:<16} brute {:>8.3} ms  indexed {:>8.3} ms  speedup {:>5.2}x  pruned {:>5.1}%",
-            r.scenario,
-            r.measure,
-            r.brute_ms,
-            r.indexed_ms,
-            r.speedup(),
-            r.stats.pruned_fraction() * 100.0
-        );
-    }
-    println!("top-k verified byte-identical to brute force for both scenarios");
     Ok(())
 }
 
@@ -1173,9 +1113,10 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert!(run(&argv).is_ok());
-        // The command left the registry populated: the endpoint series
-        // it drove must be visible in a snapshot.
-        let text = wp_obs::snapshot().render_prometheus();
+        // The snapshot `wp trace` prints counts the endpoint series it
+        // drove.
+        let (_, snap) = trace(20, DEFAULT_SEED).expect("trace runs");
+        let text = snap.render_prometheus();
         let parsed = wp_obs::parse_prometheus(&text).expect("exposition must parse");
         assert!(parsed
             .iter()
@@ -1237,27 +1178,5 @@ mod tests {
             let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
             assert!(run(&argv).is_err(), "{argv:?} should fail");
         }
-    }
-
-    #[test]
-    fn index_bench_subcommand_runs_and_validates() {
-        let argv: Vec<String> = [
-            "index-bench",
-            "--size",
-            "8",
-            "--queries",
-            "2",
-            "--samples",
-            "20",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        assert!(run(&argv).is_ok());
-        let bad: Vec<String> = ["index-bench", "--k", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(run(&bad).is_err());
     }
 }

@@ -9,6 +9,13 @@
 //! syscall — and the instrumented code produces byte-identical outputs
 //! to an uninstrumented build.
 //!
+//! The registry holds only series whose code has no owning instance:
+//! the pipeline's stages (runtime, feature selection, similarity, the
+//! index). A count that an object already keeps for itself, such as a
+//! server's requests or a cache's hits, stays with that object; its
+//! owner renders it into a [`Snapshot`] when asked, and
+//! [`Snapshot::merge`] joins it with the registry's.
+//!
 //! # Hot paths vs. cold paths
 //!
 //! Hot sites (a distance call, a pool batch) use [`LazyCounter`] /
@@ -24,7 +31,8 @@
 //! [`snapshot`] freezes every registered series (sorted by name, so a
 //! snapshot of deterministic counters is itself deterministic) and
 //! renders as Prometheus text ([`Snapshot::render_prometheus`], served
-//! by `GET /metrics`), a human table ([`Snapshot::render_summary`],
+//! by `GET /metrics` after the server merges in its own series), a
+//! human table ([`Snapshot::render_summary`],
 //! printed by `wp trace`), or JSON ([`Snapshot::to_json`], embedded in
 //! chaos/loadgen reports). [`parse_prometheus`] is the matching reader
 //! used by load generators to validate a scrape.
@@ -340,7 +348,9 @@ pub struct SpanSnapshot {
     pub max_ns: u64,
 }
 
-/// A point-in-time copy of the registry, sorted by series name.
+/// A point-in-time copy of a set of series: the registry's, or an
+/// owner's rendered at call time. [`snapshot`] and [`Snapshot::merge`]
+/// leave each kind sorted by series name.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter series.
@@ -423,6 +433,19 @@ impl Snapshot {
             );
         }
         out
+    }
+
+    /// Adds `other`'s series, keeping each kind sorted by name so that
+    /// every family's lines stay together in the exposition. The two
+    /// snapshots are expected to name disjoint series.
+    pub fn merge(&mut self, other: Snapshot) {
+        fn by_name<T>(ours: &mut Vec<(String, T)>, theirs: Vec<(String, T)>) {
+            ours.extend(theirs);
+            ours.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+        by_name(&mut self.counters, other.counters);
+        by_name(&mut self.gauges, other.gauges);
+        by_name(&mut self.spans, other.spans);
     }
 
     /// A human-readable table for `wp trace`.
@@ -669,6 +692,51 @@ mod tests {
             .expect("still registered");
         assert_eq!(c.1, 0);
         set_enabled(false);
+    }
+
+    #[test]
+    fn merge_keeps_each_family_together_in_name_order() {
+        let span = |count| SpanSnapshot {
+            count,
+            total_ns: 10 * count,
+            max_ns: 10,
+        };
+        let mut snap = Snapshot {
+            counters: vec![
+                ("a_total".to_string(), 1),
+                ("c_total{k=\"x\"}".to_string(), 2),
+            ],
+            gauges: vec![("g".to_string(), 3)],
+            spans: vec![("s{k=\"b\"}".to_string(), span(1))],
+        };
+        snap.merge(Snapshot {
+            counters: vec![
+                ("c_total{k=\"y\"}".to_string(), 4),
+                ("b_total".to_string(), 5),
+                ("c_total{k=\"w\"}".to_string(), 6),
+            ],
+            gauges: Vec::new(),
+            spans: vec![("s{k=\"a\"}".to_string(), span(2))],
+        });
+        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "a_total",
+                "b_total",
+                "c_total{k=\"w\"}",
+                "c_total{k=\"x\"}",
+                "c_total{k=\"y\"}"
+            ]
+        );
+        assert_eq!(snap.gauges, [("g".to_string(), 3)]);
+        assert_eq!(snap.spans[0], ("s{k=\"a\"}".to_string(), span(2)));
+        let text = snap.render_prometheus();
+        assert_eq!(text.matches("# TYPE c_total counter").count(), 1);
+        assert!(
+            text.contains("c_total{k=\"w\"} 6\nc_total{k=\"x\"} 2\nc_total{k=\"y\"} 4\n"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -27,31 +27,6 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-use wp_obs::LazyCounter;
-
-/// `wp-obs` counters for one named cache instance. The series names are
-/// `const` so hot-path recording never allocates; the cache only touches
-/// them when observability is enabled.
-pub struct CacheObs {
-    /// Lookups served from memory.
-    pub hits: LazyCounter,
-    /// Lookups that missed.
-    pub misses: LazyCounter,
-    /// Entries displaced by a capacity eviction.
-    pub evictions: LazyCounter,
-}
-
-impl CacheObs {
-    /// Counters for the cache labeled `name`; meant for `static` use.
-    pub const fn new(hits: &'static str, misses: &'static str, evictions: &'static str) -> Self {
-        Self {
-            hits: LazyCounter::new(hits),
-            misses: LazyCounter::new(misses),
-            evictions: LazyCounter::new(evictions),
-        }
-    }
-}
-
 struct Entry<V> {
     value: Arc<V>,
     last_used: AtomicU64,
@@ -72,7 +47,7 @@ pub struct LruCache<K, V> {
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    obs: Option<&'static CacheObs>,
+    evictions: AtomicU64,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
@@ -86,16 +61,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            obs: None,
+            evictions: AtomicU64::new(0),
         }
-    }
-
-    /// [`LruCache::new`], additionally mirroring hit/miss/eviction counts
-    /// into the given `wp-obs` counters (inert while obs is disabled).
-    pub fn with_obs(capacity: usize, obs: &'static CacheObs) -> Self {
-        let mut cache = Self::new(capacity);
-        cache.obs = Some(obs);
-        cache
     }
 
     /// Looks `key` up, refreshing its recency. Counts a hit or miss.
@@ -106,16 +73,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             Some(entry) => {
                 entry.last_used.fetch_max(tick, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = self.obs {
-                    obs.hits.add(1);
-                }
                 Some(Arc::clone(&entry.value))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = self.obs {
-                    obs.misses.add(1);
-                }
                 None
             }
         }
@@ -140,9 +101,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                 inner
                     .map
                     .retain(|_, e| e.last_used.load(Ordering::Relaxed) != oldest);
-                if let Some(obs) = self.obs {
-                    obs.evictions.add(1);
-                }
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         inner.map.insert(
@@ -179,6 +138,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
+    }
+
+    /// Entries displaced by a capacity eviction since construction.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Number of live entries.
@@ -221,6 +185,7 @@ mod tests {
         assert!(cache.get(&1).is_some());
         assert!(cache.get(&3).is_some());
         assert_eq!(cache.len(), 2);
+        assert_eq!(cache.evictions(), 1);
     }
 
     /// A key whose `Clone` counts its calls; it compares and hashes by
@@ -270,6 +235,7 @@ mod tests {
         cache.insert(2, Arc::new(20));
         cache.insert(2, Arc::new(21));
         assert_eq!(cache.len(), 2);
+        assert_eq!(cache.evictions(), 0);
         assert_eq!(*cache.get(&1).unwrap(), 10);
         assert_eq!(*cache.get(&2).unwrap(), 21);
     }
@@ -382,6 +348,7 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, [10, 10, 10, 20, 20], "every entry is offered once");
         assert_eq!(cache.counters(), counters, "a drop is no hit or miss");
+        assert_eq!(cache.evictions(), 0, "nor an eviction");
         assert_eq!(cache.len(), 3);
 
         for key in [(1, 1), (1, 2), (2, 1)] {

@@ -18,7 +18,7 @@
 //! | `/ingest` | POST | streaming telemetry batches → live corpus evolution |
 //! | `/drift` | GET | drift-event log of the streaming engine |
 //! | `/stats` | GET | per-endpoint nanosecond timings + cache counters |
-//! | `/metrics` | GET | `wp-obs` registry in Prometheus text (only with [`ServerConfig::obs`] on) |
+//! | `/metrics` | GET | this server's counts and the `wp-obs` registry in Prometheus text (only with [`ServerConfig::obs`] on) |
 //!
 //! Everything is `std`-only (hermetic build). Connections are served by
 //! the `wp-reactor` event loop: a few shard threads multiplex thousands
@@ -100,7 +100,8 @@ pub struct ServerConfig {
     pub faults: FaultPlan,
     /// Observability: when `true`, [`Server::start`] enables the global
     /// `wp-obs` registry and the service routes `GET /metrics`
-    /// (Prometheus text exposition). Disabled (the default), every
+    /// (Prometheus text exposition of [`ServiceState::metrics`]).
+    /// Disabled (the default), every
     /// instrumentation site is a single relaxed load and all responses —
     /// `/metrics` included, as a 404 — are byte-identical to a server
     /// built before the observability layer existed.

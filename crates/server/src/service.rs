@@ -59,24 +59,10 @@ use wp_telemetry::io::run_from_json;
 use wp_telemetry::{ExperimentRun, FeatureId};
 use wp_workloads::Sku;
 
-use crate::cache::{CacheObs, LruCache};
+use crate::cache::LruCache;
 use crate::http::Request;
 use crate::stats::ServerStats;
 
-static RESPONSES_OBS: CacheObs = CacheObs::new(
-    "wp_server_cache_hits_total{cache=\"responses\"}",
-    "wp_server_cache_misses_total{cache=\"responses\"}",
-    "wp_server_cache_evictions_total{cache=\"responses\"}",
-);
-static REF_DATA_OBS: CacheObs = CacheObs::new(
-    "wp_server_cache_hits_total{cache=\"ref_data\"}",
-    "wp_server_cache_misses_total{cache=\"ref_data\"}",
-    "wp_server_cache_evictions_total{cache=\"ref_data\"}",
-);
-/// Answers computed on a response-cache miss and not stored, because
-/// their request had not missed recently.
-static RESPONSES_DECLINED: wp_obs::LazyCounter =
-    wp_obs::LazyCounter::new("wp_server_cache_declined_total{cache=\"responses\"}");
 static OBS_RECOMMEND_TOTAL: wp_obs::LazyCounter =
     wp_obs::LazyCounter::new("wp_server_recommend_requests_total");
 static OBS_RECOMMEND_FALLBACK: wp_obs::LazyCounter =
@@ -205,16 +191,20 @@ pub struct ShardState {
     recent_misses: Mutex<VecDeque<u64>>,
     /// `cache_capacity`, at least 1.
     remembered_misses: usize,
+    /// Answers computed on a response-cache miss and not stored, because
+    /// their request had not missed recently.
+    declined: AtomicU64,
 }
 
 impl ShardState {
     fn new(cache_capacity: usize) -> Self {
         Self {
-            ref_data: LruCache::with_obs(cache_capacity, &REF_DATA_OBS),
-            responses: LruCache::with_obs(cache_capacity, &RESPONSES_OBS),
+            ref_data: LruCache::new(cache_capacity),
+            responses: LruCache::new(cache_capacity),
             newest_generation: AtomicU64::new(0),
             recent_misses: Mutex::new(VecDeque::new()),
             remembered_misses: cache_capacity.max(1),
+            declined: AtomicU64::new(0),
         }
     }
 
@@ -256,7 +246,7 @@ impl ShardState {
     /// entry; the next drop removes it.
     fn store(&self, key: RequestKey, body: &str) {
         if !self.missed_recently(key.digest) {
-            RESPONSES_DECLINED.add(1);
+            self.declined.fetch_add(1, Ordering::Relaxed);
             return;
         }
         if key.generation >= self.newest_generation.load(Ordering::Relaxed) {
@@ -398,6 +388,36 @@ impl ServiceState {
         })
     }
 
+    /// Everything `GET /metrics` serves: the `wp-obs` registry's series
+    /// plus this server's own counts, read from their owners now. Those
+    /// are the request accounting, both caches and the declined answers
+    /// summed over shards, and the published engine's ingest counters and
+    /// corpus state. They are per server and kept whether or not
+    /// observability is on; the registry is process-global and gated.
+    pub fn metrics(&self) -> wp_obs::Snapshot {
+        let mut own = self.stats.metrics();
+        let sum = |count: fn(&ShardState) -> u64| self.shards.iter().map(count).sum::<u64>();
+        let declined = sum(|s| s.declined.load(Ordering::Relaxed));
+        let caches = [
+            ("hits", "responses", sum(|s| s.responses.counters().0)),
+            ("misses", "responses", sum(|s| s.responses.counters().1)),
+            ("evictions", "responses", sum(|s| s.responses.evictions())),
+            ("declined", "responses", declined),
+            ("hits", "ref_data", sum(|s| s.ref_data.counters().0)),
+            ("misses", "ref_data", sum(|s| s.ref_data.counters().1)),
+            ("evictions", "ref_data", sum(|s| s.ref_data.evictions())),
+        ];
+        for (count, cache, value) in caches {
+            let family = format!("wp_server_cache_{count}_total");
+            own.counters
+                .push((wp_obs::series(&family, "cache", cache), value));
+        }
+        own.merge(self.snapshot().metrics());
+        let mut snap = wp_obs::snapshot();
+        snap.merge(own);
+        snap
+    }
+
     /// The extracted feature data of one reference's source runs, served
     /// from the shard's cache.
     fn reference_data(&self, shard: usize, index: usize) -> Arc<Vec<RunFeatureData>> {
@@ -439,7 +459,7 @@ fn route(state: &ServiceState, shard: usize, req: &Request) -> Result<String, Se
     match (req.method.as_str(), req.path.as_str()) {
         // Observability surface: only routed when enabled, so a disabled
         // server's response to `/metrics` is the pre-existing 404.
-        ("GET", "/metrics") if state.obs => Ok(wp_obs::snapshot().render_prometheus()),
+        ("GET", "/metrics") if state.obs => Ok(state.metrics().render_prometheus()),
         (_, "/metrics") if state.obs => Err(ServiceError {
             status: 405,
             message: format!("{} only supports GET", req.path),
@@ -616,10 +636,21 @@ fn validate_corpus(body: &str) -> Result<String, ServiceError> {
     .compact())
 }
 
-/// Parses the `"runs"` array shared by every `POST` body.
+/// Parses a `POST` body into a JSON tree.
+fn parse_body(body: &str) -> Result<Json, ServiceError> {
+    Json::parse(body).map_err(|e| ServiceError::bad_request(format!("invalid JSON body: {e}")))
+}
+
+/// Parses a `POST` body and decodes its `"runs"` array.
 fn parse_target_runs(body: &str) -> Result<(Json, Vec<ExperimentRun>), ServiceError> {
-    let doc = Json::parse(body)
-        .map_err(|e| ServiceError::bad_request(format!("invalid JSON body: {e}")))?;
+    let doc = parse_body(body)?;
+    let runs = decode_runs(&doc)?;
+    Ok((doc, runs))
+}
+
+/// Decodes the `"runs"` array shared by every `POST` body from its
+/// parsed tree.
+fn decode_runs(doc: &Json) -> Result<Vec<ExperimentRun>, ServiceError> {
     let runs = doc
         .get("runs")
         .and_then(Json::as_arr)
@@ -627,14 +658,12 @@ fn parse_target_runs(body: &str) -> Result<(Json, Vec<ExperimentRun>), ServiceEr
     if runs.is_empty() {
         return Err(ServiceError::bad_request("'runs' must not be empty"));
     }
-    let parsed: Vec<ExperimentRun> = runs
-        .iter()
+    runs.iter()
         .enumerate()
         .map(|(i, r)| {
             run_from_json(r).map_err(|e| ServiceError::bad_request(format!("runs[{i}]: {e}")))
         })
-        .collect::<Result<_, _>>()?;
-    Ok((doc, parsed))
+        .collect()
 }
 
 fn matrix_to_json(m: &Matrix) -> Json {
@@ -981,8 +1010,7 @@ fn recommend(
     body: &str,
 ) -> Result<String, ServiceError> {
     let _span = OBS_RECOMMEND_SPAN.start();
-    let doc = Json::parse(body)
-        .map_err(|e| ServiceError::bad_request(format!("invalid JSON body: {e}")))?;
+    let doc = parse_body(body)?;
     let slo = doc
         .get("slo")
         .ok_or_else(|| ServiceError::bad_request("body needs a 'slo' throughput target"))?
@@ -1020,10 +1048,7 @@ fn recommend(
                 .to_vec();
             (runs, format!("tenant:{name}"))
         }
-        (None, Some(_)) => {
-            let (_, runs) = parse_target_runs(body)?;
-            (runs, "inline".to_string())
-        }
+        (None, Some(_)) => (decode_runs(&doc)?, "inline".to_string()),
     };
 
     let observed = wp_linalg::stats::mean(&runs.iter().map(|r| r.throughput).collect::<Vec<_>>());
@@ -2074,6 +2099,23 @@ mod tests {
             let (s, resp) = handle(&state, &request("POST", "/recommend", &body));
             assert_eq!(s, 400, "{label}: {resp}");
             assert!(resp.contains("error"), "{label}: {resp}");
+        }
+        // Inline runs are decoded from the tree the handler parsed once;
+        // the error bodies are the ones a second parse of the body gave.
+        let exact = [
+            ("{\"slo\":10,\"runs\":7}", "body needs a 'runs' array"),
+            ("{\"slo\":10,\"runs\":[]}", "'runs' must not be empty"),
+            (
+                "{\"slo\":10,\"runs\":[{\"key\":{}}]}",
+                "runs[0]: missing field 'resources'",
+            ),
+        ];
+        for (body, error) in exact {
+            let expected = format!("{{\"error\":\"{error}\"}}");
+            assert_eq!(
+                handle(&state, &request("POST", "/recommend", body)),
+                (400, expected)
+            );
         }
         let (s, _) = handle(&state, &request("GET", "/recommend", ""));
         assert_eq!(s, 405);

@@ -1,20 +1,23 @@
-//! Per-endpoint request accounting, surfaced by `GET /stats`.
+//! Per-endpoint request accounting, surfaced by `GET /stats` and, as
+//! `wp-obs` series rendered at scrape time, by `GET /metrics`.
 //!
 //! Every request is timed with `Instant` at nanosecond resolution and
 //! recorded into lock-free atomic counters — the stats path adds no lock
-//! to the request path. Besides the running totals, each endpoint keeps a
-//! fixed-size ring of recent latencies so `/stats` can report nearest-rank
-//! p50/p95/p99 (the same convention as `wp-loadgen`'s report, via the
-//! shared [`wp_linalg::stats::nearest_rank`] helper). A recorded latency
-//! is clamped up to 1 ns so a zero slot always means "not written yet";
-//! ring writes are racy-by-design between concurrent requests, which can
-//! at worst overwrite one sample with another real sample.
+//! to the request path. The counts are this server's own and are kept
+//! whether or not observability is on. Besides the running totals, each
+//! endpoint keeps a fixed-size ring of recent latencies so `/stats` can
+//! report nearest-rank p50/p95/p99 (the same convention as `wp-loadgen`'s
+//! report, via the shared [`wp_linalg::stats::nearest_rank`] helper). A
+//! recorded latency is clamped up to 1 ns so a zero slot always means
+//! "not written yet"; ring writes are racy-by-design between concurrent
+//! requests, which can at worst overwrite one sample with another real
+//! sample.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wp_json::{obj, Json};
 use wp_linalg::stats::nearest_rank;
-use wp_obs::{LazyCounter, LazySpan};
+use wp_obs::{series, Snapshot, SpanSnapshot};
 
 /// The routes the service accounts for, in display order.
 pub const ENDPOINTS: [&str; 10] = [
@@ -32,46 +35,6 @@ pub const ENDPOINTS: [&str; 10] = [
 
 /// Latency samples retained per endpoint for the percentile snapshot.
 const RING_SIZE: usize = 1024;
-
-/// `wp-obs` series for one endpoint. Names are baked-in literals —
-/// parallel to [`ENDPOINTS`] — so the request path never allocates a
-/// label string.
-struct EndpointObs {
-    requests: LazyCounter,
-    errors: LazyCounter,
-    latency: LazySpan,
-}
-
-macro_rules! endpoint_obs {
-    ($label:literal) => {
-        EndpointObs {
-            requests: LazyCounter::new(concat!(
-                "wp_server_requests_total{endpoint=\"",
-                $label,
-                "\"}"
-            )),
-            errors: LazyCounter::new(concat!("wp_server_errors_total{endpoint=\"", $label, "\"}")),
-            latency: LazySpan::new(concat!("wp_server_request{endpoint=\"", $label, "\"}")),
-        }
-    };
-}
-
-/// One entry per [`ENDPOINTS`] slot, same order.
-static OBS_ENDPOINTS: [EndpointObs; ENDPOINTS.len()] = [
-    endpoint_obs!("/healthz"),
-    endpoint_obs!("/corpus"),
-    endpoint_obs!("/fingerprint"),
-    endpoint_obs!("/similar"),
-    endpoint_obs!("/predict"),
-    endpoint_obs!("/recommend"),
-    endpoint_obs!("/ingest"),
-    endpoint_obs!("/drift"),
-    endpoint_obs!("/stats"),
-    endpoint_obs!("other"),
-];
-
-/// Connections accepted, those the accept-reset fault drops included.
-static OBS_CONNECTIONS: LazyCounter = LazyCounter::new("wp_server_connections_total");
 
 struct EndpointCounters {
     requests: AtomicU64,
@@ -111,7 +74,7 @@ impl EndpointCounters {
     }
 }
 
-/// Atomic accounting for every endpoint plus the response-cache counters.
+/// Atomic accounting for every endpoint and for accepted connections.
 #[derive(Default)]
 pub struct ServerStats {
     endpoints: [EndpointCounters; ENDPOINTS.len()],
@@ -131,8 +94,7 @@ impl ServerStats {
     /// Records one handled request: its route, wall time, and whether the
     /// response was an error (status >= 400).
     pub fn record(&self, path: &str, elapsed_ns: u64, is_error: bool) {
-        let i = Self::slot(path);
-        let c = &self.endpoints[i];
+        let c = &self.endpoints[Self::slot(path)];
         c.requests.fetch_add(1, Ordering::Relaxed);
         c.total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
         c.max_ns.fetch_max(elapsed_ns, Ordering::Relaxed);
@@ -141,18 +103,11 @@ impl ServerStats {
         if is_error {
             c.errors.fetch_add(1, Ordering::Relaxed);
         }
-        let obs = &OBS_ENDPOINTS[i];
-        obs.requests.add(1);
-        obs.latency.observe_ns(elapsed_ns);
-        if is_error {
-            obs.errors.add(1);
-        }
     }
 
     /// Records one accepted connection.
     pub fn record_connection(&self) {
         self.connections.fetch_add(1, Ordering::Relaxed);
-        OBS_CONNECTIONS.add(1);
     }
 
     /// Total requests across all endpoints.
@@ -161,6 +116,35 @@ impl ServerStats {
             .iter()
             .map(|c| c.requests.load(Ordering::Relaxed))
             .sum()
+    }
+
+    /// The same counts as `wp-obs` series, for `/metrics`: per endpoint
+    /// `wp_server_requests_total`, `wp_server_errors_total` and the span
+    /// `wp_server_request` (whose `_count` is the request counter), plus
+    /// `wp_server_connections_total`.
+    pub(crate) fn metrics(&self) -> Snapshot {
+        let mut snap = Snapshot::default();
+        for (name, c) in ENDPOINTS.iter().zip(&self.endpoints) {
+            let endpoint = |family: &str| series(family, "endpoint", name);
+            let requests = c.requests.load(Ordering::Relaxed);
+            let errors = c.errors.load(Ordering::Relaxed);
+            snap.counters.extend([
+                (endpoint("wp_server_requests_total"), requests),
+                (endpoint("wp_server_errors_total"), errors),
+            ]);
+            snap.spans.push((
+                endpoint("wp_server_request"),
+                SpanSnapshot {
+                    count: requests,
+                    total_ns: c.total_ns.load(Ordering::Relaxed),
+                    max_ns: c.max_ns.load(Ordering::Relaxed),
+                },
+            ));
+        }
+        let connections = self.connections.load(Ordering::Relaxed);
+        snap.counters
+            .push(("wp_server_connections_total".to_string(), connections));
+        snap
     }
 
     /// Snapshot as the `/stats` JSON document.
@@ -283,6 +267,33 @@ mod tests {
         assert_eq!(healthz.get("p99_ns").unwrap().as_f64(), Some(500.0));
         // max_ns is all-time, not ring-windowed
         assert_eq!(healthz.get("max_ns").unwrap().as_f64(), Some(1_000_000.0));
+    }
+
+    #[test]
+    fn metrics_render_the_same_counts_per_endpoint() {
+        let stats = ServerStats::default();
+        stats.record("/similar", 1_000, false);
+        stats.record("/similar", 3_000, true);
+        stats.record_connection();
+        let snap = stats.metrics();
+        let counter = |name: &str| snap.counters.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!(
+            counter("wp_server_requests_total{endpoint=\"/similar\"}"),
+            2
+        );
+        assert_eq!(counter("wp_server_errors_total{endpoint=\"/similar\"}"), 1);
+        assert_eq!(counter("wp_server_requests_total{endpoint=\"/corpus\"}"), 0);
+        assert_eq!(counter("wp_server_connections_total"), 1);
+        let span = |name: &str| snap.spans.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!(
+            span("wp_server_request{endpoint=\"/similar\"}"),
+            SpanSnapshot {
+                count: 2,
+                total_ns: 4_000,
+                max_ns: 3_000
+            }
+        );
+        assert_eq!(snap.spans.len(), ENDPOINTS.len());
     }
 
     #[test]

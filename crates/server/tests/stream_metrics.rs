@@ -1,8 +1,9 @@
 //! With observability on, `/metrics` counts each ingested batch once,
 //! however many shards serve, and agrees with the `/stats` ledger.
 //!
-//! A test binary of its own: the wp-obs registry is process-global, so
-//! no other test may move the stream series while this one reads deltas.
+//! A test binary of its own: the `wp_stream_ingest` span lives in the
+//! process-global wp-obs registry, so no other test may move it while
+//! this one reads deltas. The other stream series are the server's own.
 
 use std::time::Duration;
 

@@ -46,25 +46,13 @@ use wp_core::retrieval::CorpusIndex;
 use wp_index::IndexConfig;
 use wp_json::{obj, Json};
 use wp_linalg::{Matrix, Rng64};
-use wp_obs::{LazyCounter, LazyGauge, LazySpan};
+use wp_obs::{LazySpan, Snapshot};
 use wp_similarity::bcpd::{detect_changepoints, BcpdConfig};
 use wp_similarity::repr::extract;
 use wp_similarity::Fingerprinter;
 use wp_telemetry::{ExperimentRun, FeatureId, PlanFeature, ResourceFeature};
 
 static OBS_INGEST_SPAN: LazySpan = LazySpan::new("wp_stream_ingest");
-static OBS_BATCHES: LazyCounter = LazyCounter::new("wp_stream_ingest_batches_total");
-static OBS_RUNS: LazyCounter = LazyCounter::new("wp_stream_ingest_runs_total");
-static OBS_REJECTED: LazyCounter = LazyCounter::new("wp_stream_rejected_batches_total");
-static OBS_EVICTED: LazyCounter = LazyCounter::new("wp_stream_evicted_runs_total");
-static OBS_REBUILDS: LazyCounter = LazyCounter::new("wp_stream_rebuilds_total");
-static OBS_DRIFT: LazyCounter = LazyCounter::new("wp_stream_drift_events_total");
-static OBS_PHASE_SHIFTS: LazyCounter = LazyCounter::new("wp_stream_phase_shifts_total");
-static OBS_GENERATION: LazyGauge = LazyGauge::new("wp_stream_generation");
-static OBS_TENANTS: LazyGauge = LazyGauge::new("wp_stream_tenants");
-static OBS_LIVE_REFS: LazyGauge = LazyGauge::new("wp_stream_live_references");
-static OBS_INDEXED_RUNS: LazyGauge = LazyGauge::new("wp_stream_indexed_runs");
-static OBS_DRIFT_RATIO: LazyGauge = LazyGauge::new("wp_stream_drift_ratio_micros");
 
 /// Streaming ingest configuration.
 #[derive(Debug, Clone)]
@@ -187,7 +175,7 @@ impl IngestOutcome {
     }
 }
 
-/// Monotone ingest counters, mirrored on the wp-obs registry.
+/// Monotone ingest counters, read by `/stats` and `/metrics` alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamCounters {
     /// Accepted ingest batches.
@@ -404,7 +392,7 @@ impl StreamEngine {
             .map(|r| (r.name.clone(), r.runs_from.clone()))
             .collect();
         let fingerprinter = index.fingerprinter();
-        let engine = Self {
+        Ok(Self {
             config,
             pipeline: pipeline.clone(),
             index_config,
@@ -417,9 +405,7 @@ impl StreamEngine {
             generation: 0,
             events: Arc::default(),
             counters: StreamCounters::default(),
-        };
-        engine.publish_gauges();
-        Ok(engine)
+        })
     }
 
     /// Ingests one batch of runs for `tenant`. Validation is all-or-
@@ -434,14 +420,11 @@ impl StreamEngine {
         let _span = OBS_INGEST_SPAN.start();
         if let Err(e) = self.validate_batch(tenant, &runs) {
             self.counters.rejected_batches += 1;
-            OBS_REJECTED.add(1);
             return Err(e);
         }
 
         self.counters.ingested_batches += 1;
         self.counters.ingested_runs += runs.len() as u64;
-        OBS_BATCHES.add(1);
-        OBS_RUNS.add(runs.len() as u64);
         let batch = self.counters.ingested_batches;
         let accepted = runs.len();
 
@@ -477,7 +460,6 @@ impl StreamEngine {
             window.runs.drain(..evicted);
         }
         self.counters.evicted_runs += evicted as u64;
-        OBS_EVICTED.add(evicted as u64);
 
         // Drift: window fingerprint vs its trailing history.
         let fp = window_fingerprint(&window.runs, &features, fingerprinter.as_ref());
@@ -498,7 +480,6 @@ impl StreamEngine {
         let phases_after = window_phases(&window.runs);
         if phases_before != 0 && phases_after != phases_before {
             self.counters.phase_shifts += 1;
-            OBS_PHASE_SHIFTS.add(1);
         }
         window.phases = phases_after;
         let threshold = window.threshold;
@@ -532,7 +513,6 @@ impl StreamEngine {
                 self.index_config,
             )?);
             self.counters.rebuilds += 1;
-            OBS_REBUILDS.add(1);
         } else if live {
             // Pure growth: append the new runs (all window runs when the
             // tenant just went live, otherwise only this batch's tail).
@@ -556,10 +536,7 @@ impl StreamEngine {
             };
             Arc::make_mut(&mut self.events).push(event);
             self.counters.drift_events += 1;
-            OBS_DRIFT.add(1);
-            OBS_DRIFT_RATIO.set((ratio * 1e6) as u64);
         }
-        self.publish_gauges();
 
         Ok(IngestOutcome {
             accepted_runs: accepted,
@@ -597,13 +574,6 @@ impl StreamEngine {
             validate_run(i, run)?;
         }
         Ok(())
-    }
-
-    fn publish_gauges(&self) {
-        OBS_GENERATION.set(self.generation);
-        OBS_TENANTS.set(self.tenants.len() as u64);
-        OBS_LIVE_REFS.set(self.live_order.len() as u64);
-        OBS_INDEXED_RUNS.set(self.index.len() as u64);
     }
 
     /// The evolving index — the same object `rank_references` queries go
@@ -660,6 +630,37 @@ impl StreamEngine {
         obj! {
             "generation" => self.generation,
             "events" => Json::Arr(self.events.iter().map(DriftEvent::to_json).collect()),
+        }
+    }
+
+    /// The same counters and corpus state as `wp-obs` series, for
+    /// `/metrics`: each [`StreamCounters`] field as a `wp_stream_*_total`
+    /// counter, the corpus state as gauges, and the last drift event's
+    /// ratio in millionths (0 before the first event).
+    pub fn metrics(&self) -> Snapshot {
+        let c = &self.counters;
+        let named = |series: &[(&str, u64)]| -> Vec<(String, u64)> {
+            series.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+        };
+        let drift_ratio = self.events.last().map_or(0, |e| (e.ratio * 1e6) as u64);
+        Snapshot {
+            counters: named(&[
+                ("wp_stream_drift_events_total", c.drift_events),
+                ("wp_stream_evicted_runs_total", c.evicted_runs),
+                ("wp_stream_ingest_batches_total", c.ingested_batches),
+                ("wp_stream_ingest_runs_total", c.ingested_runs),
+                ("wp_stream_phase_shifts_total", c.phase_shifts),
+                ("wp_stream_rebuilds_total", c.rebuilds),
+                ("wp_stream_rejected_batches_total", c.rejected_batches),
+            ]),
+            gauges: named(&[
+                ("wp_stream_drift_ratio_micros", drift_ratio),
+                ("wp_stream_generation", self.generation),
+                ("wp_stream_indexed_runs", self.index.len() as u64),
+                ("wp_stream_live_references", self.live_order.len() as u64),
+                ("wp_stream_tenants", self.tenants.len() as u64),
+            ]),
+            spans: Vec::new(),
         }
     }
 
@@ -783,6 +784,53 @@ mod tests {
         );
         assert_eq!(a.events(), b.events(), "drift log must be deterministic");
         assert_eq!(a.events_json().pretty(), b.events_json().pretty());
+    }
+
+    /// `/metrics` and `/stats` read the same engine fields.
+    #[test]
+    fn metrics_render_the_stats_section() {
+        let sim = sim();
+        let mut eng = engine(StreamConfig::default());
+        assert!(eng.metrics().counters.iter().all(|(_, v)| *v == 0));
+        for batch in 0..6 {
+            eng.ingest("tenant-a", runs(&sim, "TPC-C", 10 + batch * 2, 2))
+                .unwrap();
+        }
+        for batch in 0..4 {
+            eng.ingest("tenant-a", runs(&sim, "TPC-H", 10 + batch * 2, 2))
+                .unwrap();
+        }
+        assert!(eng.ingest("bad name!", runs(&sim, "TPC-C", 0, 1)).is_err());
+
+        let snap = eng.metrics();
+        assert_eq!(snap.counters.len() + snap.gauges.len(), 12);
+        let value = |name: &str| {
+            let mut all = snap.counters.iter().chain(&snap.gauges);
+            all.find(|(n, _)| n == name).unwrap().1
+        };
+        let stats = eng.stats_json();
+        for (name, key) in [
+            ("wp_stream_ingest_batches_total", "ingested_batches"),
+            ("wp_stream_ingest_runs_total", "ingested_runs"),
+            ("wp_stream_rejected_batches_total", "rejected_batches"),
+            ("wp_stream_evicted_runs_total", "evicted_runs"),
+            ("wp_stream_rebuilds_total", "rebuilds"),
+            ("wp_stream_drift_events_total", "drift_events"),
+            ("wp_stream_phase_shifts_total", "phase_shifts"),
+            ("wp_stream_generation", "generation"),
+            ("wp_stream_tenants", "tenants"),
+            ("wp_stream_live_references", "live_references"),
+            ("wp_stream_indexed_runs", "indexed_runs"),
+        ] {
+            let expected = stats.get(key).and_then(Json::as_f64).unwrap();
+            assert_eq!(value(name) as f64, expected, "{name}");
+        }
+        assert_eq!(value("wp_stream_rejected_batches_total"), 1);
+        let last = eng.events().last().expect("the shape shift fires drift");
+        assert_eq!(
+            value("wp_stream_drift_ratio_micros"),
+            (last.ratio * 1e6) as u64
+        );
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! End-to-end tests of the observability layer: a real `wp-server`
-//! with `--obs`, scraped over real sockets, cross-checked against both
-//! the in-process registry and the `/stats` endpoint.
+//! with `--obs`, scraped over real sockets, cross-checked against the
+//! `/stats` endpoint.
 //!
-//! Two contracts under test:
+//! Three contracts under test:
 //!
 //! 1. **Internal consistency** — the `/metrics` exposition, the
 //!    `/stats` document, and the load generator's own accounting must
 //!    agree on how many requests were served, per endpoint, under
 //!    multi-worker load at both ends of the compute-parallelism range.
-//! 2. **Byte-identity when disabled** — the `obs` flag may add the
+//! 2. **Each server's own numbers** — the series a server owns (its
+//!    requests, connections, caches and stream engine) count only that
+//!    server's traffic, and are on its first scrape.
+//! 3. **Byte-identity when disabled** — the `obs` flag may add the
 //!    `/metrics` route and move counters, but it must never change a
 //!    single byte of any other response.
 
@@ -19,10 +22,10 @@ use wp_json::Json;
 use wp_server::corpus::simulated_corpus;
 use wp_server::{Server, ServerConfig, ServerHandle};
 
-/// The `wp-obs` enable gate and registry are process-global (and the
-/// gate is sticky by design), so every test in this binary serializes
-/// on one lock: a test reading registry deltas must not race another
-/// test's server.
+/// The tests in this binary run one at a time. None reads another's
+/// numbers (a server's series are its own), but each boots 4-shard
+/// servers and drives load over real sockets, and on a small host their
+/// load would otherwise share the same few cores.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn guard() -> MutexGuard<'static, ()> {
@@ -45,40 +48,36 @@ fn fetch(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
         .unwrap_or_else(|class| panic!("{method} {path} failed: {}", class.label()))
 }
 
-/// Value of an exact series name in a parsed exposition (0 if absent —
-/// lazy registration means a counter that never moved has no sample).
+/// Value of an exact series name in a parsed exposition. A series the
+/// server owns is present from its first scrape on.
 fn series_value(series: &[(String, f64)], name: &str) -> f64 {
     series
         .iter()
         .find(|(n, _)| n == name)
-        .map(|(_, v)| *v)
-        .unwrap_or(0.0)
+        .unwrap_or_else(|| panic!("series {name} missing from /metrics"))
+        .1
 }
 
-/// Value of a counter in an in-process snapshot (0 if absent).
-fn snap_counter(snap: &wp_obs::Snapshot, name: &str) -> f64 {
-    snap.counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| *v as f64)
-        .unwrap_or(0.0)
+/// `GET /metrics` on `addr`, parsed.
+fn scrape(addr: &str) -> Vec<(String, f64)> {
+    let (status, body) = fetch(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200, "obs server must expose /metrics");
+    wp_obs::parse_prometheus(&body).expect("exposition must round-trip through the parser")
 }
 
 /// Drives a fixed multi-connection load against an `--obs` server and
 /// asserts `/metrics`, `/stats`, and the loadgen report tell one story,
 /// at a single compute thread and at eight.
 ///
-/// The registry is process-global and cumulative across servers, so all
-/// metric assertions are on *deltas* against a snapshot taken before
-/// the server starts. The scrape order is fixed (`/stats` then
+/// The request series are the server's own, so they are asserted as
+/// absolute values. The scrape order is fixed (`/stats` then
 /// `/metrics`, one connection each) and the server records a request
 /// after its handler renders the body, so at `/metrics`-render time the
-/// registry holds exactly: the load, plus the one `/stats` scrape.
+/// server has counted exactly: the load, plus the one `/stats` scrape.
 #[test]
 fn metrics_stats_and_loadgen_agree_under_multiworker_load() {
     let _lock = guard();
     for compute_threads in [1usize, 8] {
-        let before = wp_obs::snapshot();
         let server = start_server(true, Some(compute_threads));
         let addr = server.addr().to_string();
 
@@ -100,10 +99,7 @@ fn metrics_stats_and_loadgen_agree_under_multiworker_load() {
 
         let (status, stats_body) = fetch(&addr, "GET", "/stats", "");
         assert_eq!(status, 200);
-        let (status, metrics_body) = fetch(&addr, "GET", "/metrics", "");
-        assert_eq!(status, 200, "obs server must expose /metrics");
-        let series = wp_obs::parse_prometheus(&metrics_body)
-            .expect("exposition must round-trip through the parser");
+        let series = scrape(&addr);
 
         let stats = Json::parse(&stats_body).expect("/stats must be JSON");
         let endpoints = stats
@@ -121,8 +117,7 @@ fn metrics_stats_and_loadgen_agree_under_multiworker_load() {
             // renders but after its own body was built.
             let scrape_slack = if name == "/stats" { 1.0 } else { 0.0 };
             let requests_series = format!("wp_server_requests_total{{endpoint=\"{name}\"}}");
-            let metric_requests =
-                series_value(&series, &requests_series) - snap_counter(&before, &requests_series);
+            let metric_requests = series_value(&series, &requests_series);
             assert_eq!(
                 metric_requests,
                 requests + scrape_slack,
@@ -133,21 +128,14 @@ fn metrics_stats_and_loadgen_agree_under_multiworker_load() {
             // call as the request counter: the two families must move
             // in lockstep.
             let span_series = format!("wp_server_request_count{{endpoint=\"{name}\"}}");
-            let span_before = before
-                .spans
-                .iter()
-                .find(|(n, _)| *n == format!("wp_server_request{{endpoint=\"{name}\"}}"))
-                .map(|(_, s)| s.count as f64)
-                .unwrap_or(0.0);
-            let span_count = series_value(&series, &span_series) - span_before;
+            let span_count = series_value(&series, &span_series);
             assert_eq!(
                 span_count, metric_requests,
                 "[threads={compute_threads}] span count and request counter diverged for {name}"
             );
 
             let errors_series = format!("wp_server_errors_total{{endpoint=\"{name}\"}}");
-            let metric_errors =
-                series_value(&series, &errors_series) - snap_counter(&before, &errors_series);
+            let metric_errors = series_value(&series, &errors_series);
             assert_eq!(
                 metric_errors, errors,
                 "error accounting diverged for {name}"
@@ -191,7 +179,6 @@ fn declined_answers_are_counted_beside_hits_and_misses() {
         .body
         .replacen('{', "{\"mode\":\"indexed\",\"k\":3,", 1);
 
-    let before = wp_obs::snapshot();
     // One shard serves every connection.
     let config = ServerConfig {
         workers: 1,
@@ -211,22 +198,20 @@ fn declined_answers_are_counted_beside_hits_and_misses() {
 
     let (status, stats_body) = fetch(&addr, "GET", "/stats", "");
     assert_eq!(status, 200);
-    let (status, metrics_body) = fetch(&addr, "GET", "/metrics", "");
-    assert_eq!(status, 200);
+    let series = scrape(&addr);
     server.shutdown();
 
-    let series = wp_obs::parse_prometheus(&metrics_body).expect("exposition parses");
-    let delta = |name: &str| series_value(&series, name) - snap_counter(&before, name);
+    let value = |name: &str| series_value(&series, name);
     assert_eq!(
-        delta("wp_server_cache_declined_total{cache=\"responses\"}"),
+        value("wp_server_cache_declined_total{cache=\"responses\"}"),
         2.0
     );
     assert_eq!(
-        delta("wp_server_cache_misses_total{cache=\"responses\"}"),
+        value("wp_server_cache_misses_total{cache=\"responses\"}"),
         3.0
     );
     assert_eq!(
-        delta("wp_server_cache_hits_total{cache=\"responses\"}"),
+        value("wp_server_cache_hits_total{cache=\"responses\"}"),
         1.0
     );
 
@@ -234,6 +219,97 @@ fn declined_answers_are_counted_beside_hits_and_misses() {
     let cache = stats.get("cache").expect("/stats has cache counters");
     assert_eq!(cache.get("hits").and_then(Json::as_f64), Some(1.0));
     assert_eq!(cache.get("misses").and_then(Json::as_f64), Some(3.0));
+}
+
+/// Two servers in one process each count only their own traffic: the
+/// request series are kept by each server, not by the process-global
+/// registry.
+#[test]
+fn each_server_counts_only_its_own_traffic() {
+    let _lock = guard();
+    let servers = [start_server(true, Some(1)), start_server(true, Some(1))];
+    let addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
+    let sent = [3.0, 5.0];
+    for (addr, &n) in addrs.iter().zip(&sent) {
+        for _ in 0..n as usize {
+            assert_eq!(fetch(addr, "GET", "/healthz", "").0, 200);
+        }
+    }
+    for (addr, &n) in addrs.iter().zip(&sent) {
+        let series = scrape(addr);
+        let value = |name: &str| series_value(&series, name);
+        assert_eq!(value("wp_server_requests_total{endpoint=\"/healthz\"}"), n);
+        assert_eq!(value("wp_server_request_count{endpoint=\"/healthz\"}"), n);
+        // One connection per request, and the scrape's own.
+        assert_eq!(value("wp_server_connections_total"), n + 1.0);
+    }
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// Every family a server owns is on its first scrape, with its kind,
+/// before any traffic: the counters read 0 (connections 1, the scrape's
+/// own), and the stream gauges read the startup corpus as `/stats` does.
+#[test]
+fn owned_series_are_on_the_first_scrape() {
+    let _lock = guard();
+    let server = start_server(true, Some(1));
+    let addr = server.addr().to_string();
+    let (status, exposition) = fetch(&addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let series = wp_obs::parse_prometheus(&exposition).expect("exposition parses");
+    let stats = Json::parse(&fetch(&addr, "GET", "/stats", "").1).expect("/stats is JSON");
+    server.shutdown();
+
+    let indexed_runs = stats
+        .get("stream")
+        .and_then(|s| s.get("indexed_runs"))
+        .and_then(Json::as_f64)
+        .expect("/stats reports the indexed runs");
+    assert!(indexed_runs > 0.0);
+    // (family, kind, label sets, value on the first scrape)
+    let endpoint: Vec<String> = wp_server::stats::ENDPOINTS
+        .iter()
+        .map(|e| format!("{{endpoint=\"{e}\"}}"))
+        .collect();
+    let caches = ["{cache=\"ref_data\"}", "{cache=\"responses\"}"].map(String::from);
+    let responses = ["{cache=\"responses\"}".to_string()];
+    let none = [String::new()];
+    let families: [(&str, &str, &[String], f64); 22] = [
+        ("wp_server_requests_total", "counter", &endpoint, 0.0),
+        ("wp_server_errors_total", "counter", &endpoint, 0.0),
+        ("wp_server_request_count", "counter", &endpoint, 0.0),
+        ("wp_server_request_ns_total", "counter", &endpoint, 0.0),
+        ("wp_server_request_ns_max", "gauge", &endpoint, 0.0),
+        ("wp_server_connections_total", "counter", &none, 1.0),
+        ("wp_server_cache_hits_total", "counter", &caches, 0.0),
+        ("wp_server_cache_misses_total", "counter", &caches, 0.0),
+        ("wp_server_cache_evictions_total", "counter", &caches, 0.0),
+        ("wp_server_cache_declined_total", "counter", &responses, 0.0),
+        ("wp_stream_ingest_batches_total", "counter", &none, 0.0),
+        ("wp_stream_ingest_runs_total", "counter", &none, 0.0),
+        ("wp_stream_rejected_batches_total", "counter", &none, 0.0),
+        ("wp_stream_evicted_runs_total", "counter", &none, 0.0),
+        ("wp_stream_rebuilds_total", "counter", &none, 0.0),
+        ("wp_stream_drift_events_total", "counter", &none, 0.0),
+        ("wp_stream_phase_shifts_total", "counter", &none, 0.0),
+        ("wp_stream_generation", "gauge", &none, 0.0),
+        ("wp_stream_tenants", "gauge", &none, 0.0),
+        ("wp_stream_live_references", "gauge", &none, 0.0),
+        ("wp_stream_indexed_runs", "gauge", &none, indexed_runs),
+        ("wp_stream_drift_ratio_micros", "gauge", &none, 0.0),
+    ];
+    for (family, kind, labels, expected) in families {
+        assert!(
+            exposition.contains(&format!("# TYPE {family} {kind}\n")),
+            "{family} is not typed {kind}:\n{exposition}"
+        );
+        for label in labels {
+            let name = format!("{family}{label}");
+            assert_eq!(series_value(&series, &name), expected, "{name}");
+        }
+    }
 }
 
 /// The observability flag must never change response bytes: the same

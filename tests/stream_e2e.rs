@@ -194,9 +194,9 @@ fn faulted_ingest_stays_live_and_never_half_applies() {
 
 #[test]
 fn stream_series_are_visible_on_metrics() {
-    // The wp-obs gate and registry are process-global and sticky, and
-    // other tests in this binary may run concurrently once it is on —
-    // so every assertion here is a floor, never an exact count.
+    // The stream series on `/metrics` are read from the engine this
+    // server published, like the `/stats` `stream` section, so the two
+    // agree exactly, whatever other servers this binary runs meanwhile.
     let server = start_server(Some(1), true, FaultPlan::default());
     let addr = server.addr().to_string();
 
@@ -216,15 +216,22 @@ fn stream_series_are_visible_on_metrics() {
             .unwrap_or_else(|| panic!("series {name} missing from /metrics"))
             .1
     };
-    // Counters are monotone, so this run's traffic is a hard floor.
-    assert!(value("wp_stream_ingest_batches_total") >= 18.0);
-    assert!(value("wp_stream_ingest_runs_total") >= 36.0);
+    let stats = get_json(&addr, "/stats");
+    let stream = stats.get("stream").expect("/stats has a stream section");
+    for (name, key) in [
+        ("wp_stream_ingest_batches_total", "ingested_batches"),
+        ("wp_stream_ingest_runs_total", "ingested_runs"),
+        ("wp_stream_drift_events_total", "drift_events"),
+        ("wp_stream_generation", "generation"),
+        ("wp_stream_live_references", "live_references"),
+    ] {
+        let ledger = stream.get(key).and_then(Json::as_f64).unwrap();
+        assert_eq!(value(name), ledger, "{name} disagrees with /stats {key}");
+    }
+    assert_eq!(value("wp_stream_ingest_batches_total"), 18.0);
+    assert_eq!(value("wp_stream_ingest_runs_total"), 36.0);
     assert!(value("wp_stream_drift_events_total") >= 2.0);
-    // Gauges are last-writer-wins across the servers other tests in this
-    // binary run concurrently; presence and plausibility is all that is
-    // stable to assert.
-    assert!(value("wp_stream_generation") > 0.0);
     assert!(value("wp_stream_live_references") > 0.0);
-    assert!(value("wp_stream_drift_ratio_micros") >= 0.0);
+    assert!(value("wp_stream_drift_ratio_micros") > 0.0);
     server.shutdown();
 }
