@@ -1,5 +1,8 @@
 //! Minimal `--flag value` argument parsing (no external dependency).
 
+use std::str::FromStr;
+use std::time::Duration;
+
 /// Parsed flags: `--name value` pairs plus standalone `--switch`es.
 #[derive(Debug, Default)]
 pub struct Args {
@@ -54,13 +57,63 @@ impl Args {
     }
 
     /// Parses `--name` as the given type, with a default.
-    pub fn parsed_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    pub fn parsed_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.get(name) {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("--{name}: cannot parse '{v}'")),
             None => Ok(default),
         }
+    }
+
+    /// [`Args::parsed_or`] for a count that must be at least 1.
+    pub fn positive_or<T: FromStr + PartialEq + From<u8>>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, String> {
+        let value = self.parsed_or(name, default)?;
+        if value == T::from(0) {
+            return Err(format!("--{name} must be positive"));
+        }
+        Ok(value)
+    }
+
+    /// `--name` as a number of seconds, with a default. A negative, NaN,
+    /// infinite or out-of-range value is an error.
+    pub fn seconds_or(&self, name: &str, default: Duration) -> Result<Duration, String> {
+        let Some(v) = self.get(name) else {
+            return Ok(default);
+        };
+        v.parse::<f64>()
+            .ok()
+            .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+            .ok_or_else(|| format!("--{name}: not a non-negative number of seconds: '{v}'"))
+    }
+
+    /// Fails on any flag outside `values` (flags that take a value) and
+    /// `switches` (bare flags), and on a flag given in the other form.
+    /// Every subcommand calls it before doing any work, so a typo or a
+    /// flag it does not take is an error, not a silently applied
+    /// default.
+    pub fn only(&self, values: &[&str], switches: &[&str]) -> Result<(), String> {
+        for (name, value) in &self.pairs {
+            if switches.contains(&name.as_str()) {
+                return Err(format!("--{name} takes no value, got '{value}'"));
+            }
+            if !values.contains(&name.as_str()) {
+                return Err(format!("unknown flag --{name}"));
+            }
+        }
+        for name in &self.switches {
+            if values.contains(&name.as_str()) {
+                return Err(format!("--{name} needs a value"));
+            }
+            if !switches.contains(&name.as_str()) {
+                return Err(format!("unknown flag --{name}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -101,6 +154,54 @@ mod tests {
     #[test]
     fn non_flag_token_rejected() {
         assert!(Args::parse(&sv(&["workload"])).is_err());
+    }
+
+    #[test]
+    fn only_rejects_unknown_flags_and_wrong_forms() {
+        let a = Args::parse(&sv(&["--workload", "YCSB", "--json"])).unwrap();
+        assert_eq!(a.only(&["workload", "sku"], &["json"]), Ok(()));
+        // A typo and a flag meant for another subcommand.
+        let typo = Args::parse(&sv(&["--terminalz", "64"])).unwrap();
+        assert_eq!(
+            typo.only(&["terminals"], &[]),
+            Err("unknown flag --terminalz".to_string())
+        );
+        let stray = Args::parse(&sv(&["--backend", "pool"])).unwrap();
+        assert!(stray.only(&["addr", "threads"], &["obs"]).is_err());
+        let bare = Args::parse(&sv(&["--verbose"])).unwrap();
+        assert!(bare.only(&[], &["json"]).is_err());
+        // A value flag without its value, and a switch given one.
+        let missing = Args::parse(&sv(&["--seed", "--json"])).unwrap();
+        assert_eq!(
+            missing.only(&["seed"], &["json"]),
+            Err("--seed needs a value".to_string())
+        );
+        let valued = Args::parse(&sv(&["--json", "1"])).unwrap();
+        assert!(valued.only(&[], &["json"]).is_err());
+    }
+
+    #[test]
+    fn seconds_reject_negative_nan_and_infinite_values() {
+        let ok = Args::parse(&sv(&["--timeout", "0.25", "--warmup", "0"])).unwrap();
+        let default = Duration::from_secs(3);
+        assert_eq!(
+            ok.seconds_or("timeout", default),
+            Ok(Duration::from_millis(250))
+        );
+        assert_eq!(ok.seconds_or("warmup", default), Ok(Duration::ZERO));
+        assert_eq!(ok.seconds_or("duration", default), Ok(default));
+        for bad in ["-1", "nan", "inf", "-inf", "1e300", "soon"] {
+            let a = Args::parse(&sv(&["--timeout", bad])).unwrap();
+            assert!(a.seconds_or("timeout", default).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn positive_counts_reject_zero() {
+        let a = Args::parse(&sv(&["--connections", "0", "--tenants", "3"])).unwrap();
+        assert!(a.positive_or::<usize>("connections", 4).is_err());
+        assert_eq!(a.positive_or::<u64>("tenants", 2), Ok(3));
+        assert_eq!(a.positive_or::<usize>("batches", 12), Ok(12));
     }
 
     #[test]

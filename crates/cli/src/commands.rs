@@ -12,6 +12,7 @@ use wp_workloads::spec::WorkloadSpec;
 use wp_workloads::{benchmarks, Sku};
 
 use crate::args::Args;
+use crate::loadgen::{load_config, streamer_config, write_report};
 
 /// Usage text shown on errors.
 pub const USAGE: &str = "\
@@ -33,6 +34,14 @@ usage:
               [--shift-after N] [--zoo] [--samples N] [--seed S] [--timeout SECONDS]
               [--faults SPEC] [--out FILE] [--verify-determinism] [--obs]
   wp trace    [--samples N] [--seed S] [--json]
+  wp loadgen  --addr HOST:PORT [--connections N] [--warmup SECONDS] [--duration SECONDS]
+              [--seed S] [--samples N] [--timeout SECONDS] [--retries N] [--requests N]
+              [--out FILE] [--metrics-out FILE]
+  wp loadgen  --mode step --addr HOST:PORT [--steps N,N,...] [--warmup SECONDS]
+              [--step-duration SECONDS] [--seed S] [--samples N] [--timeout SECONDS] [--out FILE]
+  wp loadgen  --mode streamer --addr HOST:PORT [--rate HZ] [--tenants N] [--batches N]
+              [--runs-per-batch N] [--shift-after N] [--zoo] [--seed S] [--samples N]
+              [--timeout SECONDS] [--out FILE]
 
 fault SPEC: seed=7,reset=0.05,latency=0.2,latency_ms=1..5,error=0.15,
             error:/similar=0.3,slow=0.1,truncate=0.05 (also read from WP_FAULTS)
@@ -56,7 +65,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let (cmd, rest) = argv.split_first().ok_or("no subcommand given")?;
     let args = Args::parse(rest)?;
     match cmd.as_str() {
-        "workloads" => cmd_workloads(),
+        "workloads" => cmd_workloads(&args),
         "simulate" => cmd_simulate(&args),
         "select" => cmd_select(&args),
         "similar" => cmd_similar(&args),
@@ -67,6 +76,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "chaos" => cmd_chaos(&args),
         "stream" => cmd_stream(&args),
         "trace" => cmd_trace(&args),
+        "loadgen" => crate::loadgen::cmd_loadgen(&args),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -130,12 +140,14 @@ fn sim_with_seed(args: &Args) -> Result<Simulator, String> {
     Ok(Simulator::new(args.parsed_or("seed", DEFAULT_SEED)?))
 }
 
-fn cmd_workloads() -> Result<(), String> {
+fn cmd_workloads(args: &Args) -> Result<(), String> {
+    args.only(&[], &[])?;
     print!("{}", wp_workloads::catalog::render_table1());
     Ok(())
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {
+    args.only(&["workload", "sku", "terminals", "run", "seed"], &["json"])?;
     let spec = workload_by_name(args.required("workload")?)?;
     let sku = parse_sku(args.required("sku")?)?;
     let default_terminals = *paper_terminals(&spec).first().unwrap();
@@ -196,6 +208,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_select(args: &Args) -> Result<(), String> {
+    args.only(&["strategy", "top", "sku", "seed"], &[])?;
     let strategy = parse_strategy(args.get("strategy").unwrap_or("fanova"))?;
     let top: usize = args.parsed_or("top", 7)?;
     let sku = parse_sku(args.get("sku").unwrap_or("cpu16"))?;
@@ -230,6 +243,7 @@ fn cmd_select(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_similar(args: &Args) -> Result<(), String> {
+    args.only(&["target", "sku", "top", "seed", "representation"], &[])?;
     let target = workload_by_name(args.required("target")?)?;
     let sku = parse_sku(args.get("sku").unwrap_or("cpu16"))?;
     let top: usize = args.parsed_or("top", 7)?;
@@ -295,6 +309,7 @@ fn cmd_similar(args: &Args) -> Result<(), String> {
 /// Dumps simulated runs as interchange JSON (the `wp_telemetry::io`
 /// schema), so external tooling can consume or imitate the format.
 fn cmd_export(args: &Args) -> Result<(), String> {
+    args.only(&["workload", "sku", "terminals", "runs", "seed"], &[])?;
     let spec = workload_by_name(args.required("workload")?)?;
     let sku = parse_sku(args.required("sku")?)?;
     let terminals: usize = args.parsed_or("terminals", *paper_terminals(&spec).first().unwrap())?;
@@ -324,6 +339,10 @@ fn cmd_export(args: &Args) -> Result<(), String> {
 /// `--threads` sets the `wp-reactor` event-loop shard count; every
 /// connection is served by one shard, from that shard's caches.
 fn cmd_serve(args: &Args) -> Result<(), String> {
+    args.only(
+        &["addr", "threads", "corpus", "samples", "seed", "faults"],
+        &["obs"],
+    )?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:8080").to_string();
     let threads: usize = args.parsed_or("threads", 4)?;
     let samples: usize = args.parsed_or("samples", 120)?;
@@ -387,6 +406,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// the service emitted. `--json` prints the snapshot as a JSON document
 /// instead of the table.
 fn cmd_trace(args: &Args) -> Result<(), String> {
+    args.only(&["samples", "seed"], &["json"])?;
     let samples: usize = args.parsed_or("samples", 60)?;
     let seed: u64 = args.parsed_or("seed", DEFAULT_SEED)?;
     let (driven, snap) = trace(samples, seed)?;
@@ -402,7 +422,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 /// Drives `wp trace`'s requests through an in-process service and
 /// returns how many it sent and the service's metrics snapshot. The
 /// same simulated corpus and request mix that back `wp serve` and
-/// `wp-loadgen` drive the handlers, plus a `POST` asked twice more so
+/// `wp loadgen` drive the handlers, plus a `POST` asked twice more so
 /// the response cache stores it and registers a hit.
 fn trace(samples: usize, seed: u64) -> Result<(usize, wp_obs::Snapshot), String> {
     wp_obs::enable();
@@ -521,6 +541,19 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     use std::time::Duration;
     use wp_faults::FaultPlan;
 
+    args.only(
+        &[
+            "plan",
+            "requests",
+            "connections",
+            "seed",
+            "samples",
+            "timeout",
+            "retries",
+            "out",
+        ],
+        &["verify-determinism", "obs"],
+    )?;
     let spec = match args.get("plan") {
         Some(s) => s.to_string(),
         None => match FaultPlan::from_env()? {
@@ -532,22 +565,29 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     if !plan.is_enabled() {
         return Err(format!("fault plan '{spec}' injects nothing"));
     }
-    let requests: u64 = args.parsed_or("requests", 60)?;
-    let connections: usize = args.parsed_or("connections", 1)?;
-    let samples: usize = args.parsed_or("samples", 40)?;
-    let seed: u64 = args.parsed_or("seed", DEFAULT_SEED)?;
-    let retries: u32 = args.parsed_or("retries", 3)?;
-    let timeout = Duration::from_secs_f64(args.parsed_or("timeout", 2.0)?);
-    let out = args.get("out").unwrap_or("BENCH_chaos.json").to_string();
+    let load = load_config(
+        args,
+        wp_loadgen::LoadConfig {
+            connections: 1,
+            seed: DEFAULT_SEED,
+            timeout: Duration::from_secs(2),
+            retries: 3,
+            requests_per_connection: Some(60),
+            ..wp_loadgen::LoadConfig::default()
+        },
+    )?;
+    let requests = load
+        .requests_per_connection
+        .expect("the chaos defaults set a request count");
+    let timeout = load.timeout;
+    let samples: usize = args.positive_or("samples", 40)?;
+    let out = args.get("out").unwrap_or("BENCH_chaos.json");
     let obs = args.switch("obs") || obs_from_env();
-    if requests == 0 {
-        return Err("--requests must be positive".to_string());
-    }
     if obs {
         wp_obs::enable();
     }
 
-    let mix = wp_loadgen::default_mix(seed, samples);
+    let mix = wp_loadgen::default_mix(load.seed, samples);
     let similar_body = mix
         .iter()
         .find(|e| e.path == "/similar")
@@ -561,7 +601,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
             // snapshot describes exactly that one experiment.
             wp_obs::reset();
         }
-        let corpus = wp_server::corpus::simulated_corpus(seed, samples);
+        let corpus = wp_server::corpus::simulated_corpus(load.seed, samples);
         let server = wp_server::Server::start(
             corpus,
             wp_server::ServerConfig {
@@ -576,17 +616,12 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         let addr = server.addr().to_string();
         let config = wp_loadgen::LoadConfig {
             addr: addr.clone(),
-            connections,
-            seed,
-            timeout,
-            retries,
-            requests_per_connection: Some(requests),
-            ..wp_loadgen::LoadConfig::default()
+            ..load.clone()
         };
         let report = wp_loadgen::run_load(&config, &mix)?;
 
         // Invariant 1: nothing hangs, everything is classified.
-        let total = connections.max(1) as u64 * requests;
+        let total = config.connections as u64 * requests;
         if report.requests + report.errors != total {
             server.shutdown();
             return Err(format!(
@@ -630,9 +665,10 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
 
     println!("chaos plan: {}", plan.render());
     println!(
-        "{} connection(s) x {requests} requests, timeout {:.1}s, {retries} retries",
-        connections.max(1),
-        timeout.as_secs_f64()
+        "{} connection(s) x {requests} requests, timeout {:.1}s, {} retries",
+        load.connections,
+        timeout.as_secs_f64(),
+        load.retries
     );
     let (report, taxonomy, metrics) = run_once()?;
 
@@ -659,7 +695,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         }
         None => taxonomy.clone(),
     };
-    std::fs::write(&out, format!("{output}\n")).map_err(|e| format!("cannot write {out}: {e}"))?;
+    write_report(out, &output)?;
     let t = &report.taxonomy;
     println!(
         "{} ok, {} failed; attempts: {} reset, {} timeout, {} 5xx, {} 4xx, {} malformed",
@@ -707,23 +743,38 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
 /// each tenant replays one `wp_workloads::zoo` scenario (recurring or
 /// shifting transaction mixes), advancing one evolution step per batch.
 fn cmd_stream(args: &Args) -> Result<(), String> {
-    use std::time::Duration;
     use wp_faults::FaultPlan;
 
-    let rate: f64 = args.parsed_or("rate", 40.0)?;
-    let tenants: usize = args.parsed_or("tenants", 2)?;
-    let batches: u64 = args.parsed_or("batches", 12)?;
-    let runs_per_batch: usize = args.parsed_or("runs-per-batch", 2)?;
-    let samples: usize = args.parsed_or("samples", 30)?;
-    let seed: u64 = args.parsed_or("seed", DEFAULT_SEED)?;
-    let shift_after: u64 = args.parsed_or("shift-after", (batches * 2 / 3).max(1))?;
-    let zoo = args.switch("zoo");
-    let timeout = Duration::from_secs_f64(args.parsed_or("timeout", 10.0)?);
-    let out = args.get("out").unwrap_or("BENCH_stream.json").to_string();
+    args.only(
+        &[
+            "rate",
+            "tenants",
+            "batches",
+            "runs-per-batch",
+            "shift-after",
+            "samples",
+            "seed",
+            "timeout",
+            "faults",
+            "out",
+        ],
+        &["zoo", "verify-determinism", "obs"],
+    )?;
+    let mut streamer = streamer_config(
+        args,
+        wp_loadgen::StreamerConfig {
+            seed: DEFAULT_SEED,
+            timeout: std::time::Duration::from_secs(10),
+            ..wp_loadgen::StreamerConfig::default()
+        },
+    )?;
+    // The shape-shift defaults to two-thirds through; one scheduled past
+    // the end never fires: the stationary run.
+    let batches = streamer.batches;
+    streamer.shift_after =
+        Some(streamer.shift_after.unwrap_or((batches * 2 / 3).max(1))).filter(|&s| s < batches);
+    let out = args.get("out").unwrap_or("BENCH_stream.json");
     let obs = args.switch("obs") || obs_from_env();
-    if batches == 0 || tenants == 0 {
-        return Err("--batches and --tenants must be positive".to_string());
-    }
     let plan = match args.get("faults") {
         Some(s) => Some(FaultPlan::parse(s)?),
         None => FaultPlan::from_env()?,
@@ -733,13 +784,11 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         wp_obs::enable();
     }
 
-    // A shift scheduled past the end never fires: the stationary run.
-    let shift = (shift_after < batches).then_some(shift_after);
     let run_once = || -> Result<(wp_loadgen::StreamReport, String), String> {
         if obs {
             wp_obs::reset();
         }
-        let corpus = wp_server::corpus::simulated_corpus(seed, samples);
+        let corpus = wp_server::corpus::simulated_corpus(streamer.seed, streamer.samples);
         let server = wp_server::Server::start(
             corpus,
             wp_server::ServerConfig {
@@ -751,17 +800,10 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             },
         )?;
         let addr = server.addr().to_string();
+        let timeout = streamer.timeout;
         let config = wp_loadgen::StreamerConfig {
             addr: addr.clone(),
-            rate_hz: rate,
-            tenants,
-            batches,
-            runs_per_batch,
-            samples,
-            seed,
-            shift_after: shift,
-            zoo,
-            timeout,
+            ..streamer.clone()
         };
         let report = wp_loadgen::run_stream(&config)?;
 
@@ -807,7 +849,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
                     report.batches_accepted
                 ));
             }
-            if shift.is_some() && report.drift_events == 0 {
+            if streamer.shift_after.is_some() && report.drift_events == 0 {
                 server.shutdown();
                 return Err("shape-shift scheduled but no drift event fired".to_string());
             }
@@ -818,9 +860,11 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     };
 
     println!(
-        "streaming {tenants} tenant(s) x {batches} batches ({runs_per_batch} runs each) \
-         at {rate} Hz{}",
-        match shift {
+        "streaming {} tenant(s) x {batches} batches ({} runs each) at {} Hz{}",
+        streamer.tenants,
+        streamer.runs_per_batch,
+        streamer.rate_hz,
+        match streamer.shift_after {
             Some(s) => format!(", shape-shift at batch {s}"),
             None => ", stationary".to_string(),
         }
@@ -841,8 +885,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         report.deterministic = Some(true);
     }
 
-    std::fs::write(&out, format!("{}\n", report.to_json()))
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    write_report(out, &report.to_json())?;
     println!(
         "{}/{} batches accepted at {:.1} batches/s; p50 {:.3} ms, p95 {:.3} ms, \
          p99 {:.3} ms; {} drift event(s), {} evicted run(s), generation {} -> {out}",
@@ -869,6 +912,10 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
 /// truth: the cheapest ladder SKU whose *actual* mean throughput meets
 /// the SLO.
 fn cmd_recommend(args: &Args) -> Result<(), String> {
+    args.only(
+        &["slo", "target", "scenario", "step", "samples", "seed"],
+        &["json"],
+    )?;
     let slo: f64 = args
         .required("slo")?
         .parse()
@@ -1032,6 +1079,7 @@ fn cmd_recommend(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_predict(args: &Args) -> Result<(), String> {
+    args.only(&["target", "from", "to", "terminals", "seed"], &[])?;
     let target = workload_by_name(args.required("target")?)?;
     let from = parse_sku(args.required("from")?)?;
     let to = parse_sku(args.required("to")?)?;

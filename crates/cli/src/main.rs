@@ -7,6 +7,7 @@
 //! wp similar   --target YCSB --sku cpu2          find similar workloads
 //! wp predict   --target YCSB --from cpu2 --to cpu8   end-to-end prediction
 //! wp serve     --addr 127.0.0.1:0 --threads 4    HTTP prediction service
+//! wp loadgen   --addr 127.0.0.1:8080             drive a running server
 //! ```
 //!
 //! Every command accepts `--seed <u64>` (default `0xEDB72025`) and
@@ -14,6 +15,7 @@
 
 mod args;
 mod commands;
+mod loadgen;
 
 use std::process::ExitCode;
 

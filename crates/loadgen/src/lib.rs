@@ -1,32 +1,51 @@
-//! `wp-loadgen` — a wrkr-style closed-loop load generator for
-//! `wp-server`.
+//! `wp-loadgen` — the load engine behind `wp loadgen`, `wp chaos` and
+//! `wp stream`.
 //!
-//! Closed loop means each connection keeps exactly one request in
-//! flight: send, wait for the full response, record the latency, send
-//! the next. `connections` threads each own one keep-alive connection
-//! and draw their request mix from a seeded [`Rng64`] stream, so the
-//! request *sequence* per connection is deterministic even though
-//! wall-clock timing is not.
+//! Every request goes through one client, and every closed-loop request
+//! through one worker. The client keeps a connection's keep-alive
+//! socket: it opens (and reopens) it, sends, reads the full response,
+//! classifies the attempt and retries transient failures. A worker runs
+//! one connection of a closed loop: it draws each request from a seeded
+//! weighted mix, hands it to its client and tallies the outcome until
+//! its stop rule — a deadline after a warmup, or a request count — says
+//! done. Handed expected answers, it has the client check each response
+//! against them. The modes are front ends over these two:
 //!
-//! A run has two phases, following the standard load-testing
-//! methodology: a warmup phase whose latencies are discarded (caches
-//! fill, branch predictors settle), then a measurement phase that feeds
-//! the report. The report — throughput plus nearest-rank p50/p95/p99/max
-//! latency — is written to `BENCH_server.json` in the same flat-object
-//! shape as `BENCH_runtime.json`.
+//! - [`run_load`], the closed loop: `connections` workers each keep one
+//!   request in flight, for a warmup plus a measurement window or for a
+//!   fixed request count;
+//! - [`run_steps`], the stepped ramp: one closed-loop run per connection
+//!   count, every response compared byte for byte with a prefetched
+//!   answer;
+//! - [`run_stream`], the streamer: one client posts multi-tenant
+//!   `/ingest` batches in order at a paced rate. Its loop stays its own:
+//!   a fixed sequence paced against a clock shares neither the draws nor
+//!   the stop rules of the closed loop, so folding it into the worker
+//!   would only add fields that the streamer alone sets.
+//!
+//! Each connection draws its mix from its own seeded [`Rng64`] stream,
+//! so the request *sequence* per connection is deterministic even though
+//! wall-clock timing is not. A timed run discards the latencies of the
+//! requests that start during its warmup (caches fill, branch predictors
+//! settle); every failed request counts, warmup included. One function,
+//! nearest-rank over the sorted sample, gives every report its
+//! p50/p95/p99/max.
 //!
 //! # Resilience
 //!
 //! The client is built to survive a faulty server (see `wp-faults`):
 //! every request runs under a read timeout, every failed attempt is
 //! classified into an error taxonomy ([`ErrorClass`]), and transient
-//! failures are retried up to [`LoadConfig::retries`] times with
-//! deterministic exponential backoff (jitter comes from a *separate*
-//! seeded stream so retry timing never shifts the request-mix draws).
-//! [`LoadConfig::requests_per_connection`] switches the run from
-//! time-bounded phases to a fixed request count, which makes the
-//! taxonomy a deterministic function of `(seed, fault plan)` for
-//! single-connection runs — the property the chaos suite asserts.
+//! failures — a refused connect included — are retried up to
+//! [`LoadConfig::retries`] times with deterministic exponential backoff
+//! (jitter comes from a *separate* seeded stream so retry timing never
+//! shifts the request-mix draws). A transient failure is backed off
+//! even when the budget is spent, so a server that refuses or drops
+//! connections is never hammered. [`LoadConfig::requests_per_connection`]
+//! switches the run from time-bounded phases to a fixed request count,
+//! which makes the taxonomy a deterministic function of
+//! `(seed, fault plan)` for single-connection runs — the property the
+//! chaos suite asserts.
 
 #![warn(missing_docs)]
 
@@ -53,7 +72,8 @@ pub struct MixEntry {
     pub weight: u32,
 }
 
-/// How a load run connects, paces, and seeds itself.
+/// How a closed-loop run connects, paces, and seeds itself. [`run_steps`]
+/// runs it once per step, with the step's connection count.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
     /// Server address, e.g. `127.0.0.1:8080`.
@@ -99,12 +119,13 @@ impl Default for LoadConfig {
 
 /// Classification of one failed request attempt.
 ///
-/// Everything except [`ErrorClass::ClientError`] is considered
-/// transient and retryable: resets and timeouts are classic network
-/// weather, a malformed (truncated / garbled) response means the bytes
-/// on the wire can't be trusted, and a 5xx is the server asking for a
-/// retry (`wp-server`'s injected `503` even says `Retry-After: 0`). A
-/// 4xx means the request itself is wrong and retrying cannot help.
+/// Resets, timeouts, malformed responses and 5xx are transient and
+/// retryable: resets and timeouts are classic network weather, a
+/// malformed (truncated / garbled) response means the bytes on the wire
+/// can't be trusted, and a 5xx is the server asking for a retry
+/// (`wp-server`'s injected `503` even says `Retry-After: 0`). A 4xx
+/// means the request itself is wrong, and a wrong answer to a request
+/// with a known answer is a server bug; retrying cannot help either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorClass {
     /// Connection refused / reset / broken mid-request.
@@ -118,12 +139,25 @@ pub enum ErrorClass {
     /// The response violated HTTP framing (truncated, bad status line,
     /// bad `Content-Length`, non-UTF-8 body).
     Malformed,
+    /// The server answered 2xx with other bytes than the request's
+    /// expected answer; not retried. Only runs that know the answers
+    /// ([`run_steps`]) can see it.
+    Mismatch,
 }
 
 impl ErrorClass {
     /// Whether a retry can plausibly succeed.
     pub fn retryable(self) -> bool {
-        !matches!(self, ErrorClass::ClientError)
+        !matches!(self, ErrorClass::ClientError | ErrorClass::Mismatch)
+    }
+
+    /// Whether a whole, well-framed response arrived: the connection is
+    /// still in step and stays open, and the server answered — wrongly.
+    fn answered(self) -> bool {
+        matches!(
+            self,
+            ErrorClass::ServerError | ErrorClass::ClientError | ErrorClass::Mismatch
+        )
     }
 
     /// Stable lowercase label used in reports.
@@ -134,16 +168,17 @@ impl ErrorClass {
             ErrorClass::ServerError => "server_error",
             ErrorClass::ClientError => "client_error",
             ErrorClass::Malformed => "malformed",
+            ErrorClass::Mismatch => "mismatch",
         }
     }
 }
 
 /// Per-class failure counters plus retry accounting for one run.
 ///
-/// `resets + timeouts + server_errors + client_errors + malformed`
-/// counts failed *attempts*; `retries` counts extra attempts made;
-/// `recovered` counts logical requests that failed at least once and
-/// then succeeded within the retry budget.
+/// `resets + timeouts + server_errors + client_errors + malformed +
+/// mismatches` counts failed *attempts*; `retries` counts extra attempts
+/// made; `recovered` counts logical requests that failed at least once
+/// and then succeeded within the retry budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Taxonomy {
     /// Attempts that ended in a connection reset / refusal.
@@ -156,6 +191,8 @@ pub struct Taxonomy {
     pub client_errors: u64,
     /// Attempts whose response violated HTTP framing.
     pub malformed: u64,
+    /// Attempts answered 2xx with bytes other than the expected answer.
+    pub mismatches: u64,
     /// Retry attempts performed (attempts beyond each request's first).
     pub retries: u64,
     /// Logical requests that succeeded after at least one failure.
@@ -171,7 +208,12 @@ impl Taxonomy {
 
     /// Total failed attempts across all classes.
     pub fn failed_attempts(&self) -> u64 {
-        self.resets + self.timeouts + self.server_errors + self.client_errors + self.malformed
+        self.resets
+            + self.timeouts
+            + self.server_errors
+            + self.client_errors
+            + self.malformed
+            + self.mismatches
     }
 
     fn count(&mut self, class: ErrorClass) {
@@ -181,6 +223,7 @@ impl Taxonomy {
             ErrorClass::ServerError => self.server_errors += 1,
             ErrorClass::ClientError => self.client_errors += 1,
             ErrorClass::Malformed => self.malformed += 1,
+            ErrorClass::Mismatch => self.mismatches += 1,
         }
     }
 
@@ -190,6 +233,7 @@ impl Taxonomy {
         self.server_errors += other.server_errors;
         self.client_errors += other.client_errors;
         self.malformed += other.malformed;
+        self.mismatches += other.mismatches;
         self.retries += other.retries;
         self.recovered += other.recovered;
     }
@@ -350,6 +394,37 @@ pub fn default_mix(seed: u64, samples: usize) -> Vec<MixEntry> {
 /// established, empty mix); per-request failures are counted in
 /// `Report::errors` and classified in `Report::taxonomy`.
 pub fn run_load(config: &LoadConfig, mix: &[MixEntry]) -> Result<Report, String> {
+    // Fail fast before spawning if the server is not there at all.
+    TcpStream::connect(&config.addr)
+        .map_err(|e| format!("cannot connect to {}: {e}", config.addr))?;
+    let (tally, measure_s) = closed_loop(config, mix, None)?;
+    let requests = tally.latencies.len() as u64;
+    let [p50_ms, p95_ms, p99_ms, max_ms] = latency_ms(&tally.latencies);
+    Ok(Report {
+        connections: config.connections.max(1),
+        warmup_s: config.warmup.as_secs_f64(),
+        measure_s,
+        requests,
+        errors: tally.errors,
+        throughput_rps: per_second(requests, measure_s),
+        p50_ms,
+        p95_ms,
+        p99_ms,
+        max_ms,
+        taxonomy: tally.taxonomy,
+    })
+}
+
+/// One closed-loop run of `config`: `connections` workers drawing from
+/// `mix`, connection `c` seeded `seed + c`, their responses compared
+/// with `expected` when given. Returns the merged tally and the
+/// measurement window in seconds — the configured one, or the elapsed
+/// time in fixed-request mode so throughput still means something.
+fn closed_loop(
+    config: &LoadConfig,
+    mix: &[MixEntry],
+    expected: Option<&[String]>,
+) -> Result<(Tally, f64), String> {
     if mix.is_empty() {
         return Err("request mix is empty".to_string());
     }
@@ -357,84 +432,29 @@ pub fn run_load(config: &LoadConfig, mix: &[MixEntry]) -> Result<Report, String>
     if total_weight == 0 {
         return Err("request mix has zero total weight".to_string());
     }
-    let connections = config.connections.max(1);
-    // Fail fast before spawning if the server is not there at all.
-    TcpStream::connect(&config.addr)
-        .map_err(|e| format!("cannot connect to {}: {e}", config.addr))?;
-
     let start = Instant::now();
-    let warmup_end = start + config.warmup;
-    let measure_end = warmup_end + config.measure;
-
-    let results: Vec<ConnResult> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..connections)
-            .map(|c| {
-                let addr = config.addr.clone();
-                let seed = config.seed.wrapping_add(c as u64);
-                s.spawn(move || {
-                    let mut client = Client {
-                        addr,
-                        timeout: config.timeout,
-                        retries: config.retries,
-                        // A dedicated jitter stream: backoff must never
-                        // advance the request-mix rng.
-                        jitter: Rng64::new(seed ^ 0x5EED_BACC_0FF5),
-                        conn: None,
-                    };
-                    match config.requests_per_connection {
-                        Some(n) => fixed_loop(&mut client, mix, total_weight, seed, n),
-                        None => timed_loop(
-                            &mut client,
-                            mix,
-                            total_weight,
-                            seed,
-                            warmup_end,
-                            measure_end,
-                        ),
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| ConnResult::panicked()))
-            .collect()
-    });
-    let elapsed = start.elapsed();
-
-    let mut latencies_ns: Vec<u64> = Vec::new();
-    let mut errors = 0u64;
-    let mut taxonomy = Taxonomy::default();
-    for r in results {
-        latencies_ns.extend(r.latencies);
-        errors += r.errors;
-        taxonomy.merge(&r.taxonomy);
-    }
-    latencies_ns.sort_unstable();
-    // Fixed-request mode has no configured measurement window; report
-    // the actual elapsed time so throughput still means something.
-    let measure_s = match config.requests_per_connection {
-        Some(_) => elapsed.as_secs_f64(),
-        None => config.measure.as_secs_f64(),
-    };
-    let to_ms = |ns: u64| ns as f64 / 1e6;
-    Ok(Report {
-        connections,
-        warmup_s: config.warmup.as_secs_f64(),
-        measure_s,
-        requests: latencies_ns.len() as u64,
-        errors,
-        throughput_rps: if measure_s > 0.0 {
-            latencies_ns.len() as f64 / measure_s
-        } else {
-            0.0
+    let stop = match config.requests_per_connection {
+        Some(n) => Stop::Count(n),
+        None => Stop::Deadline {
+            measure_from: start + config.warmup,
+            end: start + config.warmup + config.measure,
         },
-        p50_ms: to_ms(percentile(&latencies_ns, 50.0)),
-        p95_ms: to_ms(percentile(&latencies_ns, 95.0)),
-        p99_ms: to_ms(percentile(&latencies_ns, 99.0)),
-        max_ms: to_ms(latencies_ns.last().copied().unwrap_or(0)),
-        taxonomy,
-    })
+    };
+    let work = Work {
+        addr: &config.addr,
+        timeout: config.timeout,
+        retries: config.retries,
+        mix,
+        total_weight,
+        stop,
+        expected,
+    };
+    let tally = drive(&work, config.connections.max(1), config.seed);
+    let window = match stop {
+        Stop::Count(_) => start.elapsed(),
+        Stop::Deadline { .. } => config.measure,
+    };
+    Ok((tally, window.as_secs_f64()))
 }
 
 /// Performs one standalone request on a fresh connection and returns
@@ -447,29 +467,27 @@ pub fn fetch(
     body: &str,
     timeout: Duration,
 ) -> Result<(u16, String), ErrorClass> {
-    let mut conn = Connection::open(addr, timeout).map_err(|_| ErrorClass::Reset)?;
-    let entry = MixEntry {
-        method: if method.eq_ignore_ascii_case("POST") {
-            "POST"
-        } else {
-            "GET"
-        },
-        path: "",
-        body: body.to_string(),
-        weight: 1,
-    };
-    conn.send(&entry, path)?;
-    let (status, _keep_alive, response_body) = conn.read_response()?;
-    Ok((status, response_body))
+    let (status, response, _) = Client::new(addr, timeout, 0, 0).exchange(method, path, body)?;
+    Ok((status, response))
 }
 
-/// Nearest-rank percentile over an ascending-sorted sample (0 if empty).
+/// Nearest-rank p50, p95, p99 and max of an ascending latency sample in
+/// nanoseconds, as milliseconds (all 0 if empty).
 ///
 /// Delegates to [`wp_linalg::stats::nearest_rank`] so the load
-/// generator's report and the server's `/stats` endpoint agree on the
+/// generator's reports and the server's `/stats` endpoint agree on the
 /// percentile convention.
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    wp_linalg::stats::nearest_rank(sorted, p)
+fn latency_ms(sorted_ns: &[u64]) -> [f64; 4] {
+    [50.0, 95.0, 99.0, 100.0].map(|p| wp_linalg::stats::nearest_rank(sorted_ns, p) as f64 / 1e6)
+}
+
+/// `count` per second over `seconds` (0 for an empty window).
+fn per_second(count: u64, seconds: f64) -> f64 {
+    if seconds > 0.0 {
+        count as f64 / seconds
+    } else {
+        0.0
+    }
 }
 
 /// Deterministic exponential backoff with seeded jitter: 5 ms doubling
@@ -660,50 +678,44 @@ pub fn run_stream(config: &StreamerConfig) -> Result<StreamReport, String> {
     if config.tenants == 0 || config.batches == 0 || config.runs_per_batch == 0 {
         return Err("streamer needs tenants, batches, and runs per batch".to_string());
     }
-    if !(config.rate_hz.is_finite() && config.rate_hz > 0.0) {
-        return Err(format!("invalid target rate: {}", config.rate_hz));
-    }
-    let bodies: Vec<Vec<String>> = (0..config.tenants)
-        .map(|t| stream_bodies(config, t))
+    let interval = Some(config.rate_hz)
+        .filter(|hz| hz.is_finite() && *hz > 0.0)
+        .and_then(|hz| Duration::try_from_secs_f64(1.0 / hz).ok())
+        .ok_or_else(|| format!("invalid target rate: {}", config.rate_hz))?;
+    let mut tenants: Vec<_> = (0..config.tenants)
+        .map(|t| stream_bodies(config, t).into_iter())
         .collect();
-    let mut client = Client {
-        addr: config.addr.clone(),
-        timeout: config.timeout,
-        retries: 0,
-        jitter: Rng64::new(config.seed ^ 0x5EED_BACC_0FF5),
-        conn: None,
-    };
-    let interval = Duration::from_secs_f64(1.0 / config.rate_hz);
-    let start = Instant::now();
-    let mut next = start;
+    let mut client = Client::new(&config.addr, config.timeout, 0, config.seed);
     let mut taxonomy = Taxonomy::default();
-    let mut latencies_ns: Vec<u64> = Vec::new();
-    let mut sent = 0u64;
+    let mut latencies = Vec::new();
     let mut errors = 0u64;
+    let start = Instant::now();
+    let mut slot = start;
     // Batch-major interleave: every tenant advances one batch per round,
     // the way independent telemetry channels interleave on the wire.
-    for batch in 0..config.batches as usize {
-        for tenant_bodies in &bodies {
-            let now = Instant::now();
-            if now < next {
-                std::thread::sleep(next - now);
-            }
-            next += interval;
-            let entry = MixEntry {
+    for _ in 0..config.batches {
+        for bodies in &mut tenants {
+            let batch = MixEntry {
                 method: "POST",
                 path: "/ingest",
-                body: tenant_bodies[batch].clone(),
+                body: bodies.next().expect("one body per batch"),
                 weight: 1,
             };
-            sent += 1;
-            match client.logical_request(&entry, &mut taxonomy) {
-                Some(latency) => latencies_ns.push(latency),
-                None => errors += 1,
+            // Absolute slots: a slow request eats into the next slot
+            // instead of stretching the schedule.
+            let now = Instant::now();
+            if now < slot {
+                std::thread::sleep(slot - now);
+            }
+            slot += interval;
+            match client.request(&batch, None, &mut taxonomy) {
+                Ok(latency) => latencies.push(latency),
+                Err(_) => errors += 1,
             }
         }
     }
     let elapsed_s = start.elapsed().as_secs_f64();
-    latencies_ns.sort_unstable();
+    latencies.sort_unstable();
 
     let (status, stats_body) = fetch(&config.addr, "GET", "/stats", "", config.timeout)
         .map_err(|class| format!("post-run /stats probe failed: {}", class.label()))?;
@@ -717,69 +729,25 @@ pub fn run_stream(config: &StreamerConfig) -> Result<StreamReport, String> {
     let counter =
         |key: &str| -> u64 { stream.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64 };
 
-    let to_ms = |ns: u64| ns as f64 / 1e6;
+    let accepted = latencies.len() as u64;
+    let [p50_ms, p95_ms, p99_ms, max_ms] = latency_ms(&latencies);
     Ok(StreamReport {
         tenants: config.tenants,
         rate_hz: config.rate_hz,
-        batches_sent: sent,
-        batches_accepted: latencies_ns.len() as u64,
+        batches_sent: accepted + errors,
+        batches_accepted: accepted,
         errors,
         elapsed_s,
-        ingest_rps: if elapsed_s > 0.0 {
-            latencies_ns.len() as f64 / elapsed_s
-        } else {
-            0.0
-        },
-        p50_ms: to_ms(percentile(&latencies_ns, 50.0)),
-        p95_ms: to_ms(percentile(&latencies_ns, 95.0)),
-        p99_ms: to_ms(percentile(&latencies_ns, 99.0)),
-        max_ms: to_ms(latencies_ns.last().copied().unwrap_or(0)),
+        ingest_rps: per_second(accepted, elapsed_s),
+        p50_ms,
+        p95_ms,
+        p99_ms,
+        max_ms,
         drift_events: counter("drift_events"),
         evicted_runs: counter("evicted_runs"),
         generation: counter("generation"),
         deterministic: None,
     })
-}
-
-/// How the stepped-load scaling mode ramps concurrency.
-///
-/// The step schedule answers the serving-tier question the closed loop
-/// cannot: *how does latency and throughput move as concurrent
-/// keep-alive connections grow?* Each step opens `connections` closed
-/// loops, measures for [`StepConfig::step_duration`], and tears them
-/// down; the first step is preceded by a warmup whose latencies are
-/// discarded. Every response is validated byte-for-byte against a
-/// prefetched expected answer, so the curve only counts *correct* work.
-#[derive(Debug, Clone)]
-pub struct StepConfig {
-    /// Server address, e.g. `127.0.0.1:8080`.
-    pub addr: String,
-    /// Connection counts, one step each, in ramp order.
-    pub steps: Vec<usize>,
-    /// Warmup before the first step; latencies discarded.
-    pub warmup: Duration,
-    /// Measurement window per step.
-    pub step_duration: Duration,
-    /// Seed for the per-connection request-mix streams.
-    pub seed: u64,
-    /// Samples per simulated run in the request bodies.
-    pub samples: usize,
-    /// Per-request read timeout.
-    pub timeout: Duration,
-}
-
-impl Default for StepConfig {
-    fn default() -> Self {
-        Self {
-            addr: "127.0.0.1:8080".to_string(),
-            steps: vec![32, 64, 128, 256, 512, 1024],
-            warmup: Duration::from_secs(1),
-            step_duration: Duration::from_secs(2),
-            seed: 42,
-            samples: 30,
-            timeout: Duration::from_secs(30),
-        }
-    }
 }
 
 /// One rung of the scaling curve.
@@ -789,7 +757,8 @@ pub struct StepResult {
     pub connections: usize,
     /// Validated responses completed in the measurement window.
     pub requests: u64,
-    /// Transport failures (connect, reset, timeout) in the window.
+    /// Requests that failed without a whole response (connect, reset,
+    /// timeout, broken framing).
     pub errors: u64,
     /// Responses that arrived but did not match the expected bytes
     /// (wrong status or wrong body).
@@ -858,26 +827,32 @@ pub fn validated_mix(seed: u64, samples: usize) -> Vec<MixEntry> {
         .collect()
 }
 
-/// Runs the stepped-load ramp against `config.addr`.
+/// Runs the stepped-load ramp against `config.addr`: one closed-loop
+/// run of `config` per entry of `steps`, with that many connections.
+/// Only the first step warms up; every step measures for
+/// `config.measure`. `config.retries` and
+/// `config.requests_per_connection` are ignored: every step runs for its
+/// window, and a fault-free ramp counts every failure on its first
+/// attempt.
 ///
-/// Before the ramp, every mix entry is probed once and its response
-/// stored: handlers are deterministic functions of the request body and
-/// the corpus generation, and the mix never ingests, so one probe pins
-/// the full expected byte set. During the ramp every response is
-/// compared against it — a mismatch counts as a validation failure, not
-/// a request.
-pub fn run_steps(config: &StepConfig) -> Result<StepReport, String> {
-    if config.steps.is_empty() {
-        return Err("step schedule is empty".to_string());
-    }
-    let mix = validated_mix(config.seed, config.samples);
-    let total_weight: u32 = mix.iter().map(|e| e.weight).sum();
-    let max_conns = *config.steps.iter().max().expect("non-empty steps");
+/// Before the ramp, every entry of `mix` (a byte-validatable mix such as
+/// [`validated_mix`]) is probed once and its response stored: handlers
+/// are deterministic functions of the request body and the corpus
+/// generation, and the mix never ingests, so one probe pins the full
+/// expected byte set. During the ramp every response is compared
+/// against it — a mismatch counts as a validation failure, not a
+/// request.
+pub fn run_steps(
+    config: &LoadConfig,
+    steps: &[usize],
+    mix: &[MixEntry],
+) -> Result<StepReport, String> {
+    let max_conns = *steps.iter().max().ok_or("step schedule is empty")?;
     // One fd per connection plus headroom for the process's own files.
     wp_reactor::raise_nofile_limit(max_conns as u64 * 2 + 256);
 
     let mut expected: Vec<String> = Vec::with_capacity(mix.len());
-    for entry in &mix {
+    for entry in mix {
         let (status, body) = fetch(
             &config.addr,
             entry.method,
@@ -892,348 +867,166 @@ pub fn run_steps(config: &StepConfig) -> Result<StepReport, String> {
         expected.push(body);
     }
 
-    let mut steps = Vec::with_capacity(config.steps.len());
-    for (step_index, &connections) in config.steps.iter().enumerate() {
-        let connections = connections.max(1);
-        let warmup = if step_index == 0 {
-            config.warmup
-        } else {
-            Duration::ZERO
-        };
-        let start = Instant::now();
-        let warmup_end = start + warmup;
-        let end = warmup_end + config.step_duration;
-
-        let results: Vec<StepWorker> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..connections)
-                .map(|c| {
-                    // Distinct per-(step, connection) mix streams.
-                    let seed = config
-                        .seed
-                        .wrapping_add((step_index as u64) << 32)
-                        .wrapping_add(c as u64);
-                    let mix = &mix;
-                    let expected = &expected;
-                    let addr = &config.addr;
-                    let timeout = config.timeout;
-                    // Small stacks: a 1024-connection step would reserve
-                    // gigabytes at the default thread stack size.
-                    std::thread::Builder::new()
-                        .stack_size(256 * 1024)
-                        .spawn_scoped(s, move || {
-                            step_worker(
-                                addr,
-                                timeout,
-                                mix,
-                                total_weight,
-                                expected,
-                                seed,
-                                warmup_end,
-                                end,
-                            )
-                        })
-                        .expect("spawn step worker")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or(StepWorker {
-                        latencies: Vec::new(),
-                        errors: 1,
-                        validation_failures: 0,
-                    })
-                })
-                .collect()
-        });
-
-        let mut latencies_ns: Vec<u64> = Vec::new();
-        let mut errors = 0u64;
-        let mut validation_failures = 0u64;
-        for r in results {
-            latencies_ns.extend(r.latencies);
-            errors += r.errors;
-            validation_failures += r.validation_failures;
-        }
-        latencies_ns.sort_unstable();
-        let window_s = config.step_duration.as_secs_f64();
-        let to_ms = |ns: u64| ns as f64 / 1e6;
-        steps.push(StepResult {
+    let mut results = Vec::with_capacity(steps.len());
+    for (index, &connections) in steps.iter().enumerate() {
+        let step = LoadConfig {
             connections,
-            requests: latencies_ns.len() as u64,
-            errors,
-            validation_failures,
-            throughput_rps: if window_s > 0.0 {
-                latencies_ns.len() as f64 / window_s
+            warmup: if index == 0 {
+                config.warmup
             } else {
-                0.0
+                Duration::ZERO
             },
-            p50_ms: to_ms(percentile(&latencies_ns, 50.0)),
-            p95_ms: to_ms(percentile(&latencies_ns, 95.0)),
-            p99_ms: to_ms(percentile(&latencies_ns, 99.0)),
-            max_ms: to_ms(latencies_ns.last().copied().unwrap_or(0)),
+            // Distinct per-(step, connection) mix streams.
+            seed: config.seed.wrapping_add((index as u64) << 32),
+            retries: 0,
+            requests_per_connection: None,
+            ..config.clone()
+        };
+        let (tally, window_s) = closed_loop(&step, mix, Some(&expected))?;
+        // With no retries each failed request is one failed attempt: those
+        // that got a whole response got the wrong answer rather than none.
+        let t = &tally.taxonomy;
+        let validation_failures = t.server_errors + t.client_errors + t.mismatches;
+        let requests = tally.latencies.len() as u64;
+        let [p50_ms, p95_ms, p99_ms, max_ms] = latency_ms(&tally.latencies);
+        results.push(StepResult {
+            connections: connections.max(1),
+            requests,
+            errors: tally.errors - validation_failures,
+            validation_failures,
+            throughput_rps: per_second(requests, window_s),
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            max_ms,
         });
     }
     Ok(StepReport {
         warmup_s: config.warmup.as_secs_f64(),
-        step_s: config.step_duration.as_secs_f64(),
-        steps,
+        step_s: config.measure.as_secs_f64(),
+        steps: results,
     })
 }
 
-/// What one stepped-load connection thread hands back.
-struct StepWorker {
-    latencies: Vec<u64>,
-    errors: u64,
-    validation_failures: u64,
-}
-
-/// One validated closed loop: send, read, byte-compare, repeat until the
-/// step deadline. No retries — in the scaling run the server is
-/// fault-free, so any failure is signal, not weather.
-#[allow(clippy::too_many_arguments)]
-fn step_worker(
-    addr: &str,
+/// What a closed-loop worker runs: the data that tells timed, counted
+/// and validated runs apart.
+struct Work<'a> {
+    addr: &'a str,
     timeout: Duration,
-    mix: &[MixEntry],
+    /// Retry budget per logical request.
+    retries: u32,
+    /// The request templates, drawn by weight.
+    mix: &'a [MixEntry],
+    /// The sum of the mix's weights.
     total_weight: u32,
-    expected: &[String],
-    seed: u64,
-    warmup_end: Instant,
-    end: Instant,
-) -> StepWorker {
-    let mut rng = Rng64::new(seed);
-    let mut out = StepWorker {
-        latencies: Vec::new(),
-        errors: 0,
-        validation_failures: 0,
-    };
-    let mut conn: Option<Connection> = None;
-    loop {
-        let started = Instant::now();
-        if started >= end {
-            break;
-        }
-        let idx = draw_index(mix, total_weight, &mut rng);
-        let entry = &mix[idx];
-        let measured = started >= warmup_end;
-        let c = match conn.as_mut() {
-            Some(c) => c,
-            None => match open_with_retry(addr, timeout, end) {
-                Some(opened) => conn.insert(opened),
-                None => {
-                    // Could not (re)connect before the deadline. Only a
-                    // measured-window failure taints the step.
-                    if measured {
-                        out.errors += 1;
-                    }
-                    break;
-                }
-            },
-        };
-        let result = c.send(entry, entry.path).and_then(|()| c.read_response());
-        let elapsed_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        match result {
-            Ok((status, keep_alive, body)) => {
-                if !keep_alive {
-                    conn = None;
-                }
-                if status != 200 || body != expected[idx] {
-                    if measured {
-                        out.validation_failures += 1;
-                    }
-                } else if measured {
-                    out.latencies.push(elapsed_ns);
-                }
-            }
-            Err(_) => {
-                conn = None;
-                if measured {
-                    out.errors += 1;
-                }
-            }
-        }
-    }
-    out
+    /// When the worker stops.
+    stop: Stop,
+    /// The expected response body of each mix entry, by index.
+    expected: Option<&'a [String]>,
 }
 
-/// Opens a connection, absorbing transient refusals (listen-backlog
-/// pressure while a big step ramps) with short sleeps until `deadline`.
-fn open_with_retry(addr: &str, timeout: Duration, deadline: Instant) -> Option<Connection> {
-    const PAUSE: Duration = Duration::from_millis(50);
-    loop {
-        match Connection::open(addr, timeout) {
-            Ok(conn) => return Some(conn),
-            Err(_) => {
-                if Instant::now() + PAUSE >= deadline {
-                    return None;
-                }
-                std::thread::sleep(PAUSE);
-            }
+/// When a worker stops.
+#[derive(Clone, Copy)]
+enum Stop {
+    /// After this many logical requests, every one measured.
+    Count(u64),
+    /// At `end`; a success that started before `measure_from` is warmup,
+    /// and its latency is discarded.
+    Deadline { measure_from: Instant, end: Instant },
+}
+
+impl Stop {
+    fn reached(self, sent: u64, now: Instant) -> bool {
+        match self {
+            Stop::Count(n) => sent >= n,
+            Stop::Deadline { end, .. } => now >= end,
+        }
+    }
+
+    fn measures(self, now: Instant) -> bool {
+        match self {
+            Stop::Count(_) => true,
+            Stop::Deadline { measure_from, .. } => now >= measure_from,
         }
     }
 }
 
-/// What one connection thread hands back.
-struct ConnResult {
+/// What one worker — or a whole run, merged — hands back.
+#[derive(Default)]
+struct Tally {
+    /// Latencies of the measured successes, nanoseconds.
     latencies: Vec<u64>,
+    /// Logical requests that failed, in any phase.
     errors: u64,
     taxonomy: Taxonomy,
 }
 
-impl ConnResult {
-    fn panicked() -> Self {
-        Self {
-            latencies: Vec::new(),
-            errors: 1,
-            taxonomy: Taxonomy::default(),
-        }
+impl Tally {
+    fn merge(&mut self, other: Tally) {
+        self.latencies.extend(other.latencies);
+        self.errors += other.errors;
+        self.taxonomy.merge(&other.taxonomy);
     }
 }
 
-/// One connection's resilient client state.
-struct Client {
-    addr: String,
-    timeout: Duration,
-    retries: u32,
-    jitter: Rng64,
-    conn: Option<Connection>,
+/// Runs `connections` workers on threads of their own, connection `c`
+/// seeded `seed + c`, and merges what they hand back, latencies sorted.
+fn drive(work: &Work, connections: usize, seed: u64) -> Tally {
+    let tallies: Vec<Tally> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..connections)
+            .map(|c| {
+                // Small stacks: a 1024-connection step would reserve
+                // gigabytes at the default thread stack size.
+                std::thread::Builder::new()
+                    .stack_size(256 * 1024)
+                    .spawn_scoped(s, move || worker(work, seed.wrapping_add(c as u64)))
+                    .expect("spawn load worker")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join().unwrap_or(Tally {
+                    errors: 1,
+                    ..Tally::default()
+                })
+            })
+            .collect()
+    });
+    let mut total = Tally::default();
+    for tally in tallies {
+        total.merge(tally);
+    }
+    total.latencies.sort_unstable();
+    total
 }
 
-impl Client {
-    /// One logical request: up to `1 + retries` attempts with backoff.
-    /// Returns the latency of the successful attempt, or `None` when
-    /// the budget is exhausted (or the failure is non-retryable).
-    fn logical_request(&mut self, entry: &MixEntry, taxonomy: &mut Taxonomy) -> Option<u64> {
-        let mut failed_before = false;
-        for attempt in 0..=self.retries {
-            if attempt > 0 {
-                taxonomy.retries += 1;
-                std::thread::sleep(backoff_delay(attempt - 1, &mut self.jitter));
-            }
-            match self.attempt(entry) {
-                Ok(latency_ns) => {
-                    if failed_before {
-                        taxonomy.recovered += 1;
-                    }
-                    return Some(latency_ns);
-                }
-                Err(class) => {
-                    taxonomy.count(class);
-                    failed_before = true;
-                    if !class.retryable() {
-                        return None;
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// One attempt: reuse or open the connection, send, read a full
-    /// response. Any failure drops the connection (its stream position
-    /// is no longer trustworthy).
-    fn attempt(&mut self, entry: &MixEntry) -> Result<u64, ErrorClass> {
-        let result = (|| {
-            let conn = match self.conn.as_mut() {
-                Some(c) => c,
-                None => {
-                    let opened = Connection::open(&self.addr, self.timeout)
-                        .map_err(|_| ErrorClass::Reset)?;
-                    self.conn.insert(opened)
-                }
-            };
-            let started = Instant::now();
-            conn.send(entry, entry.path)?;
-            let (status, keep_alive, _body) = conn.read_response()?;
-            let elapsed_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            if !keep_alive {
-                self.conn = None;
-            }
-            match status {
-                200..=299 => Ok(elapsed_ns),
-                500..=599 => Err(ErrorClass::ServerError),
-                400..=499 => Err(ErrorClass::ClientError),
-                _ => Err(ErrorClass::Malformed),
-            }
-        })();
-        if let Err(class) = result {
-            // 4xx/5xx arrived on an intact stream; everything else
-            // leaves the connection unusable.
-            if !matches!(class, ErrorClass::ServerError | ErrorClass::ClientError) {
-                self.conn = None;
-            }
-        }
-        result
-    }
-}
-
-/// Fixed-request closed loop (chaos mode): exactly `n` logical requests
-/// drawn from the mix, all successful latencies recorded.
-fn fixed_loop(
-    client: &mut Client,
-    mix: &[MixEntry],
-    total_weight: u32,
-    seed: u64,
-    n: u64,
-) -> ConnResult {
-    let mut rng = Rng64::new(seed);
-    let mut result = ConnResult {
-        latencies: Vec::new(),
-        errors: 0,
-        taxonomy: Taxonomy::default(),
-    };
-    for _ in 0..n {
-        let entry = draw(mix, total_weight, &mut rng);
-        match client.logical_request(entry, &mut result.taxonomy) {
-            Some(latency) => result.latencies.push(latency),
-            None => result.errors += 1,
-        }
-    }
-    result
-}
-
-/// Time-bounded closed loop (benchmark mode): warmup latencies are
-/// discarded, measurement latencies feed the report.
-fn timed_loop(
-    client: &mut Client,
-    mix: &[MixEntry],
-    total_weight: u32,
-    seed: u64,
-    warmup_end: Instant,
-    measure_end: Instant,
-) -> ConnResult {
-    let mut rng = Rng64::new(seed);
-    let mut result = ConnResult {
-        latencies: Vec::new(),
-        errors: 0,
-        taxonomy: Taxonomy::default(),
-    };
+/// One connection's closed loop: draw, send through the client and
+/// tally, until the stop rule says done.
+fn worker(work: &Work, seed: u64) -> Tally {
+    let mut client = Client::new(work.addr, work.timeout, work.retries, seed);
+    let mut draws = Rng64::new(seed);
+    let mut tally = Tally::default();
+    let mut sent = 0u64;
     loop {
-        let started = Instant::now();
-        if started >= measure_end {
+        let now = Instant::now();
+        if work.stop.reached(sent, now) {
             break;
         }
-        let entry = draw(mix, total_weight, &mut rng);
-        match client.logical_request(entry, &mut result.taxonomy) {
-            Some(latency) => {
-                if started >= warmup_end {
-                    result.latencies.push(latency);
-                }
-            }
-            None => result.errors += 1,
+        let index = draw_index(work.mix, work.total_weight, &mut draws);
+        let expected = work.expected.map(|answers| answers[index].as_str());
+        match client.request(&work.mix[index], expected, &mut tally.taxonomy) {
+            Ok(latency) if work.stop.measures(now) => tally.latencies.push(latency),
+            Ok(_) => {}
+            Err(_) => tally.errors += 1,
         }
+        sent += 1;
     }
-    result
+    tally
 }
 
-/// Weighted draw from the mix (integer lottery over `total_weight`).
-fn draw<'m>(mix: &'m [MixEntry], total_weight: u32, rng: &mut Rng64) -> &'m MixEntry {
-    &mix[draw_index(mix, total_weight, rng)]
-}
-
-/// [`draw`], returning the entry's index (the stepped-load validator
-/// keys its expected-bytes table by mix position).
+/// Weighted draw from the mix (integer lottery over `total_weight`),
+/// returning the entry's index.
 fn draw_index(mix: &[MixEntry], total_weight: u32, rng: &mut Rng64) -> usize {
     let mut ticket = rng.below(total_weight as usize) as u32;
     for (i, entry) in mix.iter().enumerate() {
@@ -1245,6 +1038,126 @@ fn draw_index(mix: &[MixEntry], total_weight: u32, rng: &mut Rng64) -> usize {
     mix.len() - 1
 }
 
+/// One connection's resilient client: it keeps one keep-alive
+/// connection, opening it again after any failure that leaves its
+/// stream position untrustworthy.
+struct Client<'a> {
+    addr: &'a str,
+    timeout: Duration,
+    retries: u32,
+    /// A dedicated jitter stream: backoff must never advance the
+    /// request-mix draws.
+    jitter: Rng64,
+    /// Transient failures since the last success, across requests: the
+    /// backoff exponent.
+    streak: u32,
+    conn: Option<Connection>,
+}
+
+impl<'a> Client<'a> {
+    fn new(addr: &'a str, timeout: Duration, retries: u32, seed: u64) -> Self {
+        Self {
+            addr,
+            timeout,
+            retries,
+            jitter: Rng64::new(seed ^ 0x5EED_BACC_0FF5),
+            streak: 0,
+            conn: None,
+        }
+    }
+
+    /// One logical request: up to `1 + retries` attempts. Every
+    /// transient failure is backed off, the last one too, and the
+    /// backoff keeps growing while the failures run on across requests:
+    /// a connection never hammers a server that refuses or drops it.
+    /// Returns the latency of the successful attempt, or the class of the
+    /// last failed one when the budget is exhausted (or the failure is
+    /// non-retryable).
+    fn request(
+        &mut self,
+        entry: &MixEntry,
+        expected: Option<&str>,
+        taxonomy: &mut Taxonomy,
+    ) -> Result<u64, ErrorClass> {
+        let mut retry = 0;
+        loop {
+            let class = match self.attempt(entry, expected) {
+                Ok(latency_ns) => {
+                    self.streak = 0;
+                    if retry > 0 {
+                        taxonomy.recovered += 1;
+                    }
+                    return Ok(latency_ns);
+                }
+                Err(class) => class,
+            };
+            taxonomy.count(class);
+            if !class.retryable() {
+                return Err(class);
+            }
+            std::thread::sleep(backoff_delay(self.streak, &mut self.jitter));
+            self.streak = self.streak.saturating_add(1);
+            if retry == self.retries {
+                return Err(class);
+            }
+            taxonomy.retries += 1;
+            retry += 1;
+        }
+    }
+
+    /// One attempt, classified by its status and, when the answer is
+    /// known, by its body.
+    fn attempt(&mut self, entry: &MixEntry, expected: Option<&str>) -> Result<u64, ErrorClass> {
+        let (status, body, latency_ns) = self.exchange(entry.method, entry.path, &entry.body)?;
+        let class = match status {
+            200..=299 if expected.is_none_or(|answer| answer == body) => return Ok(latency_ns),
+            200..=299 => ErrorClass::Mismatch,
+            500..=599 => ErrorClass::ServerError,
+            400..=499 => ErrorClass::ClientError,
+            _ => ErrorClass::Malformed,
+        };
+        if !class.answered() {
+            self.conn = None;
+        }
+        Err(class)
+    }
+
+    /// Sends one request on the kept connection, opening one first if
+    /// there is none, and reads the whole response: its status, its body
+    /// and the time from send to last byte. A failure, or a response
+    /// that closes the connection, drops it.
+    fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &str,
+    ) -> Result<(u16, String, u64), ErrorClass> {
+        let result = (|| {
+            let conn = match self.conn.as_mut() {
+                Some(c) => c,
+                None => self.conn.insert(Connection::open(self.addr, self.timeout)?),
+            };
+            let started = Instant::now();
+            conn.send(method, path, body)?;
+            let (status, keep_alive, response) = conn.read_response()?;
+            let elapsed_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            Ok((status, keep_alive, response, elapsed_ns))
+        })();
+        match result {
+            Ok((status, keep_alive, response, elapsed_ns)) => {
+                if !keep_alive {
+                    self.conn = None;
+                }
+                Ok((status, response, elapsed_ns))
+            }
+            Err(class) => {
+                self.conn = None;
+                Err(class)
+            }
+        }
+    }
+}
+
 /// One keep-alive client connection with buffered reader/writer halves.
 struct Connection {
     reader: BufReader<TcpStream>,
@@ -1252,16 +1165,13 @@ struct Connection {
 }
 
 impl Connection {
-    fn open(addr: &str, timeout: Duration) -> Result<Self, String> {
-        let stream =
-            TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    /// Connects; a refusal, or any other failure to set the socket up,
+    /// is an [`ErrorClass::Reset`].
+    fn open(addr: &str, timeout: Duration) -> Result<Self, ErrorClass> {
+        let stream = TcpStream::connect(addr).map_err(|_| ErrorClass::Reset)?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(timeout));
-        let reader = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| format!("cannot clone stream: {e}"))?,
-        );
+        let reader = BufReader::new(stream.try_clone().map_err(|_| ErrorClass::Reset)?);
         Ok(Self {
             reader,
             writer: BufWriter::new(stream),
@@ -1269,14 +1179,11 @@ impl Connection {
     }
 
     /// Writes one request; classifies write failures as [`ErrorClass::Reset`].
-    fn send(&mut self, entry: &MixEntry, path: &str) -> Result<(), ErrorClass> {
+    fn send(&mut self, method: &str, path: &str, body: &str) -> Result<(), ErrorClass> {
         write!(
             self.writer,
-            "{} {} HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{}",
-            entry.method,
-            path,
-            entry.body.len(),
-            entry.body
+            "{method} {path} HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len(),
         )
         .and_then(|()| self.writer.flush())
         .map_err(|_| ErrorClass::Reset)
@@ -1358,14 +1265,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentiles_use_nearest_rank() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 50.0), 50);
-        assert_eq!(percentile(&sorted, 95.0), 95);
-        assert_eq!(percentile(&sorted, 99.0), 99);
-        assert_eq!(percentile(&sorted, 100.0), 100);
-        assert_eq!(percentile(&[7], 50.0), 7);
-        assert_eq!(percentile(&[], 99.0), 0);
+    fn latency_percentiles_use_nearest_rank() {
+        let sorted: Vec<u64> = (1..=100).map(|ms| ms * 1_000_000).collect();
+        assert_eq!(latency_ms(&sorted), [50.0, 95.0, 99.0, 100.0]);
+        assert_eq!(latency_ms(&[7_000_000]), [7.0; 4]);
+        assert_eq!(latency_ms(&[]), [0.0; 4]);
+    }
+
+    #[test]
+    fn stop_rules_count_requests_or_watch_the_clock() {
+        let now = Instant::now();
+        assert!(!Stop::Count(2).reached(1, now));
+        assert!(Stop::Count(2).reached(2, now));
+        assert!(Stop::Count(2).measures(now));
+        let timed = Stop::Deadline {
+            measure_from: now + Duration::from_secs(1),
+            end: now + Duration::from_secs(3),
+        };
+        assert!(!timed.measures(now), "warmup latencies are discarded");
+        assert!(timed.measures(now + Duration::from_secs(1)));
+        assert!(!timed.reached(0, now + Duration::from_secs(2)));
+        assert!(timed.reached(0, now + Duration::from_secs(3)));
     }
 
     #[test]
@@ -1438,7 +1358,7 @@ mod tests {
         let mut rng = Rng64::new(3);
         let mut b_count = 0;
         for _ in 0..1000 {
-            if draw(&mix, 10, &mut rng).path == "/b" {
+            if mix[draw_index(&mix, 10, &mut rng)].path == "/b" {
                 b_count += 1;
             }
         }
@@ -1541,8 +1461,25 @@ mod tests {
             assert!(class.retryable(), "{class:?}");
         }
         assert!(!ErrorClass::ClientError.retryable());
+        assert!(!ErrorClass::Mismatch.retryable());
         assert_eq!(ErrorClass::Reset.label(), "reset");
         assert_eq!(ErrorClass::ServerError.label(), "server_error");
+        assert_eq!(ErrorClass::Mismatch.label(), "mismatch");
+        // Only a whole response leaves the connection usable.
+        for class in [
+            ErrorClass::ServerError,
+            ErrorClass::ClientError,
+            ErrorClass::Mismatch,
+        ] {
+            assert!(class.answered(), "{class:?}");
+        }
+        for class in [
+            ErrorClass::Reset,
+            ErrorClass::Timeout,
+            ErrorClass::Malformed,
+        ] {
+            assert!(!class.answered(), "{class:?}");
+        }
     }
 
     #[test]
@@ -1559,6 +1496,29 @@ mod tests {
     }
 
     #[test]
+    fn refused_connects_back_off_even_without_retries() {
+        // A port nothing listens on: every connect is refused.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap()
+            .to_string();
+        let entry = &default_mix(1, 10)[0];
+        let mut client = Client::new(&addr, Duration::from_secs(1), 0, 5);
+        let mut taxonomy = Taxonomy::default();
+        let started = Instant::now();
+        for _ in 0..3 {
+            assert_eq!(
+                client.request(entry, None, &mut taxonomy),
+                Err(ErrorClass::Reset)
+            );
+        }
+        // 5, 10 and 20 ms at least: the backoff grows across requests.
+        assert!(started.elapsed() >= Duration::from_millis(35));
+        assert_eq!((taxonomy.resets, taxonomy.retries), (3, 0));
+        assert_eq!(client.streak, 3);
+    }
+
+    #[test]
     fn taxonomy_counting_and_merge() {
         let mut t = Taxonomy::default();
         assert!(t.is_clean());
@@ -1567,15 +1527,16 @@ mod tests {
         t.count(ErrorClass::ServerError);
         t.count(ErrorClass::ClientError);
         t.count(ErrorClass::Malformed);
+        t.count(ErrorClass::Mismatch);
         assert!(!t.is_clean());
-        assert_eq!(t.failed_attempts(), 5);
+        assert_eq!(t.failed_attempts(), 6);
         let mut merged = Taxonomy {
             retries: 2,
             recovered: 1,
             ..Taxonomy::default()
         };
         merged.merge(&t);
-        assert_eq!(merged.failed_attempts(), 5);
+        assert_eq!(merged.failed_attempts(), 6);
         assert_eq!(merged.retries, 2);
     }
 }

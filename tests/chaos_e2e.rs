@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use wp_faults::{corrupt_reference, Corruption, FaultPlan};
 use wp_json::Json;
-use wp_loadgen::{default_mix, run_load, LoadConfig, Report};
+use wp_loadgen::{default_mix, run_load, LoadConfig, Report, Taxonomy};
 use wp_server::corpus::{corpus_to_json, simulated_corpus};
 use wp_server::{Server, ServerConfig, ServerHandle};
 use wp_telemetry::io::run_to_json;
@@ -120,6 +120,68 @@ fn moderate_plan_every_request_is_classified_and_most_recover() {
         report.taxonomy.recovered > 0,
         "with a retry budget of 3 some requests must recover: {report:?}"
     );
+}
+
+/// `wp chaos --requests 60`: its default plan, seed, corpus, request
+/// mix and client settings, against one shard. The two tests below
+/// compare runs of one build with each other; this one pins the
+/// taxonomy and the requests each endpoint served, so a client that
+/// drew, retried or backed off differently fails here. A change that
+/// moves these numbers updates them and says why.
+#[test]
+fn default_chaos_run_taxonomy_is_pinned() {
+    let plan = "seed=7,reset=0.05,latency=0.2,latency_ms=1..5,error=0.15,slow=0.1,truncate=0.08";
+    let server = start_faulted_on(plan, 1, 1);
+    let config = LoadConfig {
+        addr: server.addr().to_string(),
+        connections: 1,
+        seed: 0xEDB7_2025,
+        timeout: Duration::from_secs(2),
+        retries: 3,
+        requests_per_connection: Some(60),
+        ..LoadConfig::default()
+    };
+    let report = run_load(&config, &default_mix(config.seed, 40)).expect("chaos run");
+    // Which endpoints the attempts reached: the faults are keyed on
+    // request ordinals, so only these counts show the request draws.
+    let stats = server.state().stats.to_json((0, 0));
+    server.shutdown();
+    let reached: Vec<(String, f64)> = stats
+        .get("endpoints")
+        .and_then(Json::as_arr)
+        .expect("per-endpoint rows")
+        .iter()
+        .map(|row| {
+            let count = |key: &str| row.get(key).and_then(Json::as_f64).unwrap_or(-1.0);
+            let name = row.get("endpoint").and_then(Json::as_str).unwrap_or("?");
+            (name.to_string(), count("requests"))
+        })
+        .filter(|(_, requests)| *requests > 0.0)
+        .collect();
+    assert_eq!((report.requests, report.errors), (60, 0), "{report:?}");
+    assert_eq!(
+        report.taxonomy,
+        Taxonomy {
+            resets: 0,
+            timeouts: 0,
+            server_errors: 12,
+            client_errors: 0,
+            malformed: 3,
+            mismatches: 0,
+            retries: 15,
+            recovered: 10,
+        }
+    );
+    let pinned = [
+        ("/healthz", 6.0),
+        ("/corpus", 7.0),
+        ("/fingerprint", 20.0),
+        ("/similar", 9.0),
+        ("/predict", 23.0),
+        ("/stats", 10.0),
+    ]
+    .map(|(name, requests)| (name.to_string(), requests));
+    assert_eq!(reached, pinned);
 }
 
 #[test]

@@ -253,3 +253,48 @@ fn loadgen_completes_a_short_run_with_zero_errors() {
     assert_eq!(doc.get("errors").unwrap().as_f64(), Some(0.0));
     server.shutdown();
 }
+
+/// The stepped ramp in miniature: one shard, steps of 1 and 2
+/// connections, sub-second windows. Every response is byte-validated,
+/// and the curve carries every key the `scaling` CI gate reads. A mix
+/// entry whose answer changes with every request (`/stats`) shows up as
+/// validation failures, not as transport errors.
+#[test]
+fn stepped_ramp_validates_every_response() {
+    let server = start_server(Some(1), 1);
+    let config = wp_loadgen::LoadConfig {
+        addr: server.addr().to_string(),
+        warmup: Duration::from_millis(100),
+        measure: Duration::from_millis(300),
+        seed: 7,
+        ..wp_loadgen::LoadConfig::default()
+    };
+    let mix = wp_loadgen::validated_mix(config.seed, 30);
+    let report = wp_loadgen::run_steps(&config, &[1, 2], &mix).expect("ramp runs");
+    let doc = Json::parse(&report.to_json()).expect("the curve is JSON");
+    let steps = doc
+        .get("steps")
+        .and_then(Json::as_arr)
+        .expect("a steps array");
+    assert_eq!(steps.len(), 2, "{doc:?}");
+    for (step, connections) in steps.iter().zip([1.0, 2.0]) {
+        let num = |key: &str| {
+            step.get(key)
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("step lacks {key}: {step:?}"))
+        };
+        assert_eq!(num("connections"), connections);
+        assert!(num("requests") > 0.0, "{step:?}");
+        assert_eq!(num("errors"), 0.0, "{step:?}");
+        assert_eq!(num("validation_failures"), 0.0, "{step:?}");
+        assert!(num("p99_ms").is_normal() && num("p99_ms") > 0.0, "{step:?}");
+        assert!(num("throughput_rps") > 0.0, "{step:?}");
+    }
+
+    let with_stats = wp_loadgen::default_mix(config.seed, 30);
+    let report = wp_loadgen::run_steps(&config, &[1], &with_stats).expect("ramp runs");
+    let step = &report.steps[0];
+    assert!(step.validation_failures > 0, "{step:?}");
+    assert_eq!(step.errors, 0, "{step:?}");
+    server.shutdown();
+}
