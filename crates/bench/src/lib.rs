@@ -147,11 +147,6 @@ pub fn family_top_k(ranked: &[FeatureId], family: FeatureSet, k: Option<usize>) 
     }
 }
 
-/// Formats a float cell the way the paper prints metric values.
-pub fn fmt3(v: f64) -> String {
-    format!("{v:.3}")
-}
-
 /// Prints a separator line sized to a header.
 pub fn rule(width: usize) -> String {
     "-".repeat(width)

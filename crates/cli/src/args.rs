@@ -3,6 +3,28 @@
 use std::str::FromStr;
 use std::time::Duration;
 
+/// Why a command failed. A usage error — an unknown subcommand or flag,
+/// a missing or malformed value — is printed with the usage text; a
+/// failure while running a well-formed command is printed as one line.
+#[derive(Debug, PartialEq)]
+pub enum CliError {
+    /// The command line is wrong.
+    Usage(String),
+    /// The command line is right, and running it failed.
+    Runtime(String),
+}
+
+/// A usage error.
+pub fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Runtime(msg)
+    }
+}
+
 /// Parsed flags: `--name value` pairs plus standalone `--switch`es.
 #[derive(Debug, Default)]
 pub struct Args {
@@ -13,16 +35,16 @@ pub struct Args {
 impl Args {
     /// Parses everything after the subcommand. Flags must start with
     /// `--`; a flag followed by another flag (or nothing) is a switch.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    pub fn parse(argv: &[String]) -> Result<Args, CliError> {
         let mut args = Args::default();
         let mut i = 0;
         while i < argv.len() {
             let flag = &argv[i];
             let name = flag
                 .strip_prefix("--")
-                .ok_or_else(|| format!("expected a --flag, got '{flag}'"))?;
+                .ok_or_else(|| usage(format!("expected a --flag, got '{flag}'")))?;
             if name.is_empty() {
-                return Err("empty flag name".into());
+                return Err(usage("empty flag name"));
             }
             match argv.get(i + 1) {
                 Some(v) if !v.starts_with("--") => {
@@ -47,8 +69,9 @@ impl Args {
     }
 
     /// The value of `--name`, or an error naming the missing flag.
-    pub fn required(&self, name: &str) -> Result<&str, String> {
-        self.get(name).ok_or_else(|| format!("missing --{name}"))
+    pub fn required(&self, name: &str) -> Result<&str, CliError> {
+        self.get(name)
+            .ok_or_else(|| usage(format!("missing --{name}")))
     }
 
     /// True when `--name` appears as a bare switch.
@@ -57,11 +80,11 @@ impl Args {
     }
 
     /// Parses `--name` as the given type, with a default.
-    pub fn parsed_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    pub fn parsed_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
         match self.get(name) {
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("--{name}: cannot parse '{v}'")),
+                .map_err(|_| usage(format!("--{name}: cannot parse '{v}'"))),
             None => Ok(default),
         }
     }
@@ -71,24 +94,28 @@ impl Args {
         &self,
         name: &str,
         default: T,
-    ) -> Result<T, String> {
+    ) -> Result<T, CliError> {
         let value = self.parsed_or(name, default)?;
         if value == T::from(0) {
-            return Err(format!("--{name} must be positive"));
+            return Err(usage(format!("--{name} must be positive")));
         }
         Ok(value)
     }
 
     /// `--name` as a number of seconds, with a default. A negative, NaN,
     /// infinite or out-of-range value is an error.
-    pub fn seconds_or(&self, name: &str, default: Duration) -> Result<Duration, String> {
+    pub fn seconds_or(&self, name: &str, default: Duration) -> Result<Duration, CliError> {
         let Some(v) = self.get(name) else {
             return Ok(default);
         };
         v.parse::<f64>()
             .ok()
             .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
-            .ok_or_else(|| format!("--{name}: not a non-negative number of seconds: '{v}'"))
+            .ok_or_else(|| {
+                usage(format!(
+                    "--{name}: not a non-negative number of seconds: '{v}'"
+                ))
+            })
     }
 
     /// Fails on any flag outside `values` (flags that take a value) and
@@ -96,21 +123,21 @@ impl Args {
     /// Every subcommand calls it before doing any work, so a typo or a
     /// flag it does not take is an error, not a silently applied
     /// default.
-    pub fn only(&self, values: &[&str], switches: &[&str]) -> Result<(), String> {
+    pub fn only(&self, values: &[&str], switches: &[&str]) -> Result<(), CliError> {
         for (name, value) in &self.pairs {
             if switches.contains(&name.as_str()) {
-                return Err(format!("--{name} takes no value, got '{value}'"));
+                return Err(usage(format!("--{name} takes no value, got '{value}'")));
             }
             if !values.contains(&name.as_str()) {
-                return Err(format!("unknown flag --{name}"));
+                return Err(usage(format!("unknown flag --{name}")));
             }
         }
         for name in &self.switches {
             if values.contains(&name.as_str()) {
-                return Err(format!("--{name} needs a value"));
+                return Err(usage(format!("--{name} needs a value")));
             }
             if !switches.contains(&name.as_str()) {
-                return Err(format!("unknown flag --{name}"));
+                return Err(usage(format!("unknown flag --{name}")));
             }
         }
         Ok(())
@@ -164,7 +191,7 @@ mod tests {
         let typo = Args::parse(&sv(&["--terminalz", "64"])).unwrap();
         assert_eq!(
             typo.only(&["terminals"], &[]),
-            Err("unknown flag --terminalz".to_string())
+            Err(usage("unknown flag --terminalz"))
         );
         let stray = Args::parse(&sv(&["--backend", "pool"])).unwrap();
         assert!(stray.only(&["addr", "threads"], &["obs"]).is_err());
@@ -174,7 +201,7 @@ mod tests {
         let missing = Args::parse(&sv(&["--seed", "--json"])).unwrap();
         assert_eq!(
             missing.only(&["seed"], &["json"]),
-            Err("--seed needs a value".to_string())
+            Err(usage("--seed needs a value"))
         );
         let valued = Args::parse(&sv(&["--json", "1"])).unwrap();
         assert!(valued.only(&[], &["json"]).is_err());

@@ -11,10 +11,10 @@ use wp_workloads::engine::{paper_terminals, Simulator};
 use wp_workloads::spec::WorkloadSpec;
 use wp_workloads::{benchmarks, Sku};
 
-use crate::args::Args;
+use crate::args::{usage, Args, CliError};
 use crate::loadgen::{load_config, streamer_config, write_report};
 
-/// Usage text shown on errors.
+/// Usage text, printed by `wp help` and after a usage error.
 pub const USAGE: &str = "\
 usage:
   wp workloads
@@ -61,8 +61,10 @@ fn obs_from_env() -> bool {
 }
 
 /// Dispatches a full command line (without the program name).
-pub fn run(argv: &[String]) -> Result<(), String> {
-    let (cmd, rest) = argv.split_first().ok_or("no subcommand given")?;
+pub fn run(argv: &[String]) -> Result<(), CliError> {
+    let (cmd, rest) = argv
+        .split_first()
+        .ok_or_else(|| usage("no subcommand given"))?;
     let args = Args::parse(rest)?;
     match cmd.as_str() {
         "workloads" => cmd_workloads(&args),
@@ -81,12 +83,12 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown subcommand '{other}'")),
+        other => Err(usage(format!("unknown subcommand '{other}'"))),
     }
 }
 
 /// Parses a SKU name: the named catalog entries or `<cpus>x<gib>`.
-pub fn parse_sku(s: &str) -> Result<Sku, String> {
+pub fn parse_sku(s: &str) -> Result<Sku, CliError> {
     match s {
         "cpu2" | "cpu4" | "cpu8" | "cpu16" => {
             let cpus: usize = s[3..].parse().unwrap();
@@ -98,18 +100,20 @@ pub fn parse_sku(s: &str) -> Result<Sku, String> {
         custom => {
             let (c, m) = custom
                 .split_once('x')
-                .ok_or_else(|| format!("unknown SKU '{custom}'"))?;
+                .ok_or_else(|| usage(format!("unknown SKU '{custom}'")))?;
             let cpus: usize = c
                 .parse()
-                .map_err(|_| format!("bad CPU count in '{custom}'"))?;
-            let mem: f64 = m.parse().map_err(|_| format!("bad memory in '{custom}'"))?;
+                .map_err(|_| usage(format!("bad CPU count in '{custom}'")))?;
+            let mem: f64 = m
+                .parse()
+                .map_err(|_| usage(format!("bad memory in '{custom}'")))?;
             Ok(Sku::new(format!("cpu{cpus}m{mem}"), cpus, mem))
         }
     }
 }
 
 /// Parses a strategy name.
-pub fn parse_strategy(s: &str) -> Result<Strategy, String> {
+pub fn parse_strategy(s: &str) -> Result<Strategy, CliError> {
     Ok(match s.to_ascii_lowercase().as_str() {
         "variance" => Strategy::Variance,
         "pearson" => Strategy::Pearson,
@@ -122,31 +126,31 @@ pub fn parse_strategy(s: &str) -> Result<Strategy, String> {
         "rfe-dectree" => Strategy::Rfe(Estimator::DecisionTree),
         "rfe-logreg" => Strategy::Rfe(Estimator::LogisticRegression),
         "baseline" => Strategy::Baseline,
-        other => return Err(format!("unknown strategy '{other}'")),
+        other => return Err(usage(format!("unknown strategy '{other}'"))),
     })
 }
 
-fn workload_by_name(name: &str) -> Result<WorkloadSpec, String> {
+fn workload_by_name(name: &str) -> Result<WorkloadSpec, CliError> {
     benchmarks::by_name(name).ok_or_else(|| {
         let names: Vec<String> = benchmarks::all().iter().map(|w| w.name.clone()).collect();
-        format!(
+        usage(format!(
             "unknown workload '{name}' (available: {})",
             names.join(", ")
-        )
+        ))
     })
 }
 
-fn sim_with_seed(args: &Args) -> Result<Simulator, String> {
+fn sim_with_seed(args: &Args) -> Result<Simulator, CliError> {
     Ok(Simulator::new(args.parsed_or("seed", DEFAULT_SEED)?))
 }
 
-fn cmd_workloads(args: &Args) -> Result<(), String> {
+fn cmd_workloads(args: &Args) -> Result<(), CliError> {
     args.only(&[], &[])?;
     print!("{}", wp_workloads::catalog::render_table1());
     Ok(())
 }
 
-fn cmd_simulate(args: &Args) -> Result<(), String> {
+fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     args.only(&["workload", "sku", "terminals", "run", "seed"], &["json"])?;
     let spec = workload_by_name(args.required("workload")?)?;
     let sku = parse_sku(args.required("sku")?)?;
@@ -207,7 +211,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_select(args: &Args) -> Result<(), String> {
+fn cmd_select(args: &Args) -> Result<(), CliError> {
     args.only(&["strategy", "top", "sku", "seed"], &[])?;
     let strategy = parse_strategy(args.get("strategy").unwrap_or("fanova"))?;
     let top: usize = args.parsed_or("top", 7)?;
@@ -242,7 +246,7 @@ fn cmd_select(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_similar(args: &Args) -> Result<(), String> {
+fn cmd_similar(args: &Args) -> Result<(), CliError> {
     args.only(&["target", "sku", "top", "seed", "representation"], &[])?;
     let target = workload_by_name(args.required("target")?)?;
     let sku = parse_sku(args.get("sku").unwrap_or("cpu16"))?;
@@ -250,7 +254,9 @@ fn cmd_similar(args: &Args) -> Result<(), String> {
     let representation = match args.get("representation") {
         None => Representation::HistFp,
         Some(s) => Representation::parse(s).ok_or_else(|| {
-            format!("unknown representation '{s}' (use 'mts', 'hist', or 'phase')")
+            usage(format!(
+                "unknown representation '{s}' (use 'mts', 'hist', or 'phase')"
+            ))
         })?,
     };
     let mut pipeline = Pipeline::new(args.parsed_or("seed", DEFAULT_SEED)?);
@@ -308,7 +314,7 @@ fn cmd_similar(args: &Args) -> Result<(), String> {
 
 /// Dumps simulated runs as interchange JSON (the `wp_telemetry::io`
 /// schema), so external tooling can consume or imitate the format.
-fn cmd_export(args: &Args) -> Result<(), String> {
+fn cmd_export(args: &Args) -> Result<(), CliError> {
     args.only(&["workload", "sku", "terminals", "runs", "seed"], &[])?;
     let spec = workload_by_name(args.required("workload")?)?;
     let sku = parse_sku(args.required("sku")?)?;
@@ -338,7 +344,7 @@ fn cmd_export(args: &Args) -> Result<(), String> {
 ///
 /// `--threads` sets the `wp-reactor` event-loop shard count; every
 /// connection is served by one shard, from that shard's caches.
-fn cmd_serve(args: &Args) -> Result<(), String> {
+fn cmd_serve(args: &Args) -> Result<(), CliError> {
     args.only(
         &["addr", "threads", "corpus", "samples", "seed", "faults"],
         &["obs"],
@@ -349,8 +355,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let seed: u64 = args.parsed_or("seed", DEFAULT_SEED)?;
     let obs = args.switch("obs") || obs_from_env();
     let faults = match args.get("faults") {
-        Some(spec) => wp_faults::FaultPlan::parse(spec)?,
-        None => wp_faults::FaultPlan::from_env()?.unwrap_or_default(),
+        Some(spec) => wp_faults::FaultPlan::parse(spec).map_err(usage)?,
+        None => wp_faults::FaultPlan::from_env()
+            .map_err(usage)?
+            .unwrap_or_default(),
     };
 
     let (corpus, source) = match args.get("corpus") {
@@ -405,7 +413,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// span (count / total time / mean / max) the instrumented crates and
 /// the service emitted. `--json` prints the snapshot as a JSON document
 /// instead of the table.
-fn cmd_trace(args: &Args) -> Result<(), String> {
+fn cmd_trace(args: &Args) -> Result<(), CliError> {
     args.only(&["samples", "seed"], &["json"])?;
     let samples: usize = args.parsed_or("samples", 60)?;
     let seed: u64 = args.parsed_or("seed", DEFAULT_SEED)?;
@@ -537,7 +545,7 @@ fn fetch_until_ok(
 /// document. It covers the run whose taxonomy the document holds. The
 /// section carries timings, so it is deliberately excluded from the
 /// determinism comparison — only the taxonomy is replay-compared.
-fn cmd_chaos(args: &Args) -> Result<(), String> {
+fn cmd_chaos(args: &Args) -> Result<(), CliError> {
     use std::time::Duration;
     use wp_faults::FaultPlan;
 
@@ -556,14 +564,14 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     )?;
     let spec = match args.get("plan") {
         Some(s) => s.to_string(),
-        None => match FaultPlan::from_env()? {
+        None => match FaultPlan::from_env().map_err(usage)? {
             Some(plan) => plan.render(),
             None => DEFAULT_CHAOS_PLAN.to_string(),
         },
     };
-    let plan = FaultPlan::parse(&spec)?;
+    let plan = FaultPlan::parse(&spec).map_err(usage)?;
     if !plan.is_enabled() {
-        return Err(format!("fault plan '{spec}' injects nothing"));
+        return Err(usage(format!("fault plan '{spec}' injects nothing")));
     }
     let load = load_config(
         args,
@@ -675,9 +683,9 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     if args.switch("verify-determinism") {
         let (_, replay, _) = run_once()?;
         if taxonomy != replay {
-            return Err(format!(
-                "non-deterministic taxonomy:\nrun 1: {taxonomy}\nrun 2: {replay}"
-            ));
+            return Err(
+                format!("non-deterministic taxonomy:\nrun 1: {taxonomy}\nrun 2: {replay}").into(),
+            );
         }
         println!("determinism verified: replay produced a byte-identical taxonomy");
     }
@@ -742,7 +750,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
 /// `--zoo` streams the scenario zoo instead of frozen benchmark mixes:
 /// each tenant replays one `wp_workloads::zoo` scenario (recurring or
 /// shifting transaction mixes), advancing one evolution step per batch.
-fn cmd_stream(args: &Args) -> Result<(), String> {
+fn cmd_stream(args: &Args) -> Result<(), CliError> {
     use wp_faults::FaultPlan;
 
     args.only(
@@ -776,8 +784,8 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     let out = args.get("out").unwrap_or("BENCH_stream.json");
     let obs = args.switch("obs") || obs_from_env();
     let plan = match args.get("faults") {
-        Some(s) => Some(FaultPlan::parse(s)?),
-        None => FaultPlan::from_env()?,
+        Some(s) => Some(FaultPlan::parse(s).map_err(usage)?),
+        None => FaultPlan::from_env().map_err(usage)?,
     };
     let faulted = plan.as_ref().is_some_and(FaultPlan::is_enabled);
     if obs {
@@ -879,7 +887,8 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         if drift_log != replay {
             return Err(format!(
                 "non-deterministic drift log:\nrun 1: {drift_log}\nrun 2: {replay}"
-            ));
+            )
+            .into());
         }
         println!("determinism verified: replay produced a byte-identical drift log");
         report.deterministic = Some(true);
@@ -911,7 +920,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
 /// recommendation. The pick is then graded against simulator ground
 /// truth: the cheapest ladder SKU whose *actual* mean throughput meets
 /// the SLO.
-fn cmd_recommend(args: &Args) -> Result<(), String> {
+fn cmd_recommend(args: &Args) -> Result<(), CliError> {
     args.only(
         &["slo", "target", "scenario", "step", "samples", "seed"],
         &["json"],
@@ -919,16 +928,16 @@ fn cmd_recommend(args: &Args) -> Result<(), String> {
     let slo: f64 = args
         .required("slo")?
         .parse()
-        .map_err(|_| "--slo: cannot parse".to_string())?;
+        .map_err(|_| usage("--slo: cannot parse"))?;
     if !(slo.is_finite() && slo > 0.0) {
-        return Err("--slo must be a positive throughput (req/s)".to_string());
+        return Err(usage("--slo must be a positive throughput (req/s)"));
     }
     let samples: usize = args.parsed_or("samples", 60)?;
     let seed: u64 = args.parsed_or("seed", DEFAULT_SEED)?;
     let step: usize = args.parsed_or("step", 0)?;
 
     let (spec, label) = match (args.get("target"), args.get("scenario")) {
-        (Some(_), Some(_)) => return Err("give --target or --scenario, not both".to_string()),
+        (Some(_), Some(_)) => return Err(usage("give --target or --scenario, not both")),
         (Some(name), None) => (workload_by_name(name)?, name.to_string()),
         (None, Some(name)) => {
             let scenario = wp_workloads::zoo::by_name(seed, name).ok_or_else(|| {
@@ -936,14 +945,14 @@ fn cmd_recommend(args: &Args) -> Result<(), String> {
                     .iter()
                     .map(|s| s.name.clone())
                     .collect();
-                format!(
+                usage(format!(
                     "unknown scenario '{name}' (available: {})",
                     names.join(", ")
-                )
+                ))
             })?;
             (scenario.spec_at(step), format!("{name} @ step {step}"))
         }
-        (None, None) => return Err("missing --target or --scenario".to_string()),
+        (None, None) => return Err(usage("missing --target or --scenario")),
     };
     let terminals = *paper_terminals(&spec).first().unwrap();
 
@@ -976,7 +985,7 @@ fn cmd_recommend(args: &Args) -> Result<(), String> {
     };
     let (status, response) = wp_server::service::handle(&state, &req);
     if status != 200 {
-        return Err(format!("/recommend failed with {status}: {response}"));
+        return Err(format!("/recommend failed with {status}: {response}").into());
     }
     let doc = Json::parse(&response).map_err(|e| format!("response does not parse: {e}"))?;
 
@@ -1078,7 +1087,7 @@ fn cmd_recommend(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_predict(args: &Args) -> Result<(), String> {
+fn cmd_predict(args: &Args) -> Result<(), CliError> {
     args.only(&["target", "from", "to", "terminals", "seed"], &[])?;
     let target = workload_by_name(args.required("target")?)?;
     let from = parse_sku(args.required("from")?)?;
@@ -1139,7 +1148,7 @@ mod tests {
     #[test]
     fn unknown_subcommand_is_error() {
         let argv: Vec<String> = vec!["frobnicate".into()];
-        assert!(run(&argv).is_err());
+        assert_eq!(run(&argv), Err(usage("unknown subcommand 'frobnicate'")));
     }
 
     #[test]
@@ -1224,7 +1233,10 @@ mod tests {
         ];
         for argv in cases {
             let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-            assert!(run(&argv).is_err(), "{argv:?} should fail");
+            assert!(
+                matches!(run(&argv), Err(CliError::Usage(_))),
+                "{argv:?} should be a usage error"
+            );
         }
     }
 }

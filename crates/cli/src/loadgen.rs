@@ -6,7 +6,7 @@
 use wp_json::{obj, Json};
 use wp_loadgen::{LoadConfig, StreamerConfig};
 
-use crate::args::Args;
+use crate::args::{usage, Args, CliError};
 
 /// The ramp's connection counts when `--steps` is not given.
 const DEFAULT_STEPS: [usize; 6] = [32, 64, 128, 256, 512, 1024];
@@ -18,20 +18,20 @@ const COMMON_FLAGS: [&str; 6] = ["mode", "addr", "seed", "samples", "timeout", "
 /// default), the stepped ramp (`step`) or the ingest streamer
 /// (`streamer`). Fails when any request failed or none completed, so CI
 /// can gate on the exit code.
-pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
+pub fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
     match args.get("mode").unwrap_or("closed-loop") {
         "closed-loop" => closed_loop(args),
         "step" => step(args),
         "streamer" => streamer(args),
-        other => Err(format!(
+        other => Err(usage(format!(
             "unknown --mode '{other}' (use closed-loop, step or streamer)"
-        )),
+        ))),
     }
 }
 
 /// The closed loop's flags over `defaults`. `wp loadgen` (closed loop
 /// and ramp) and `wp chaos` read their configuration here.
-pub fn load_config(args: &Args, defaults: LoadConfig) -> Result<LoadConfig, String> {
+pub fn load_config(args: &Args, defaults: LoadConfig) -> Result<LoadConfig, CliError> {
     let requests_per_connection = match args.get("requests") {
         Some(_) => Some(args.positive_or("requests", 1)?),
         None => defaults.requests_per_connection,
@@ -50,12 +50,12 @@ pub fn load_config(args: &Args, defaults: LoadConfig) -> Result<LoadConfig, Stri
 
 /// The streamer's flags over `defaults`. `wp loadgen --mode streamer`
 /// and `wp stream` read their configuration here.
-pub fn streamer_config(args: &Args, defaults: StreamerConfig) -> Result<StreamerConfig, String> {
+pub fn streamer_config(args: &Args, defaults: StreamerConfig) -> Result<StreamerConfig, CliError> {
     let rate_hz: f64 = args.parsed_or("rate", defaults.rate_hz)?;
     if !(rate_hz.is_finite() && rate_hz > 0.0) {
-        return Err(format!(
+        return Err(usage(format!(
             "--rate must be a positive number of batches per second, got {rate_hz}"
-        ));
+        )));
     }
     let shift_after = match args.get("shift-after") {
         Some(_) => Some(args.parsed_or("shift-after", 0)?),
@@ -83,7 +83,7 @@ pub fn write_report(path: &str, doc: &str) -> Result<(), String> {
 /// The closed loop against `--addr`, into `BENCH_server.json`.
 /// `--requests N` switches each connection to a fixed request count;
 /// `--metrics-out FILE` scrapes `/metrics` afterwards.
-fn closed_loop(args: &Args) -> Result<(), String> {
+fn closed_loop(args: &Args) -> Result<(), CliError> {
     let extra = [
         "connections",
         "warmup",
@@ -120,10 +120,12 @@ fn closed_loop(args: &Args) -> Result<(), String> {
         report.max_ms
     );
     if report.errors > 0 {
-        return Err(format!("{} request(s) failed", report.errors));
+        return Err(format!("{} request(s) failed", report.errors).into());
     }
     if report.requests == 0 {
-        return Err("measurement phase completed zero requests".to_string());
+        return Err(CliError::Runtime(
+            "measurement phase completed zero requests".into(),
+        ));
     }
     if let Some(path) = args.get("metrics-out") {
         let indexed_body = mix
@@ -139,7 +141,7 @@ fn closed_loop(args: &Args) -> Result<(), String> {
 /// closed-loop run per `--steps` entry, `--step-duration` seconds each,
 /// every response byte-validated. Fails when any step saw an error, a
 /// validation failure or no request.
-fn step(args: &Args) -> Result<(), String> {
+fn step(args: &Args) -> Result<(), CliError> {
     let extra = ["steps", "warmup", "step-duration"];
     args.only(&[&COMMON_FLAGS[..], &extra].concat(), &[])?;
     args.required("addr")?;
@@ -154,7 +156,7 @@ fn step(args: &Args) -> Result<(), String> {
                     .parse::<usize>()
                     .ok()
                     .filter(|n| *n > 0)
-                    .ok_or_else(|| format!("--steps: not a positive integer: '{part}'"))
+                    .ok_or_else(|| usage(format!("--steps: not a positive integer: '{part}'")))
             })
             .collect::<Result<Vec<_>, _>>()?,
     };
@@ -187,14 +189,16 @@ fn step(args: &Args) -> Result<(), String> {
     }
     println!("scaling curve -> {out}");
     if failed {
-        return Err("a step saw errors, validation failures, or zero requests".to_string());
+        return Err(CliError::Runtime(
+            "a step saw errors, validation failures, or zero requests".into(),
+        ));
     }
     Ok(())
 }
 
 /// The ingest streamer against `--addr`, into `BENCH_stream.json`.
 /// Fails when any batch failed or none was accepted.
-fn streamer(args: &Args) -> Result<(), String> {
+fn streamer(args: &Args) -> Result<(), CliError> {
     let extra = [
         "rate",
         "tenants",
@@ -226,10 +230,10 @@ fn streamer(args: &Args) -> Result<(), String> {
         report.evicted_runs
     );
     if report.errors > 0 {
-        return Err(format!("{} ingest batch(es) failed", report.errors));
+        return Err(format!("{} ingest batch(es) failed", report.errors).into());
     }
     if report.batches_accepted == 0 {
-        return Err("no ingest batch was accepted".to_string());
+        return Err(CliError::Runtime("no ingest batch was accepted".into()));
     }
     Ok(())
 }
@@ -384,7 +388,7 @@ mod tests {
             &["--connections", "4"],
         ] {
             let err = cmd_loadgen(&args(argv)).expect_err("must be rejected");
-            assert!(!err.contains("cannot connect"), "{argv:?}: {err}");
+            assert!(matches!(err, CliError::Usage(_)), "{argv:?}: {err:?}");
         }
     }
 }

@@ -19,14 +19,20 @@ mod loadgen;
 
 use std::process::ExitCode;
 
+use args::CliError;
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match commands::run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{}", commands::USAGE);
+            ExitCode::FAILURE
+        }
+        Err(CliError::Runtime(msg)) => {
+            eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }

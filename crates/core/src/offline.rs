@@ -30,6 +30,18 @@ pub struct OfflineReference {
 }
 
 impl OfflineReference {
+    /// The reference's scaling observations, aligned by run index: the
+    /// throughputs on the source SKU, those on the destination SKU, and
+    /// each pair's data group (read off its source run).
+    pub fn scaling_pairs(&self) -> (Vec<f64>, Vec<f64>, Vec<usize>) {
+        let throughputs = |runs: &[ExperimentRun]| runs.iter().map(|r| r.throughput).collect();
+        (
+            throughputs(&self.runs_from),
+            throughputs(&self.runs_to),
+            self.runs_from.iter().map(|r| r.key.data_group).collect(),
+        )
+    }
+
     /// Validates alignment and telemetry sanity. Non-panicking so
     /// long-running consumers (the `wp-server` HTTP service) can map a
     /// bad corpus to a client error instead of killing a worker thread.
@@ -180,13 +192,7 @@ pub fn run_offline(
         .expect("verdict names come from the corpus");
 
     // Stage 3: pairwise model from the aligned run pairs
-    let from_values: Vec<f64> = reference.runs_from.iter().map(|r| r.throughput).collect();
-    let to_values: Vec<f64> = reference.runs_to.iter().map(|r| r.throughput).collect();
-    let groups: Vec<usize> = reference
-        .runs_from
-        .iter()
-        .map(|r| r.key.data_group)
-        .collect();
+    let (from_values, to_values, groups) = reference.scaling_pairs();
     let model = PairwiseScalingModel::fit(
         config.model,
         &[from_cpus, to_cpus],

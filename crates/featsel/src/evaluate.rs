@@ -9,8 +9,6 @@ use wp_similarity::measure::{try_distance_matrix, Measure, Norm};
 use wp_similarity::repr::extract;
 use wp_telemetry::{ExperimentRun, FeatureId};
 
-use crate::ranking::Ranking;
-
 /// Default histogram bins (paper: n = 10).
 pub const EVAL_BINS: usize = 10;
 
@@ -24,11 +22,6 @@ pub fn subset_accuracy(runs: &[ExperimentRun], labels: &[usize], features: &[Fea
     let d =
         try_distance_matrix(&fps, Measure::Norm(Norm::L21)).expect("fingerprints share a shape");
     wp_similarity::eval::one_nn_accuracy(&d, labels)
-}
-
-/// Accuracy of a ranking's top-k subset (Table 3 cells).
-pub fn topk_accuracy(runs: &[ExperimentRun], labels: &[usize], ranking: &Ranking, k: usize) -> f64 {
-    subset_accuracy(runs, labels, &ranking.top_k(k))
 }
 
 /// The Figure 4 accuracy-development patterns.

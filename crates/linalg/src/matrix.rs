@@ -140,11 +140,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrows row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
@@ -355,21 +350,9 @@ impl Matrix {
         self.data.iter().map(|a| a * a).sum::<f64>().sqrt()
     }
 
-    /// Largest absolute element.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, a| m.max(a.abs()))
-    }
-
     /// True if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|a| !a.is_finite())
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f64) -> f64) {
-        for a in &mut self.data {
-            *a = f(*a);
-        }
     }
 }
 

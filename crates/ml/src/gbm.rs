@@ -63,11 +63,6 @@ impl GradientBoostingRegressor {
         }
     }
 
-    /// Number of fitted stages.
-    pub fn n_stages(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Training predictions after each stage — useful for staged
     /// diagnostics and early-stopping analyses.
     pub fn staged_train_rmse(&self, x: &Matrix, y: &[f64]) -> Vec<f64> {

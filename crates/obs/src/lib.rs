@@ -23,8 +23,8 @@
 //! registry is consulted once ever (cached through a [`OnceLock`]), and
 //! recording is a couple of relaxed `fetch_add`s. Cold sites with
 //! runtime-labeled series (a feature-selection strategy name) use
-//! [`add_labeled`] / [`time_labeled`], which allocate the series name —
-//! but only after the enabled check passes.
+//! [`time_labeled`], which allocates the series name — but only after
+//! the enabled check passes.
 //!
 //! # Exposition
 //!
@@ -298,15 +298,6 @@ impl Drop for SpanGuard {
 /// `family{label="value"}` — the one label shape the suite uses.
 pub fn series(family: &str, label: &str, value: &str) -> String {
     format!("{family}{{{label}=\"{value}\"}}")
-}
-
-/// Adds `n` to the counter `family{label="value"}`. The name is only
-/// built (and the registry only touched) when enabled.
-pub fn add_labeled(family: &str, label: &str, value: &str, n: u64) {
-    if !is_enabled() {
-        return;
-    }
-    register_counter(&series(family, label, value)).add(n);
 }
 
 /// Starts a span guard on `family{label="value"}`; inert when disabled.
@@ -616,19 +607,8 @@ mod tests {
         let _g = guard();
         set_enabled(true);
         reset();
-        add_labeled("test_labeled_total", "kind", "a", 1);
-        add_labeled("test_labeled_total", "kind", "a", 1);
-        add_labeled("test_labeled_total", "kind", "b", 1);
         drop(time_labeled("test_labeled_span", "kind", "a"));
         let snap = snapshot();
-        let get = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-        };
-        assert_eq!(get("test_labeled_total{kind=\"a\"}"), Some(2));
-        assert_eq!(get("test_labeled_total{kind=\"b\"}"), Some(1));
         assert!(snap
             .spans
             .iter()
@@ -641,7 +621,7 @@ mod tests {
         let _g = guard();
         set_enabled(true);
         reset();
-        add_labeled("test_rt_total", "stage", "pivot", 4);
+        register_counter(&series("test_rt_total", "stage", "pivot")).add(4);
         register_gauge("test_rt_gauge").set(9);
         register_span("test_rt_span{op=\"x\"}").observe_ns(250);
         let snap = snapshot();

@@ -59,12 +59,6 @@ impl SingleScalingModel {
     pub fn predict(&self, cpus: f64) -> f64 {
         self.model.predict(&Matrix::column_vector(&[cpus]))[0]
     }
-
-    /// Group-aware prediction (LMM only differs).
-    pub fn predict_for_group(&self, cpus: f64, group: Option<usize>) -> f64 {
-        self.model
-            .predict_group(&Matrix::column_vector(&[cpus]), group)[0]
-    }
 }
 
 /// Integer key for a CPU level (levels are small integers in practice).

@@ -6,8 +6,8 @@
 //!
 //! - **Readiness, not threads.** Each event-loop thread (a *shard*)
 //!   owns an OS poller — `epoll(7)` on Linux through raw FFI syscall
-//!   wrappers, portable `poll(2)` elsewhere (or when forced via
-//!   `WP_REACTOR_POLLER=poll`) — and drives every connection it has
+//!   wrappers, portable `poll(2)` elsewhere (or when forced through
+//!   [`ReactorConfig::force_poll`]) — and drives every connection it has
 //!   accepted as a state machine: reading a request, running the
 //!   handler, writing the response (possibly in fault-injected chunks
 //!   or truncated), or sitting in idle keep-alive.
@@ -145,8 +145,8 @@ pub struct ReactorConfig {
     /// How long shutdown waits for in-flight connections to finish
     /// before force-closing them.
     pub drain_timeout: Duration,
-    /// Use the portable `poll(2)` backend even where epoll exists
-    /// (testing aid; `WP_REACTOR_POLLER=poll` does the same).
+    /// Use the portable `poll(2)` backend even where epoll exists, so
+    /// the engine tests (`*_poll_backend`) run both backends on Linux.
     pub force_poll: bool,
 }
 

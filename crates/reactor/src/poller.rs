@@ -1,8 +1,8 @@
 //! Readiness poller behind one small API: `epoll(7)` on Linux (O(1)
 //! per-event dispatch, the production path) or `poll(2)` (portable
-//! fallback for other Unix targets, also forceable on Linux via
-//! `WP_REACTOR_POLLER=poll` or a config flag so CI exercises both
-//! backends on the same box).
+//! fallback for other Unix targets, also forceable on Linux through
+//! `ReactorConfig::force_poll` so the tests exercise both backends on
+//! the same box).
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -28,20 +28,16 @@ pub(crate) enum Poller {
 }
 
 impl Poller {
-    /// Picks the backend: epoll on Linux unless `force_poll` or the
-    /// `WP_REACTOR_POLLER=poll` environment override asks for the
-    /// portable path.
+    /// Picks the backend: epoll on Linux unless `force_poll` asks for
+    /// the portable path.
     pub(crate) fn new(force_poll: bool) -> io::Result<Poller> {
-        let env_poll = std::env::var("WP_REACTOR_POLLER")
-            .map(|v| v.eq_ignore_ascii_case("poll"))
-            .unwrap_or(false);
-        let _ = force_poll || env_poll;
         #[cfg(target_os = "linux")]
         {
-            if !(force_poll || env_poll) {
+            if !force_poll {
                 return Ok(Poller::Epoll(Epoll::new()?));
             }
         }
+        let _ = force_poll; // elsewhere poll(2) is the only backend
         Ok(Poller::Poll(PollTable::new()))
     }
 

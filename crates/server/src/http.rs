@@ -1,12 +1,12 @@
-//! Minimal HTTP/1.1 framing over `std::io` streams.
+//! Minimal HTTP/1.1 request framing and response rendering.
 //!
 //! Just enough of the protocol for a JSON service driven by a known
 //! client set: request-line + header parsing, `Content-Length` bodies,
 //! keep-alive, and response rendering. No chunked transfer encoding, no
 //! `Expect: 100-continue`, no TLS — requests using unsupported framing
-//! are rejected with an error the caller maps to a `4xx`.
-
-use std::io::BufRead;
+//! are rejected with an error the caller maps to a `4xx`. A request is
+//! framed by [`parse_request`] straight from the bytes its connection
+//! has buffered so far.
 
 /// Upper bound on accepted request bodies (16 MiB): a full 360-sample
 /// telemetry corpus posts in well under 1 MiB, so anything larger is a
@@ -14,10 +14,15 @@ use std::io::BufRead;
 pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// Upper bound on one request-line or header line (terminator excluded).
-/// Enforced *while* reading: a peer streaming bytes without a newline is
-/// rejected after at most this much buffering, not after exhausting
-/// memory.
+/// A line is rejected exactly when more than `MAX_LINE_BYTES + 2` bytes
+/// precede its newline (`+ 2` leaves room for the `\r` of a maximal CRLF
+/// line) or when its content without trailing `\r`s is longer than this.
+/// The first rule is checked against the buffered bytes before the
+/// newline arrives, so a peer streaming a newline-less flood is rejected
+/// after one cap's worth of buffering, not after exhausting memory.
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
+
+const LINE_TOO_LONG: &str = "header line exceeds 8 KiB";
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,22 +37,117 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
-/// Reads one request off `reader`.
-///
-/// Returns `Ok(None)` on a clean EOF before the first byte (the peer
-/// closed an idle keep-alive connection) and `Err` on malformed framing.
-pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String> {
-    let Some((mut request, content_length)) = read_head(reader)? else {
-        return Ok(None);
-    };
-    request.body = read_body(reader, content_length)?;
-    Ok(Some(request))
+/// Outcome of one parse attempt over buffered bytes.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Parsed {
+    /// The buffer does not yet hold one full request — read more.
+    Incomplete,
+    /// One request framed; the first `consumed` buffer bytes belong to
+    /// it (any remainder starts a pipelined successor).
+    Request {
+        /// The framed request.
+        request: Request,
+        /// Buffer bytes consumed by it.
+        consumed: usize,
+    },
+    /// Clean close: EOF with no buffered bytes.
+    Closed,
+    /// Framing error, with the message the `400` answer carries.
+    Invalid(String),
 }
 
-/// Reads the request line and headers: the request with an empty body,
-/// and the length of the body still to read.
-fn read_head(reader: &mut impl BufRead) -> Result<Option<(Request, usize)>, String> {
-    let Some(request_line) = read_line(reader)? else {
+/// Tries to frame one request out of `buf`, the bytes a connection has
+/// buffered so far, reading its lines and body straight from the slice.
+/// [`Parsed::Incomplete`] asks for more bytes; `eof` marks that the peer
+/// will send nothing further, which resolves every pending case (clean
+/// close, a final body, or a mid-frame truncation error).
+///
+/// Re-running from scratch as the buffer grows is sound because every
+/// verdict depends only on the byte stream, never on how it is chunked
+/// (see [`MAX_LINE_BYTES`] for the one rule that looks ahead of a
+/// newline): a prefix that parses to an error still parses to that same
+/// error with more bytes appended, and an incomplete prefix has rejected
+/// nothing yet. A body that has not fully arrived leaves the parse
+/// incomplete before it is copied, so a large body is copied once, not
+/// once per read.
+pub fn parse_request(buf: &[u8], eof: bool) -> Parsed {
+    let mut cursor = Cursor { buf, pos: 0, eof };
+    match frame(&mut cursor) {
+        Ok(Some(request)) => Parsed::Request {
+            request,
+            consumed: cursor.pos,
+        },
+        Ok(None) => Parsed::Closed,
+        Err(Stop::NeedMore) => Parsed::Incomplete,
+        Err(Stop::Invalid(msg)) => Parsed::Invalid(msg),
+    }
+}
+
+/// Why [`frame`] stopped short of a request.
+enum Stop {
+    /// The buffer ends before the request does.
+    NeedMore,
+    /// A framing error.
+    Invalid(String),
+}
+
+impl From<&str> for Stop {
+    fn from(msg: &str) -> Self {
+        Stop::Invalid(msg.to_string())
+    }
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Self {
+        Stop::Invalid(msg)
+    }
+}
+
+/// A read position in a connection's buffered bytes.
+struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    /// The peer will send nothing past `buf`.
+    eof: bool,
+}
+
+impl<'a> Cursor<'a> {
+    /// The next CRLF (or bare LF) terminated line as UTF-8, without its
+    /// terminator, capped as [`MAX_LINE_BYTES`] says. `None` at EOF
+    /// before any byte; at EOF mid-line the partial line is handed up
+    /// (the caller decides what an unterminated line means).
+    fn line(&mut self) -> Result<Option<&'a str>, Stop> {
+        let rest = &self.buf[self.pos..];
+        let newline = rest.iter().position(|&b| b == b'\n');
+        let end = newline.unwrap_or(rest.len());
+        if end > MAX_LINE_BYTES + 2 {
+            return Err(LINE_TOO_LONG.into());
+        }
+        if newline.is_none() && !self.eof {
+            return Err(Stop::NeedMore);
+        }
+        if rest.is_empty() {
+            return Ok(None);
+        }
+        self.pos += newline.map_or(end, |at| at + 1);
+        let mut line = &rest[..end];
+        while let [content @ .., b'\r'] = line {
+            line = content;
+        }
+        if line.len() > MAX_LINE_BYTES {
+            return Err(LINE_TOO_LONG.into());
+        }
+        std::str::from_utf8(line)
+            .map(Some)
+            .map_err(|_| "header line is not valid UTF-8".into())
+    }
+}
+
+/// Reads the request line, the headers and the body; `None` on a clean
+/// EOF before the first byte (the peer closed an idle keep-alive
+/// connection).
+fn frame(cursor: &mut Cursor<'_>) -> Result<Option<Request>, Stop> {
+    let Some(request_line) = cursor.line()? else {
         return Ok(None);
     };
     let mut parts = request_line.split_whitespace();
@@ -58,7 +158,7 @@ fn read_head(reader: &mut impl BufRead) -> Result<Option<(Request, usize)>, Stri
     let target = parts.next().ok_or("request line missing target")?;
     let version = parts.next().ok_or("request line missing version")?;
     if !version.starts_with("HTTP/1.") {
-        return Err(format!("unsupported version '{version}'"));
+        return Err(format!("unsupported version '{version}'").into());
     }
     let path = target.split('?').next().unwrap_or(target).to_string();
 
@@ -66,12 +166,12 @@ fn read_head(reader: &mut impl BufRead) -> Result<Option<(Request, usize)>, Stri
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
     loop {
-        let line = read_line(reader)?.ok_or("connection closed mid-headers")?;
+        let line = cursor.line()?.ok_or("connection closed mid-headers")?;
         if line.is_empty() {
             break;
         }
         let Some((name, value)) = line.split_once(':') else {
-            return Err(format!("malformed header '{line}'"));
+            return Err(format!("malformed header '{line}'").into());
         };
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim();
@@ -87,7 +187,8 @@ fn read_head(reader: &mut impl BufRead) -> Result<Option<(Request, usize)>, Stri
                     return Err(format!(
                         "conflicting duplicate Content-Length headers ({} vs {parsed})",
                         content_length.unwrap_or(0),
-                    ));
+                    )
+                    .into());
                 }
                 content_length = Some(parsed);
             }
@@ -100,7 +201,7 @@ fn read_head(reader: &mut impl BufRead) -> Result<Option<(Request, usize)>, Stri
                 }
             }
             "transfer-encoding" => {
-                return Err("chunked transfer encoding is not supported".to_string());
+                return Err("chunked transfer encoding is not supported".into());
             }
             _ => {}
         }
@@ -108,187 +209,25 @@ fn read_head(reader: &mut impl BufRead) -> Result<Option<(Request, usize)>, Stri
 
     let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
-        return Err(format!("body of {content_length} bytes exceeds limit"));
+        return Err(format!("body of {content_length} bytes exceeds limit").into());
     }
-    let request = Request {
+    let Some(body) = cursor.buf.get(cursor.pos..cursor.pos + content_length) else {
+        return Err(if cursor.eof {
+            "reading body: failed to fill whole buffer".into()
+        } else {
+            Stop::NeedMore
+        });
+    };
+    let body = std::str::from_utf8(body)
+        .map_err(|_| "body is not valid UTF-8")?
+        .to_owned();
+    cursor.pos += content_length;
+    Ok(Some(Request {
         method,
         path,
-        body: String::new(),
+        body,
         keep_alive,
-    };
-    Ok(Some((request, content_length)))
-}
-
-fn read_body(reader: &mut impl BufRead, content_length: usize) -> Result<String, String> {
-    let mut raw = vec![0u8; content_length];
-    reader
-        .read_exact(&mut raw)
-        .map_err(|e| format!("reading body: {e}"))?;
-    String::from_utf8(raw).map_err(|_| "body is not valid UTF-8".to_string())
-}
-
-/// Outcome of one incremental parse attempt over buffered bytes.
-#[derive(Debug)]
-pub enum Parsed {
-    /// The buffer does not yet hold one full request — read more.
-    Incomplete,
-    /// One request framed; the first `consumed` buffer bytes belong to
-    /// it (any remainder starts a pipelined successor).
-    Request {
-        /// The framed request.
-        request: Request,
-        /// Buffer bytes consumed by it.
-        consumed: usize,
-    },
-    /// Clean close: EOF with no buffered bytes.
-    Closed,
-    /// Framing error, with exactly the message [`read_request`] reports
-    /// for the same byte stream.
-    Invalid(String),
-}
-
-/// Marker smuggled through `io::Error` to tell a truncated buffer apart
-/// from a real framing error inside [`read_request`].
-const NEED_MORE: &str = "incremental parse suspended: need more bytes";
-
-/// A `BufRead` over a byte slice that reports the end of the slice as
-/// a sentinel error instead of EOF (unless `eof` is set), so the
-/// blocking parser can be suspended and re-run as bytes arrive.
-struct SliceReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    eof: bool,
-}
-
-impl SliceReader<'_> {
-    fn need_more() -> std::io::Error {
-        std::io::Error::new(std::io::ErrorKind::WouldBlock, NEED_MORE)
-    }
-}
-
-impl std::io::Read for SliceReader<'_> {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        let rest = &self.buf[self.pos..];
-        if rest.is_empty() {
-            return if self.eof {
-                Ok(0)
-            } else {
-                Err(Self::need_more())
-            };
-        }
-        let n = rest.len().min(out.len());
-        out[..n].copy_from_slice(&rest[..n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-impl BufRead for SliceReader<'_> {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        if self.pos >= self.buf.len() && !self.eof {
-            return Err(Self::need_more());
-        }
-        Ok(&self.buf[self.pos..])
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.pos = (self.pos + amt).min(self.buf.len());
-    }
-}
-
-/// Incremental counterpart of [`read_request`] for nonblocking I/O:
-/// tries to frame one request out of `buf`, reporting
-/// [`Parsed::Incomplete`] when more bytes are needed. `eof` marks that
-/// the peer will send nothing further, which resolves every pending
-/// case (clean close, a final body, or a mid-frame truncation error).
-///
-/// It runs [`read_request`]'s steps over the buffer, suspending them
-/// when the bytes run out, so accept/reject verdicts and error strings
-/// are identical to the blocking parser's by construction. A body that
-/// has not fully arrived suspends the parse before it is copied, so a
-/// large body is copied once, not once per read. Re-running from
-/// scratch as the buffer grows is sound because the parser's verdicts
-/// depend only on the byte stream, never on how it is chunked (see
-/// `read_line`'s cap contract) — a prefix that parses to an error
-/// still parses to that same error with more bytes appended, and a
-/// prefix that suspends has rejected nothing yet.
-pub fn parse_request(buf: &[u8], eof: bool) -> Parsed {
-    let mut reader = SliceReader { buf, pos: 0, eof };
-    let framed = read_head(&mut reader).and_then(|head| {
-        let Some((mut request, content_length)) = head else {
-            return Ok(None);
-        };
-        if !eof && buf.len() - reader.pos < content_length {
-            return Err(NEED_MORE.to_string());
-        }
-        request.body = read_body(&mut reader, content_length)?;
-        Ok(Some(request))
-    });
-    match framed {
-        Ok(Some(request)) => Parsed::Request {
-            request,
-            consumed: reader.pos,
-        },
-        Ok(None) => Parsed::Closed,
-        Err(msg) if msg.contains(NEED_MORE) => Parsed::Incomplete,
-        Err(msg) => Parsed::Invalid(msg),
-    }
-}
-
-/// Reads one CRLF (or bare LF) terminated line as UTF-8, without the
-/// terminator. `Ok(None)` on EOF before any byte.
-///
-/// The [`MAX_LINE_BYTES`] cap is enforced incrementally against the
-/// buffered prefix, so a peer streaming a newline-less byte flood is
-/// rejected after buffering at most one cap's worth of data. The
-/// accept/reject verdict depends only on the byte stream, never on how
-/// the transport chunks it: a line is rejected exactly when more than
-/// `MAX_LINE_BYTES + 2` bytes precede its newline (`+ 2` leaves room for
-/// the `\r` of a maximal CRLF line) or when the trimmed content exceeds
-/// `MAX_LINE_BYTES`.
-fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, String> {
-    let mut raw = Vec::new();
-    loop {
-        let chunk = reader
-            .fill_buf()
-            .map_err(|e| format!("reading header line: {e}"))?;
-        if chunk.is_empty() {
-            // EOF: before any byte it is a clean close; mid-line, the
-            // partial line is handed up (the caller decides what an
-            // unterminated line means).
-            if raw.is_empty() {
-                return Ok(None);
-            }
-            break;
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if raw.len() + pos > MAX_LINE_BYTES + 2 {
-                    return Err("header line exceeds 8 KiB".to_string());
-                }
-                raw.extend_from_slice(&chunk[..pos]);
-                reader.consume(pos + 1);
-                break;
-            }
-            None => {
-                let len = chunk.len();
-                if raw.len() + len > MAX_LINE_BYTES + 2 {
-                    return Err("header line exceeds 8 KiB".to_string());
-                }
-                raw.extend_from_slice(chunk);
-                reader.consume(len);
-            }
-        }
-    }
-    while raw.last() == Some(&b'\r') {
-        raw.pop();
-    }
-    if raw.len() > MAX_LINE_BYTES {
-        return Err("header line exceeds 8 KiB".to_string());
-    }
-    String::from_utf8(raw)
-        .map(Some)
-        .map_err(|_| "header line is not valid UTF-8".to_string())
+    }))
 }
 
 /// The standard reason phrase for the status codes this service emits.
@@ -349,10 +288,15 @@ pub fn render_response_typed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// The verdict on `text` as the whole byte stream, at EOF.
     fn parse(text: &str) -> Result<Option<Request>, String> {
-        read_request(&mut BufReader::new(text.as_bytes()))
+        match parse_request(text.as_bytes(), true) {
+            Parsed::Request { request, .. } => Ok(Some(request)),
+            Parsed::Closed => Ok(None),
+            Parsed::Invalid(msg) => Err(msg),
+            Parsed::Incomplete => panic!("no verdict at EOF on {text:?}"),
+        }
     }
 
     #[test]
@@ -451,61 +395,33 @@ mod tests {
 
     #[test]
     fn newline_less_flood_is_rejected_without_unbounded_buffering() {
-        // a peer streaming bytes with no '\n': read_line must reject
-        // after roughly one cap's worth, not buffer the whole stream
-        let flood = 1024 * 1024u64;
-        let mut reader = BufReader::new(std::io::Read::take(std::io::repeat(b'A'), flood));
-        let err = read_request(&mut reader).unwrap_err();
+        // a peer streaming bytes with no '\n' is rejected once one byte
+        // more than a maximal CRLF line is buffered, not after the stream
+        let flood = vec![b'A'; 1024 * 1024];
+        let first = (0..=flood.len())
+            .find(|&end| !matches!(parse_request(&flood[..end], false), Parsed::Incomplete));
+        assert_eq!(first, Some(MAX_LINE_BYTES + 3));
+        let err = parse(std::str::from_utf8(&flood).unwrap()).unwrap_err();
         assert!(err.contains("exceeds 8 KiB"), "{err}");
-        let consumed = flood - reader.into_inner().limit();
-        assert!(
-            consumed <= 4 * MAX_LINE_BYTES as u64,
-            "cap must bound buffering: consumed {consumed} bytes of a 1 MiB flood"
-        );
     }
 
-    /// Feeds `bytes` to `parse_request` one byte at a time and asserts
-    /// every prefix is `Incomplete` until the blocking parser's verdict
-    /// appears, which must match it exactly.
-    fn assert_incremental_matches_blocking(bytes: &[u8]) {
-        let blocking = read_request(&mut BufReader::new(bytes));
+    /// Feeds `bytes` to `parse_request` one byte at a time without EOF
+    /// and asserts every prefix is `Incomplete` until, if ever, the
+    /// verdict the whole stream reaches at EOF appears.
+    fn assert_prefixes_agree_with_eof(bytes: &[u8]) {
+        let at_eof = parse_request(bytes, true);
+        assert_ne!(at_eof, Parsed::Incomplete, "no verdict at EOF: {bytes:?}");
         for end in 0..=bytes.len() {
-            let eof = end == bytes.len();
-            match parse_request(&bytes[..end], eof) {
-                Parsed::Incomplete => {
-                    assert!(!eof, "parse must resolve at EOF: {bytes:?}");
-                }
-                Parsed::Request { request, consumed } => {
-                    let expected = blocking
-                        .as_ref()
-                        .expect("blocking parser accepted")
-                        .as_ref()
-                        .expect("blocking parser framed a request");
-                    assert_eq!(request.method, expected.method);
-                    assert_eq!(request.path, expected.path);
-                    assert_eq!(request.body, expected.body);
-                    assert_eq!(request.keep_alive, expected.keep_alive);
-                    assert!(consumed <= end);
-                    return;
-                }
-                Parsed::Invalid(msg) => {
-                    assert_eq!(
-                        &msg,
-                        blocking.as_ref().expect_err("blocking parser rejected")
-                    );
-                    return;
-                }
-                Parsed::Closed => {
-                    assert!(eof && bytes.is_empty());
-                    return;
-                }
+            let early = parse_request(&bytes[..end], false);
+            if early != Parsed::Incomplete {
+                assert_eq!(early, at_eof, "prefix of {end} bytes of {bytes:?}");
+                return;
             }
         }
-        panic!("no verdict for {bytes:?}");
     }
 
     #[test]
-    fn incremental_parse_matches_blocking_parse_byte_by_byte() {
+    fn prefix_verdicts_agree_with_eof_verdicts_byte_by_byte() {
         let cases: &[&[u8]] = &[
             b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
             b"POST /similar HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
@@ -523,7 +439,7 @@ mod tests {
             b"",
         ];
         for case in cases {
-            assert_incremental_matches_blocking(case);
+            assert_prefixes_agree_with_eof(case);
         }
     }
 
@@ -548,20 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parse_caps_headers_before_the_newline_arrives() {
-        // A newline-less flood must be rejected from the buffered
-        // prefix alone — never Incomplete forever.
-        let flood = vec![b'A'; MAX_LINE_BYTES + 3];
-        match parse_request(&flood, false) {
-            Parsed::Invalid(msg) => assert!(msg.contains("exceeds 8 KiB"), "{msg}"),
-            other => panic!("flood not rejected: {other:?}"),
-        }
-        // Just below the cap the verdict is still open.
-        let under = vec![b'A'; 64];
-        assert!(matches!(parse_request(&under, false), Parsed::Incomplete));
-    }
-
-    #[test]
     fn incremental_parse_closed_only_on_clean_eof() {
         assert!(matches!(parse_request(b"", true), Parsed::Closed));
         assert!(matches!(parse_request(b"", false), Parsed::Incomplete));
@@ -569,11 +471,20 @@ mod tests {
             Parsed::Invalid(msg) => assert!(msg.contains("connection closed mid-headers"), "{msg}"),
             other => panic!("mid-frame EOF must be invalid: {other:?}"),
         }
-        // A partial *line* at EOF is handed up and judged as-is, the
-        // same verdict the blocking parser reaches on that stream.
+        // A partial *line* at EOF is handed up and judged as-is.
         match parse_request(b"GET / HT", true) {
             Parsed::Invalid(msg) => assert!(msg.contains("unsupported version"), "{msg}"),
             other => panic!("mid-line EOF must be invalid: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sentinel_text_in_content_length_is_a_bad_value() {
+        let bytes =
+            b"POST / HTTP/1.1\r\nContent-Length: incremental parse suspended: need more bytes\r\n\r\n";
+        let bad = "bad Content-Length 'incremental parse suspended: need more bytes'";
+        for eof in [true, false] {
+            assert_eq!(parse_request(bytes, eof), Parsed::Invalid(bad.to_string()));
         }
     }
 

@@ -44,7 +44,7 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
-use wp_core::offline::OfflineCorpus;
+use wp_core::offline::{OfflineCorpus, OfflineReference};
 use wp_core::pipeline::{rank_by_mean_distance, PipelineConfig, SimilarityVerdict};
 use wp_index::IndexConfig;
 use wp_json::{obj, Json};
@@ -815,9 +815,7 @@ fn similar(
     match doc.get("mode").and_then(Json::as_str) {
         None | Some("exact") => {
             let verdicts = similar_verdicts(state, shard, &runs)?;
-            let best = verdicts
-                .first()
-                .ok_or_else(|| ServiceError::internal("similarity ranking produced no verdicts"))?;
+            let best = top_verdict(&verdicts)?;
             Ok(obj! {
                 "most_similar" => best.workload.clone(),
                 "verdicts" => verdicts_to_json(&verdicts),
@@ -836,9 +834,7 @@ fn similar(
                 .index()
                 .rank_references_with_stats(&runs, k)
                 .map_err(|e| ServiceError::bad_request(format!("cannot compare runs: {e}")))?;
-            let best = verdicts
-                .first()
-                .ok_or_else(|| ServiceError::internal("similarity ranking produced no verdicts"))?;
+            let best = top_verdict(&verdicts)?;
             Ok(obj! {
                 "mode" => "indexed",
                 "k" => k,
@@ -863,6 +859,34 @@ fn similar(
     }
 }
 
+/// The first verdict of a ranking; a ranking over a validated corpus is
+/// never empty, so an empty one is a `500`.
+fn top_verdict(verdicts: &[SimilarityVerdict]) -> Result<&SimilarityVerdict, ServiceError> {
+    verdicts
+        .first()
+        .ok_or_else(|| ServiceError::internal("similarity ranking produced no verdicts"))
+}
+
+/// The reference the top verdict names: its aligned run pairs fit the
+/// scaling models of `/predict` and `/recommend`.
+fn predicting_reference<'a>(
+    state: &'a ServiceState,
+    verdicts: &[SimilarityVerdict],
+) -> Result<&'a OfflineReference, ServiceError> {
+    let best = top_verdict(verdicts)?;
+    state
+        .corpus
+        .references
+        .iter()
+        .find(|r| r.name == best.workload)
+        .ok_or_else(|| {
+            ServiceError::internal(format!(
+                "most similar reference '{}' is not in the corpus",
+                best.workload
+            ))
+        })
+}
+
 /// `POST /predict` — full stage 2 + 3: most similar reference, then a
 /// pairwise scaling model fit on that reference's aligned run pairs,
 /// transferred to the posted runs' observed throughput. Optional body
@@ -883,28 +907,9 @@ fn predict(state: &ServiceState, shard: usize, body: &str) -> Result<String, Ser
     let to_cpus = cpus("to_cpus", 8.0)?;
 
     let verdicts = similar_verdicts(state, shard, &runs)?;
-    let best = verdicts
-        .first()
-        .ok_or_else(|| ServiceError::internal("similarity ranking produced no verdicts"))?;
-    let reference = state
-        .corpus
-        .references
-        .iter()
-        .find(|r| r.name == best.workload)
-        .ok_or_else(|| {
-            ServiceError::internal(format!(
-                "most similar reference '{}' is not in the corpus",
-                best.workload
-            ))
-        })?;
+    let reference = predicting_reference(state, &verdicts)?;
 
-    let from_values: Vec<f64> = reference.runs_from.iter().map(|r| r.throughput).collect();
-    let to_values: Vec<f64> = reference.runs_to.iter().map(|r| r.throughput).collect();
-    let groups: Vec<usize> = reference
-        .runs_from
-        .iter()
-        .map(|r| r.key.data_group)
-        .collect();
+    let (from_values, to_values, groups) = reference.scaling_pairs();
     let model = PairwiseScalingModel::fit(
         state.config.model,
         &[from_cpus, to_cpus],
@@ -1061,27 +1066,8 @@ fn recommend(
     }
 
     let verdicts = similar_verdicts(state, shard, &runs)?;
-    let best = verdicts
-        .first()
-        .ok_or_else(|| ServiceError::internal("similarity ranking produced no verdicts"))?;
-    let reference = state
-        .corpus
-        .references
-        .iter()
-        .find(|r| r.name == best.workload)
-        .ok_or_else(|| {
-            ServiceError::internal(format!(
-                "most similar reference '{}' is not in the corpus",
-                best.workload
-            ))
-        })?;
-    let from_values: Vec<f64> = reference.runs_from.iter().map(|r| r.throughput).collect();
-    let to_values: Vec<f64> = reference.runs_to.iter().map(|r| r.throughput).collect();
-    let groups: Vec<usize> = reference
-        .runs_from
-        .iter()
-        .map(|r| r.key.data_group)
-        .collect();
+    let reference = predicting_reference(state, &verdicts)?;
+    let (from_values, to_values, groups) = reference.scaling_pairs();
 
     let pairwise = PairwiseScalingModel::fit(
         state.config.model,

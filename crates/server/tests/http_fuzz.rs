@@ -2,10 +2,13 @@
 //!
 //! Two layers, same corpus of mutants:
 //!
-//! 1. **In-memory**: `read_request` over mutated byte buffers must
-//!    return `Ok` or `Err` — never panic, never loop (a `BufRead` over a
+//! 1. **In-memory**: `parse_request` over mutated byte buffers must
+//!    reach a verdict at EOF — never panic, never loop (a parse over a
 //!    slice makes non-termination impossible to hide: any hang would be
-//!    a spin, caught by the panic-free pass completing).
+//!    a spin, caught by the panic-free pass completing). Its verdicts on
+//!    the mutants and on hand-written cases are pinned as one digest,
+//!    and every byte prefix of a mutant must either be incomplete or
+//!    agree with the verdict at EOF.
 //! 2. **Socket-level**: the same mutants fired at a live server must
 //!    each produce either a well-formed HTTP response or a closed
 //!    connection, within a client-side read timeout, and the server
@@ -14,15 +17,15 @@
 //! Everything is seeded through [`Rng64`], so a failing case number
 //! reproduces exactly.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wp_json::Json;
 use wp_linalg::Rng64;
 use wp_server::corpus::simulated_corpus;
-use wp_server::http::{parse_request, read_request, Parsed};
+use wp_server::http::{parse_request, Parsed, MAX_LINE_BYTES};
 use wp_server::{Server, ServerConfig, ServerHandle};
 use wp_workloads::engine::Simulator;
 use wp_workloads::{benchmarks, Sku};
@@ -77,14 +80,23 @@ fn mutants() -> impl Iterator<Item = (usize, Vec<u8>)> {
 #[test]
 fn parser_never_panics_on_mutated_input() {
     for (case, bytes) in mutants().take(4000) {
-        let verdict = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            read_request(&mut BufReader::new(bytes.as_slice())).is_ok()
-        }));
-        assert!(
-            verdict.is_ok(),
-            "parser panicked on case {case}: {:?}",
-            String::from_utf8_lossy(&bytes)
-        );
+        let verdict = std::panic::catch_unwind(AssertUnwindSafe(|| parse_request(&bytes, true)));
+        match verdict {
+            Ok(Parsed::Incomplete) => panic!("case {case}: no verdict at EOF"),
+            Ok(_) => {}
+            Err(_) => panic!(
+                "parser panicked on case {case}: {:?}",
+                String::from_utf8_lossy(&bytes)
+            ),
+        }
+    }
+}
+
+/// The framed request, if `bytes` at EOF frames one.
+fn framed(bytes: &[u8]) -> Option<wp_server::http::Request> {
+    match parse_request(bytes, true) {
+        Parsed::Request { request, .. } => Some(request),
+        _ => None,
     }
 }
 
@@ -93,16 +105,14 @@ fn parser_accepts_only_requests_it_can_frame() {
     // Sanity anchor for the fuzz pass: every template parses clean, so
     // the mutant stream really does start from the accepted language.
     for base in TEMPLATES {
-        let req = read_request(&mut BufReader::new(*base))
-            .expect("template must parse")
-            .expect("template is not EOF");
+        let req = framed(base).expect("template must parse");
         assert!(!req.method.is_empty());
         assert!(req.path.starts_with('/'));
     }
     // And a parsed mutant must uphold the same structural promises.
     let mut parsed = 0u32;
     for (case, bytes) in mutants().take(4000) {
-        if let Ok(Some(req)) = read_request(&mut BufReader::new(bytes.as_slice())) {
+        if let Some(req) = framed(&bytes) {
             parsed += 1;
             assert!(
                 !req.method.is_empty() && !req.path.is_empty(),
@@ -116,62 +126,152 @@ fn parser_accepts_only_requests_it_can_frame() {
     );
 }
 
-/// The incremental entry point (`parse_request`, what the reactor and
-/// the ticked worker loop drive) must agree byte-for-byte with the
-/// blocking parser it wraps — same framing, same verdicts, same error
-/// strings — no matter how the bytes are sliced. Each mutant is parsed
-/// three ways: blocking over the whole buffer, incrementally at EOF, and
-/// incrementally one byte at a time (every call before the last with
-/// `eof = false`, which must never produce a *different* final verdict,
-/// only `Incomplete` along the way).
+/// However the bytes are sliced, the parser (what the reactor drives as
+/// a connection's bytes arrive) reaches one verdict: fed a mutant one
+/// byte at a time without EOF, it may only say `Incomplete` or commit to
+/// the verdict it reaches on the whole mutant at EOF — the same framed
+/// request and `consumed`, or the same error string.
 #[test]
-fn incremental_parser_matches_blocking_parser_on_mutants() {
+fn prefix_verdicts_agree_with_eof_verdicts_on_mutants() {
     for (case, bytes) in mutants().take(2000) {
-        let blocking = read_request(&mut BufReader::new(bytes.as_slice()));
         let at_eof = parse_request(&bytes, true);
-        match (&blocking, &at_eof) {
-            (Ok(Some(req)), Parsed::Request { request, consumed }) => {
-                assert_eq!(req, request, "case {case}: framed requests differ");
-                assert!(
-                    *consumed <= bytes.len(),
-                    "case {case}: consumed {consumed} of {} bytes",
-                    bytes.len()
-                );
-            }
-            (Ok(None), Parsed::Closed) => {}
-            (Err(b), Parsed::Invalid(i)) => {
-                assert_eq!(b, i, "case {case}: error strings differ");
-            }
-            other => panic!("case {case}: verdicts diverge: {other:?}"),
+        let early = (0..=bytes.len())
+            .map(|end| parse_request(&bytes[..end], false))
+            .find(|verdict| *verdict != Parsed::Incomplete);
+        if let Some(early) = early {
+            assert_eq!(
+                early, at_eof,
+                "case {case}: early verdict contradicts the EOF verdict"
+            );
         }
+    }
+}
 
-        // Byte-at-a-time replay: before the final byte the parser may
-        // only say Incomplete or commit to the same verdict it reaches
-        // at EOF; it must never invent a different one.
-        let mut early = None;
-        for end in 0..bytes.len() {
-            match parse_request(&bytes[..end], false) {
-                Parsed::Incomplete => {}
-                verdict => {
-                    early = Some(verdict);
-                    break;
-                }
-            }
+/// Hand-written framing cases: the `http.rs` unit-test inputs, header
+/// lines one byte either side of the 8 KiB cap under four terminators,
+/// request lines of the same lengths, and a body longer than the cap cut
+/// short at six points.
+fn hand_cases() -> Vec<Vec<u8>> {
+    let mut cases: Vec<Vec<u8>> = [
+        &b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"[..],
+        b"POST /similar HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
+        b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET / HTTP/1.0\r\n\r\n",
+        b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+        b"GET /stats?pretty=1 HTTP/1.1\r\n\r\n",
+        b"GET /stats?pretty=1 HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET\r\n\r\n",
+        b"GET / SPDY/3\r\n\r\n",
+        b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n",
+        b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+        b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+        b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+        b"POST / HTTP/1.1\r\nContent-Length: 11\r\nContent-Length: 3\r\n\r\n{\"runs\":[]}",
+        b"POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc",
+        b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\na\xff\xfe",
+        b"POST / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+        b"GET / HTTP/1.1\r\nX-Tail: v\r\n\r",
+        b"GET / HTTP/1.1\r\n",
+        b"GET / HT",
+        b"GET /healthz HTTP/1.1\r\n\r\nPOST /similar HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+        b"",
+    ]
+    .iter()
+    .map(|case| case.to_vec())
+    .collect();
+    cases.push(vec![b'A'; MAX_LINE_BYTES + 3]);
+    cases.push(vec![b'A'; 64]);
+    for len in MAX_LINE_BYTES - 1..=MAX_LINE_BYTES + 1 {
+        for end in ["\n", "\r\n", "\r\r\n", "\r\r\r\n"] {
+            let pad = "a".repeat(len - "X-Pad: ".len());
+            cases.push(format!("GET / HTTP/1.1\r\nX-Pad: {pad}{end}\r\n").into_bytes());
         }
-        if let Some(verdict) = early {
-            match (verdict, parse_request(&bytes, true)) {
-                (Parsed::Request { request: a, .. }, Parsed::Request { request: b, .. }) => {
-                    assert_eq!(a, b, "case {case}: early frame differs from EOF frame")
-                }
-                (Parsed::Invalid(a), Parsed::Invalid(b)) => {
-                    assert_eq!(a, b, "case {case}: early error differs from EOF error")
-                }
-                (early, full) => {
-                    panic!("case {case}: early verdict {early:?} contradicts EOF verdict {full:?}")
-                }
+        let target = "b".repeat(len - "GET / HTTP/1.1".len());
+        cases.push(format!("GET /{target} HTTP/1.1\r\n\r\n").into_bytes());
+    }
+    let body = "c".repeat(3 * MAX_LINE_BYTES);
+    let full = format!(
+        "POST /similar HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let head = full.len() - body.len();
+    for cut in [
+        0,
+        1,
+        MAX_LINE_BYTES,
+        MAX_LINE_BYTES + 3,
+        body.len() - 1,
+        body.len(),
+    ] {
+        cases.push(full.as_bytes()[..head + cut].to_vec());
+    }
+    cases
+}
+
+/// FNV-1a over length-prefixed fields, so the digest depends on the
+/// verdicts' bytes alone and not on any `Debug` rendering.
+struct Digest(u64);
+
+impl Digest {
+    fn field(&mut self, bytes: &[u8]) {
+        for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn verdict(&mut self, parsed: &Parsed) {
+        match parsed {
+            Parsed::Incomplete => self.field(b"incomplete"),
+            Parsed::Closed => self.field(b"closed"),
+            Parsed::Invalid(msg) => {
+                self.field(b"invalid");
+                self.field(msg.as_bytes());
+            }
+            Parsed::Request { request, consumed } => {
+                self.field(b"request");
+                self.field(request.method.as_bytes());
+                self.field(request.path.as_bytes());
+                self.field(request.body.as_bytes());
+                self.field(&[u8::from(request.keep_alive)]);
+                self.field(&(*consumed as u64).to_le_bytes());
             }
         }
     }
+}
+
+/// Every verdict the parser reaches on the first 4000 mutants and the
+/// hand cases, pinned as one digest: the verdict at EOF, and the first
+/// verdict other than `Incomplete` over the byte prefixes without EOF,
+/// with the prefix length it appears at. Framed fields, `consumed` and
+/// error strings all count, so any change to what the parser accepts,
+/// rejects or says moves the digest.
+#[test]
+fn parser_verdicts_match_the_pinned_digest() {
+    let mut digest = Digest(0xcbf2_9ce4_8422_2325);
+    for bytes in mutants()
+        .take(4000)
+        .map(|(_, bytes)| bytes)
+        .chain(hand_cases())
+    {
+        digest.verdict(&parse_request(&bytes, true));
+        let early = (0..=bytes.len()).find_map(|end| match parse_request(&bytes[..end], false) {
+            Parsed::Incomplete => None,
+            verdict => Some((end, verdict)),
+        });
+        match early {
+            Some((end, verdict)) => {
+                digest.field(&(end as u64).to_le_bytes());
+                digest.verdict(&verdict);
+            }
+            None => digest.field(b"never"),
+        }
+    }
+    assert_eq!(
+        digest.0, 0x9630_ec7f_6cf4_d609,
+        "a parser verdict changed: {:#018x}",
+        digest.0
+    );
 }
 
 fn start_server() -> ServerHandle {
@@ -208,11 +308,10 @@ fn fire(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
 
 /// Regression: a request line streamed without a newline must be
 /// rejected at the parser's 8 KiB cap, not buffered until the peer
-/// relents. Before the incremental cap, the server accepted (and held in
-/// memory) the entire flood and only measured the line afterwards — this
-/// test then saw every write succeed; now the server answers 400 and
-/// closes after roughly one cap's worth, so the flood's writes start
-/// failing long before it completes.
+/// relents. The client sends one byte more than a maximal CRLF line and
+/// keeps its write side open, so only the cap itself can end the
+/// exchange: the server must answer `400` and close before the client's
+/// read timeout.
 #[test]
 fn newline_less_header_flood_is_rejected_early() {
     let server = start_server();
@@ -222,35 +321,74 @@ fn newline_less_header_flood_is_rejected_early() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
     stream
-        .set_write_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-
-    const FLOOD: usize = 8 * 1024 * 1024;
-    let chunk = [b'A'; 4096];
-    let mut sent = 0usize;
-    while sent < FLOOD {
-        match stream.write(&chunk) {
-            Ok(n) => sent += n,
-            Err(_) => break, // server already rejected and closed
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Write);
-    assert!(
-        sent < FLOOD / 2,
-        "server kept reading a newline-less stream: accepted {sent} of {FLOOD} bytes"
-    );
+        .write_all(&[b'A'; MAX_LINE_BYTES + 3])
+        .expect("the flood fits in the socket buffers");
     let mut response = Vec::new();
-    let _ = stream.read_to_end(&mut response); // a reset counts as closed
-    if !response.is_empty() {
-        let head = String::from_utf8_lossy(&response);
-        assert!(head.starts_with("HTTP/1.1 400"), "{head}");
-    }
+    stream
+        .read_to_end(&mut response)
+        .expect("server must answer and close before the read timeout");
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
+    assert!(
+        text.ends_with("{\"error\":\"header line exceeds 8 KiB\"}"),
+        "{text}"
+    );
 
-    // the flood must not have wedged the worker
+    // the flood must not have wedged the shard
     let health = fire(addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
     assert!(
         String::from_utf8_lossy(&health).starts_with("HTTP/1.1 200"),
         "server unhealthy after the flood"
+    );
+    server.shutdown();
+}
+
+/// Regression: a header value that spells out the text the parser once
+/// used internally to mean "need more bytes" is an ordinary bad value.
+/// It used to park the connection until the idle timeout, and the
+/// request pipelined behind it was never answered; now it gets its `400`
+/// at once and the connection closes.
+#[test]
+fn sentinel_text_in_a_header_is_rejected_at_once() {
+    let idle_timeout = Duration::from_secs(2);
+    let server = Server::start(
+        simulated_corpus(0xEDB7_2025, 60),
+        ServerConfig {
+            workers: 2,
+            compute_threads: Some(1),
+            idle_timeout,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server must start");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let started = Instant::now();
+    stream
+        .write_all(
+            b"POST / HTTP/1.1\r\nContent-Length: incremental parse suspended: need more bytes\r\n\r\n\
+              GET /healthz HTTP/1.1\r\n\r\n",
+        )
+        .unwrap();
+    let mut response = Vec::new();
+    stream
+        .read_to_end(&mut response)
+        .expect("the server answers and closes");
+    let elapsed = started.elapsed();
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
+    assert!(
+        text.ends_with(
+            "{\"error\":\"bad Content-Length 'incremental parse suspended: need more bytes'\"}"
+        ),
+        "{text}"
+    );
+    assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+    assert!(
+        elapsed < idle_timeout / 2,
+        "answered after {elapsed:?}, idle timeout {idle_timeout:?}"
     );
     server.shutdown();
 }
