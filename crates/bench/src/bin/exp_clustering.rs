@@ -3,11 +3,12 @@
 //! workload identities without labels, and the silhouette-selected k
 //! should land near the true workload count.
 
-use wp_bench::{corpus_on_sku, default_sim, feature_data, standardized_workloads};
+use wp_bench::{corpus_on_sku, default_sim, feature_data};
 use wp_similarity::cluster::{best_k, hierarchical, k_medoids, silhouette, Linkage};
 use wp_similarity::histfp::histfp;
 use wp_similarity::measure::{try_distance_matrix, Measure, Norm};
 use wp_telemetry::FeatureId;
+use wp_workloads::benchmarks;
 use wp_workloads::sku::Sku;
 
 /// Adjusted-for-chance-free cluster agreement: fraction of item pairs on
@@ -31,7 +32,7 @@ fn rand_index(a: &[usize], b: &[usize]) -> f64 {
 fn main() {
     let sim = default_sim();
     let sku = Sku::new("cpu16", 16, 64.0);
-    let specs = standardized_workloads();
+    let specs = benchmarks::standardized();
     let corpus = corpus_on_sku(&sim, &specs, &sku, 3);
     let run_refs: Vec<&wp_telemetry::ExperimentRun> = corpus.runs.iter().collect();
     eprintln!(

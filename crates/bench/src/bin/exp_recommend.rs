@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use wp_json::{obj, Json};
-use wp_linalg::stats::mean;
+use wp_linalg::stats::{mean, nearest_rank};
 use wp_server::http::Request;
 use wp_server::service::{handle, ServiceState};
 use wp_server::ServerConfig;
@@ -140,11 +140,6 @@ fn sweep(state: &ServiceState, cases: &[Case]) -> Vec<(u16, String)> {
         .collect()
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx]
-}
-
 fn main() {
     let cases = build_cases();
     println!(
@@ -156,7 +151,7 @@ fn main() {
 
     // Primary sweep (ambient WP_THREADS), with per-request latency.
     let primary_state = fresh_state(None);
-    let mut latencies_ms = Vec::with_capacity(cases.len());
+    let mut latencies_ns: Vec<u64> = Vec::with_capacity(cases.len());
     let answers: Vec<(u16, String)> = cases
         .iter()
         .map(|case| {
@@ -168,7 +163,7 @@ fn main() {
             };
             let t0 = Instant::now();
             let answer = handle(&primary_state, &req);
-            latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            latencies_ns.push(t0.elapsed().as_nanos() as u64);
             answer
         })
         .collect();
@@ -244,12 +239,8 @@ fn main() {
     let scored = answers.iter().filter(|(s, _)| *s == 200).count();
     let accuracy = correct as f64 / cases.len() as f64;
     let baseline_accuracy = baseline_correct as f64 / cases.len() as f64;
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let (p50, p95, max) = (
-        percentile(&latencies_ms, 0.50),
-        percentile(&latencies_ms, 0.95),
-        *latencies_ms.last().unwrap(),
-    );
+    latencies_ns.sort_unstable();
+    let [p50, p95, max] = [50.0, 95.0, 100.0].map(|p| nearest_rank(&latencies_ns, p) as f64 / 1e6);
     println!(
         "accuracy {:.3} vs baseline(always-{cheapest}) {:.3}; \
          {fallbacks} single-context fallbacks; latency p50 {p50:.2} ms \

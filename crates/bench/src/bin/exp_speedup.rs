@@ -34,14 +34,14 @@
 
 use std::time::Instant;
 
-use wp_bench::{default_sim, standardized_workloads};
+use wp_bench::default_sim;
 use wp_json::{obj, Json};
 use wp_linalg::Matrix;
 use wp_similarity::measure::{try_distance_matrix, Measure};
 use wp_similarity::repr::{extract, mts};
 use wp_telemetry::FeatureSet;
 use wp_workloads::engine::paper_terminals;
-use wp_workloads::Sku;
+use wp_workloads::{benchmarks, Sku};
 
 const N_RUNS: usize = 60;
 const OUT_PATH: &str = "BENCH_runtime.json";
@@ -75,7 +75,7 @@ fn main() {
     let mut sim = default_sim();
     sim.config.samples = 120;
     let sku = Sku::new("cpu8", 8, 64.0);
-    let specs = standardized_workloads();
+    let specs = benchmarks::standardized();
     let features = FeatureSet::ResourceOnly.features();
 
     // 60 runs: cycle workloads, their paper terminal counts, and run

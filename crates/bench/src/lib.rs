@@ -1,19 +1,16 @@
-//! Shared setup for the experiment harness binaries (`src/bin/exp_*`) and
-//! the micro-benchmarks.
+//! Shared setup for the experiment binaries (`src/bin/exp_*`).
 //!
-//! Every binary regenerates one table or figure from the paper; this
-//! library centralizes the corpus construction so all experiments see the
-//! same simulated telemetry. [`harness`] provides the in-repo wall-clock
-//! benchmark driver behind the `benches/` files.
+//! Every binary regenerates one table or figure from the paper, or one
+//! committed trajectory (`exp_speedup`, `exp_index`, `exp_recommend`);
+//! this library centralizes the corpus construction so all experiments
+//! see the same simulated telemetry.
 
-pub mod harness;
 pub mod indexbench;
 pub mod selection;
 pub mod table3;
 
 use wp_similarity::repr::extract;
-use wp_telemetry::{ExperimentRun, FeatureId, FeatureSet};
-use wp_workloads::benchmarks;
+use wp_telemetry::{ExperimentRun, FeatureId};
 use wp_workloads::dataset::LabeledDataset;
 use wp_workloads::engine::{paper_terminals, Simulator};
 use wp_workloads::sku::Sku;
@@ -94,11 +91,6 @@ pub fn corpus_fixed_terminals(
     out
 }
 
-/// The five standardized workloads of Table 1.
-pub fn standardized_workloads() -> Vec<WorkloadSpec> {
-    benchmarks::standardized()
-}
-
 /// Builds the feature-selection observation dataset on one SKU: per
 /// workload × terminal count × run, ten sub-experiment observations.
 pub fn observation_dataset(
@@ -128,33 +120,10 @@ pub fn feature_data(
     runs.iter().map(|r| extract(r, features)).collect()
 }
 
-/// Restricts a feature list to one family and truncates to `k` (the
-/// Table 4 "plan 3/7/all, resource 3/5/all" sub-settings). `k = None`
-/// keeps the whole family.
-pub fn family_top_k(ranked: &[FeatureId], family: FeatureSet, k: Option<usize>) -> Vec<FeatureId> {
-    let keep: Vec<FeatureId> = ranked
-        .iter()
-        .copied()
-        .filter(|f| match family {
-            FeatureSet::PlanOnly => f.is_plan(),
-            FeatureSet::ResourceOnly => f.is_resource(),
-            FeatureSet::Combined => true,
-        })
-        .collect();
-    match k {
-        Some(k) => keep.into_iter().take(k).collect(),
-        None => keep,
-    }
-}
-
-/// Prints a separator line sized to a header.
-pub fn rule(width: usize) -> String {
-    "-".repeat(width)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wp_workloads::benchmarks;
 
     #[test]
     fn corpus_shape() {
@@ -177,15 +146,5 @@ mod tests {
         let ds = observation_dataset(&sim, &specs, &Sku::new("cpu4", 4, 64.0), 2, 5);
         // 3 terminal counts × 2 runs × 5 sub-experiments
         assert_eq!(ds.len(), 30);
-    }
-
-    #[test]
-    fn family_filtering() {
-        let ranked = FeatureId::all();
-        let plan3 = family_top_k(&ranked, FeatureSet::PlanOnly, Some(3));
-        assert_eq!(plan3.len(), 3);
-        assert!(plan3.iter().all(|f| f.is_plan()));
-        let res_all = family_top_k(&ranked, FeatureSet::ResourceOnly, None);
-        assert_eq!(res_all.len(), 7);
     }
 }

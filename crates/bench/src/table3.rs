@@ -1,4 +1,5 @@
-//! Shared computation behind Table 3 and Figure 4.
+//! The Table 3 study. `exp_table3` prints Table 3 from it and classifies
+//! its accuracy curves for Figure 4.
 
 use std::time::Instant;
 
@@ -7,10 +8,11 @@ use wp_featsel::evaluate::subset_accuracy;
 use wp_featsel::wrapper::WrapperConfig;
 use wp_featsel::Strategy;
 use wp_telemetry::FeatureId;
+use wp_workloads::benchmarks;
 use wp_workloads::engine::Simulator;
 use wp_workloads::sku::Sku;
 
-use crate::{corpus_on_sku, observation_dataset, standardized_workloads, RunCorpus};
+use crate::{corpus_on_sku, observation_dataset, RunCorpus};
 
 /// One Table 3 row.
 #[derive(Debug, Clone)]
@@ -39,7 +41,7 @@ pub const TABLE3_KS: [usize; 4] = [1, 3, 7, 15];
 
 /// Runs the complete Table 3 study on the given SKU.
 pub fn run_table3(sim: &Simulator, sku: &Sku, runs: usize) -> Table3Result {
-    let specs = standardized_workloads();
+    let specs = benchmarks::standardized();
     let corpus: RunCorpus = corpus_on_sku(sim, &specs, sku, runs);
     let ds = observation_dataset(sim, &specs, sku, runs, 10);
     let universe = FeatureId::all();

@@ -30,7 +30,6 @@
 //! | `error:<path>` | handler | per-endpoint override of `error` |
 //! | `slow` | write | response dribbled in `slow_chunks` chunks |
 //! | `truncate` | write | only half the response bytes written, then close |
-//! | `corrupt` | corpus | reference corpus corrupted before startup |
 //!
 //! The per-request sites (`latency`, `stall`, `error`, `slow`,
 //! `truncate`) are all drawn from **one** stream keyed by the request
@@ -48,13 +47,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use wp_core::offline::OfflineCorpus;
 use wp_linalg::Rng64;
 
 /// Stream salts: decisions of different sites never share a stream.
 const SALT_ACCEPT: u64 = 0xACC3_97C0;
 const SALT_REQUEST: u64 = 0x9E06_E571;
-const SALT_CORPUS: u64 = 0xC02B_0515;
 
 /// One seeded fault-injection configuration: a probability per fault
 /// site plus the duration parameters of the timed sites.
@@ -84,8 +81,6 @@ pub struct FaultPlan {
     pub slow_chunk_ms: u64,
     /// P(write only half the response bytes, then close).
     pub truncate: f64,
-    /// P(corrupt a corpus reference before startup), per reference.
-    pub corrupt: f64,
 }
 
 impl Default for FaultPlan {
@@ -104,7 +99,6 @@ impl Default for FaultPlan {
             slow_chunks: 4,
             slow_chunk_ms: 2,
             truncate: 0.0,
-            corrupt: 0.0,
         }
     }
 }
@@ -120,7 +114,6 @@ impl FaultPlan {
             || self.error_paths.iter().any(|(_, p)| *p > 0.0)
             || self.slow > 0.0
             || self.truncate > 0.0
-            || self.corrupt > 0.0
     }
 
     /// Parses the compact `key=value[,key=value…]` spec (see the module
@@ -161,7 +154,6 @@ impl FaultPlan {
                 "error" => plan.error = prob()?,
                 "slow" => plan.slow = prob()?,
                 "truncate" => plan.truncate = prob()?,
-                "corrupt" => plan.corrupt = prob()?,
                 "latency_ms" => {
                     let (lo, hi) = match value.split_once("..") {
                         Some((lo, hi)) => (lo.parse::<u64>().ok(), hi.parse::<u64>().ok()),
@@ -218,7 +210,6 @@ impl FaultPlan {
         prob("error", self.error);
         prob("slow", self.slow);
         prob("truncate", self.truncate);
-        prob("corrupt", self.corrupt);
         for (path, p) in &self.error_paths {
             parts.push(format!("error:{path}={p}"));
         }
@@ -396,7 +387,7 @@ impl FaultInjector {
     }
 }
 
-/// The corpus corruptions the `corrupt` site smuggles into references —
+/// The corruptions a chaos test smuggles into a corpus reference —
 /// exactly the adversarial shapes `OfflineCorpus::validate` must catch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Corruption {
@@ -409,7 +400,7 @@ pub enum Corruption {
 }
 
 impl Corruption {
-    /// All corruption modes, in draw order.
+    /// All corruption modes.
     pub const ALL: [Corruption; 3] = [
         Corruption::NanSample,
         Corruption::EmptySeries,
@@ -443,33 +434,6 @@ pub fn corrupt_reference(
             r.runs_to.pop();
         }
     }
-}
-
-/// Applies the plan's `corrupt` site to a corpus: each reference is
-/// independently corrupted with probability `plan.corrupt`, mode and
-/// position drawn from the reference's own seeded stream. Returns which
-/// references were hit (empty means the corpus is untouched).
-pub fn apply_corpus_corruption(
-    plan: &FaultPlan,
-    corpus: &mut OfflineCorpus,
-) -> Vec<(String, Corruption)> {
-    let mut hit = Vec::new();
-    if plan.corrupt <= 0.0 {
-        return hit;
-    }
-    for (i, r) in corpus.references.iter_mut().enumerate() {
-        let mut rng = Rng64::new(
-            plan.seed
-                .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                ^ SALT_CORPUS,
-        );
-        if rng.unit() < plan.corrupt {
-            let mode = Corruption::ALL[rng.below(Corruption::ALL.len())];
-            corrupt_reference(r, &mut rng, mode);
-            hit.push((r.name.clone(), mode));
-        }
-    }
-    hit
 }
 
 #[cfg(test)]
@@ -508,6 +472,12 @@ mod tests {
             "path must start with /"
         );
         assert!(FaultPlan::parse("slow_chunks=0").is_err());
+        // corpus corruption is no fault site: tests call `corrupt_reference`
+        let key = "corrupt";
+        assert_eq!(
+            FaultPlan::parse(&format!("{key}=0.5")).unwrap_err(),
+            format!("unknown fault spec key '{key}'")
+        );
     }
 
     #[test]
@@ -570,7 +540,7 @@ mod tests {
 
     #[test]
     fn corruption_modes_break_validation() {
-        use wp_core::offline::{OfflineCorpus, OfflineReference};
+        use wp_core::offline::OfflineReference;
         use wp_linalg::Matrix;
 
         let reference = || {
@@ -590,21 +560,6 @@ mod tests {
             corrupt_reference(&mut r, &mut Rng64::new(5), mode);
             assert!(r.validate().is_err(), "{mode:?} must fail validation");
         }
-
-        // plan-driven corruption is deterministic and reported
-        let mut corpus = OfflineCorpus {
-            references: vec![reference()],
-        };
-        let plan = FaultPlan::parse("seed=11,corrupt=1.0").unwrap();
-        let hit = apply_corpus_corruption(&plan, &mut corpus);
-        assert_eq!(hit.len(), 1);
-        assert!(corpus.validate().is_err());
-
-        let mut corpus2 = OfflineCorpus {
-            references: vec![reference()],
-        };
-        let hit2 = apply_corpus_corruption(&plan, &mut corpus2);
-        assert_eq!(hit, hit2, "same seed must corrupt identically");
     }
 
     fn test_run() -> wp_telemetry::ExperimentRun {

@@ -2,8 +2,6 @@
 //! selection, we aggregate the ranks across experiments and select the
 //! top-k features with the lowest aggregate rank."
 
-use wp_telemetry::FeatureId;
-
 use crate::ranking::Ranking;
 
 /// Aggregates per-experiment rankings into one ranking by summing each
@@ -32,14 +30,10 @@ pub fn aggregate_rankings(rankings: &[Ranking]) -> Ranking {
     Ranking::from_scores(universe, scores)
 }
 
-/// Convenience: the top-k features by aggregate rank.
-pub fn aggregate_top_k(rankings: &[Ranking], k: usize) -> Vec<FeatureId> {
-    aggregate_rankings(rankings).top_k(k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wp_telemetry::FeatureId;
 
     fn universe(n: usize) -> Vec<FeatureId> {
         (0..n).map(FeatureId::from_global_index).collect()
@@ -72,19 +66,6 @@ mod tests {
         let b = Ranking::from_order(u2, vec![2, 1, 0]);
         let agg = aggregate_rankings(&[a, b]);
         assert_eq!(agg.top_k(1), vec![FeatureId::from_global_index(0)]);
-    }
-
-    #[test]
-    fn top_k_convenience() {
-        let a = Ranking::from_order(universe(4), vec![3, 1, 0, 2]);
-        let top = aggregate_top_k(&[a], 2);
-        assert_eq!(
-            top,
-            vec![
-                FeatureId::from_global_index(3),
-                FeatureId::from_global_index(1)
-            ]
-        );
     }
 
     #[test]

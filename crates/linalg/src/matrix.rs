@@ -160,18 +160,6 @@ impl Matrix {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
-    /// Overwrites column `c` with the values in `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != rows`.
-    pub fn set_col(&mut self, c: usize, v: &[f64]) {
-        assert_eq!(v.len(), self.rows);
-        for (r, &x) in v.iter().enumerate() {
-            self[(r, c)] = x;
-        }
-    }
-
     /// Iterates over the rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols.max(1))
@@ -418,13 +406,6 @@ mod tests {
         let m = sample();
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(m.col(2), vec![3.0, 6.0]);
-    }
-
-    #[test]
-    fn set_col_overwrites() {
-        let mut m = sample();
-        m.set_col(0, &[7.0, 8.0]);
-        assert_eq!(m.col(0), vec![7.0, 8.0]);
     }
 
     #[test]

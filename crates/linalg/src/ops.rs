@@ -14,29 +14,11 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean (L2) norm.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    a.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
-/// Manhattan (L1) norm.
-#[inline]
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
 /// Squared Euclidean distance between two points.
 #[inline]
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "sq_dist length mismatch");
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Euclidean distance between two points.
-#[inline]
-pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    sq_dist(a, b).sqrt()
 }
 
 /// `y ← y + alpha * x` (BLAS `axpy`).
@@ -123,25 +105,11 @@ pub fn argmin(a: &[f64]) -> Option<usize> {
     Some(best)
 }
 
-/// Indices that would sort `a` ascending (stable).
-pub fn argsort(a: &[f64]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..a.len()).collect();
-    idx.sort_by(|&i, &j| a[i].partial_cmp(&a[j]).unwrap_or(std::cmp::Ordering::Equal));
-    idx
-}
-
 /// Indices that would sort `a` descending (stable).
 pub fn argsort_desc(a: &[f64]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..a.len()).collect();
     idx.sort_by(|&i, &j| a[j].partial_cmp(&a[i]).unwrap_or(std::cmp::Ordering::Equal));
     idx
-}
-
-/// Clamps every element of `x` into `[lo, hi]` in place.
-pub fn clamp_slice(x: &mut [f64], lo: f64, hi: f64) {
-    for xi in x {
-        *xi = xi.clamp(lo, hi);
-    }
 }
 
 #[cfg(test)]
@@ -151,14 +119,11 @@ mod tests {
     #[test]
     fn dot_and_norms() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert_eq!(norm1(&[-1.0, 2.0, -3.0]), 6.0);
     }
 
     #[test]
     fn distances() {
         assert_eq!(sq_dist(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-        assert!((euclidean(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -196,14 +161,6 @@ mod tests {
 
     #[test]
     fn argsort_orders() {
-        assert_eq!(argsort(&[3.0, 1.0, 2.0]), vec![1, 2, 0]);
         assert_eq!(argsort_desc(&[3.0, 1.0, 2.0]), vec![0, 2, 1]);
-    }
-
-    #[test]
-    fn clamp_slice_bounds() {
-        let mut v = vec![-2.0, 0.5, 9.0];
-        clamp_slice(&mut v, 0.0, 1.0);
-        assert_eq!(v, vec![0.0, 0.5, 1.0]);
     }
 }

@@ -61,13 +61,6 @@ impl Rng64 {
         (self.next_u64() % n as u64) as usize
     }
 
-    /// Standard normal draw (Box–Muller).
-    pub fn normal(&mut self) -> f64 {
-        let u1 = f64::EPSILON + (1.0 - f64::EPSILON) * self.unit();
-        let u2 = self.unit();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
     /// In-place Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -121,17 +114,6 @@ mod tests {
             seen[rng.below(10)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn normal_has_plausible_moments() {
-        let mut rng = Rng64::new(11);
-        let n = 20_000;
-        let draws: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        let var = draws.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean={mean}");
-        assert!((var - 1.0).abs() < 0.05, "var={var}");
     }
 
     #[test]

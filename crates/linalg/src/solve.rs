@@ -183,19 +183,6 @@ pub fn lstsq(x: &Matrix, y: &[f64], ridge: f64) -> Vec<f64> {
     }
 }
 
-/// Inverts a symmetric positive definite matrix via Cholesky.
-pub fn spd_inverse(a: &Matrix) -> Result<Matrix, CholeskyError> {
-    let n = a.rows();
-    let mut inv = Matrix::zeros(n, n);
-    for j in 0..n {
-        let mut e = vec![0.0; n];
-        e[j] = 1.0;
-        let col = cholesky_solve(a, &e)?;
-        inv.set_col(j, &col);
-    }
-    Ok(inv)
-}
-
 /// Solves a general square system `A x = b` by Gaussian elimination with
 /// partial pivoting. Returns `None` when `A` is numerically singular.
 pub fn lu_solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
@@ -326,19 +313,6 @@ mod tests {
         let pred = x.matvec(&beta);
         for (p, t) in pred.iter().zip(&y) {
             assert!((p - t).abs() < 1e-3, "{beta:?} -> {pred:?}");
-        }
-    }
-
-    #[test]
-    fn spd_inverse_times_original_is_identity() {
-        let a = spd();
-        let inv = spd_inverse(&a).unwrap();
-        let prod = a.matmul(&inv);
-        for i in 0..2 {
-            for j in 0..2 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expect).abs() < 1e-9);
-            }
         }
     }
 

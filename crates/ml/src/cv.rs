@@ -1,9 +1,8 @@
-//! K-fold cross-validation and train/test splitting.
+//! K-fold cross-validation.
 //!
 //! The paper performs 5-fold cross-validation for every Table 6 model
-//! (§6.2) and uses systematic/random sub-sampling for data augmentation;
-//! the splitters here are deterministic given a seed so experiments are
-//! reproducible run-to-run.
+//! (§6.2); the splitter here is deterministic given a seed so experiments
+//! are reproducible run-to-run.
 
 use wp_linalg::{Matrix, Rng64};
 
@@ -101,28 +100,6 @@ pub fn cross_validate<M: Regressor>(
     })
 }
 
-/// Mean of fold scores.
-pub fn mean_score(scores: &[FoldScore]) -> f64 {
-    if scores.is_empty() {
-        return 0.0;
-    }
-    scores.iter().map(|s| s.score).sum::<f64>() / scores.len() as f64
-}
-
-/// Deterministic shuffled train/test split returning index sets.
-pub fn train_test_split(n: usize, test_fraction: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
-    assert!(
-        (0.0..1.0).contains(&test_fraction),
-        "test fraction must be in [0, 1)"
-    );
-    let mut idx: Vec<usize> = (0..n).collect();
-    Rng64::new(seed).shuffle(&mut idx);
-    let n_test = ((n as f64) * test_fraction).round() as usize;
-    let test = idx[..n_test].to_vec();
-    let train = idx[n_test..].to_vec();
-    (train, test)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,17 +153,8 @@ mod tests {
             crate::metrics::rmse,
         );
         assert_eq!(scores.len(), 5);
-        assert!(mean_score(&scores) < 1e-8, "scores: {scores:?}");
-    }
-
-    #[test]
-    fn train_test_split_sizes() {
-        let (train, test) = train_test_split(100, 0.2, 3);
-        assert_eq!(test.len(), 20);
-        assert_eq!(train.len(), 80);
-        let mut all: Vec<usize> = train.iter().chain(&test).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
+        let mean = scores.iter().map(|s| s.score).sum::<f64>() / 5.0;
+        assert!(mean < 1e-8, "scores: {scores:?}");
     }
 
     #[test]

@@ -62,20 +62,6 @@ impl GradientBoostingRegressor {
             ..Self::default()
         }
     }
-
-    /// Training predictions after each stage — useful for staged
-    /// diagnostics and early-stopping analyses.
-    pub fn staged_train_rmse(&self, x: &Matrix, y: &[f64]) -> Vec<f64> {
-        let mut current = vec![self.base_prediction; x.rows()];
-        let mut out = Vec::with_capacity(self.stages.len());
-        for tree in &self.stages {
-            for (c, p) in current.iter_mut().zip(tree.predict(x)) {
-                *c += self.config.learning_rate * p;
-            }
-            out.push(crate::metrics::rmse(y, &current));
-        }
-        out
-    }
 }
 
 impl Regressor for GradientBoostingRegressor {
@@ -177,21 +163,6 @@ mod tests {
         let mut gb = GradientBoostingRegressor::new();
         gb.fit(&x, &y);
         assert!(rmse(&y, &gb.predict(&x)) < 0.3);
-    }
-
-    #[test]
-    fn training_error_decreases_with_stages() {
-        let (x, y) = noisy_sine(150, 2);
-        let mut gb = GradientBoostingRegressor::with_config(GradientBoostingConfig {
-            n_estimators: 50,
-            ..GradientBoostingConfig::default()
-        });
-        gb.fit(&x, &y);
-        let staged = gb.staged_train_rmse(&x, &y);
-        assert_eq!(staged.len(), 50);
-        assert!(staged[49] < staged[0] * 0.5, "{staged:?}");
-        // loose monotonicity: late error never exceeds early error
-        assert!(staged[49] <= staged[9]);
     }
 
     #[test]

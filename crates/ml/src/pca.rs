@@ -4,7 +4,7 @@
 //! alternative to feature selection and notes its drawbacks: components
 //! mix the original predictors (losing interpretability) and the
 //! projection ignores the modeling objective. This implementation lets
-//! the repository's ablation benches quantify that trade-off.
+//! `exp_appendix_pca` quantify that trade-off.
 //!
 //! Eigendecomposition of the covariance matrix is computed with the
 //! cyclic Jacobi method — exact enough for the ≤ 29-dimensional telemetry

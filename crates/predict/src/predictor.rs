@@ -87,11 +87,6 @@ impl ScalingPredictor {
     pub fn predict(&self, from_cpus: f64, to_cpus: f64, observed: f64) -> Option<f64> {
         self.model.predict_transfer(from_cpus, to_cpus, observed)
     }
-
-    /// Direct (non-transfer) prediction for the reference workload itself.
-    pub fn predict_reference(&self, from_cpus: f64, to_cpus: f64, observed: f64) -> Option<f64> {
-        self.model.predict_value(from_cpus, to_cpus, observed)
-    }
 }
 
 #[cfg(test)]
@@ -148,18 +143,6 @@ mod tests {
             predicted > observed,
             "scaling up should increase throughput"
         );
-    }
-
-    #[test]
-    fn reference_prediction_close_to_truth() {
-        let sim = sim();
-        let data = scaling_data_from_simulation(&sim, &benchmarks::twitter(), &grid(), 8, 3, 10);
-        let predictor = ScalingPredictor::fit("Twitter", ModelStrategy::Regression, &data);
-        let from_mean = wp_linalg::stats::mean(&data.values[0]);
-        let to_mean = wp_linalg::stats::mean(&data.values[2]);
-        let pred = predictor.predict_reference(2.0, 8.0, from_mean).unwrap();
-        let err = (pred - to_mean).abs() / to_mean;
-        assert!(err < 0.2, "pred {pred} vs mean {to_mean}");
     }
 
     #[test]

@@ -52,17 +52,6 @@ impl RooflineModel {
     }
 }
 
-/// A memory-bound throughput ceiling for a workload with per-transaction
-/// working set `mem_mb_per_txn` and per-transaction latency
-/// `latency_s` on a machine with `memory_gb` of memory: at most
-/// `memory/working-set` transactions can be in flight, each holding its
-/// memory for `latency_s`.
-pub fn memory_ceiling_tps(memory_gb: f64, mem_mb_per_txn: f64, latency_s: f64) -> f64 {
-    assert!(memory_gb > 0.0 && mem_mb_per_txn > 0.0 && latency_s > 0.0);
-    let slots = memory_gb * 1024.0 * 0.7 / mem_mb_per_txn;
-    slots / latency_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,14 +88,6 @@ mod tests {
     fn flat_line_has_no_knee() {
         let m = RooflineModel::fit(&[1.0, 2.0, 3.0], &[100.0, 100.0, 100.0], 200.0);
         assert!(m.knee().is_none());
-    }
-
-    #[test]
-    fn memory_ceiling_formula() {
-        // 10 GiB, 70 % usable = 7168 MiB; 100 MiB/txn → ~71.68 slots;
-        // 0.5 s latency → ~143 tps
-        let c = memory_ceiling_tps(10.0, 100.0, 0.5);
-        assert!((c - 143.36).abs() < 0.1, "ceiling {c}");
     }
 
     #[test]

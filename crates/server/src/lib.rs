@@ -137,15 +137,7 @@ pub struct Server;
 impl Server {
     /// Validates the corpus, selects features (stage 1, once), binds the
     /// listener, and starts the reactor's shards.
-    ///
-    /// When the fault plan enables corpus corruption, the corruption is
-    /// applied *before* validation — a corrupted corpus is expected to
-    /// fail startup with the same structured error a genuinely broken
-    /// corpus file would produce.
-    pub fn start(mut corpus: OfflineCorpus, config: ServerConfig) -> Result<ServerHandle, String> {
-        if config.faults.corrupt > 0.0 {
-            wp_faults::apply_corpus_corruption(&config.faults, &mut corpus);
-        }
+    pub fn start(corpus: OfflineCorpus, config: ServerConfig) -> Result<ServerHandle, String> {
         let injector = config
             .faults
             .is_enabled()

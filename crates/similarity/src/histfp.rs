@@ -61,8 +61,9 @@ pub fn histfp_with_ranges(
         .collect()
 }
 
-/// Raw (non-cumulative) variant, kept for the ablation bench comparing
-/// cumulative vs frequency histograms.
+/// Raw (non-cumulative) variant: the frequency histograms Appendix A
+/// argues against, kept so the similarity integration tests can check
+/// that argument against [`histfp`].
 pub fn histfp_raw(data: &[RunFeatureData], nbins: usize) -> Vec<Matrix> {
     assert!(nbins > 0, "need at least one bin");
     let ranges = global_ranges(data);

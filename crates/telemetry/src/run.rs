@@ -53,11 +53,6 @@ impl ResourceSeries {
         self.data.col(f.index())
     }
 
-    /// Wall-clock duration covered by the series.
-    pub fn duration_secs(&self) -> f64 {
-        self.len() as f64 * self.sample_interval_secs
-    }
-
     /// Keeps only the samples at the given indices (in the given order).
     pub fn select_samples(&self, idx: &[usize]) -> ResourceSeries {
         ResourceSeries {
@@ -191,7 +186,6 @@ mod tests {
     fn resource_series_accessors() {
         let s = series(5);
         assert_eq!(s.len(), 5);
-        assert_eq!(s.duration_secs(), 50.0);
         let cpu = s.feature(ResourceFeature::CpuUtilization);
         assert_eq!(cpu, vec![0.0, 7.0, 14.0, 21.0, 28.0]);
     }

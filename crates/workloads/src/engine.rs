@@ -499,33 +499,6 @@ impl Simulator {
             throughput,
         }
     }
-
-    /// Simulates the full grid: every workload × SKU × terminal count ×
-    /// `runs` repetitions, with run `r` assigned to data group `r % 3`
-    /// (the paper runs each configuration three times, once per
-    /// time-of-day).
-    ///
-    /// `terminals_for` maps a workload to its terminal counts (the paper
-    /// uses 4/8/32 for everything except TPC-H, which runs serially).
-    pub fn simulate_grid(
-        &self,
-        specs: &[WorkloadSpec],
-        skus: &[Sku],
-        terminals_for: impl Fn(&WorkloadSpec) -> Vec<usize>,
-        runs: usize,
-    ) -> Vec<ExperimentRun> {
-        let mut out = Vec::new();
-        for spec in specs {
-            for sku in skus {
-                for &t in &terminals_for(spec) {
-                    for r in 0..runs {
-                        out.push(self.simulate(spec, sku, t, r, r % 3));
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// The paper's terminal policy (§2.1): TPC-H always runs serially and
@@ -716,22 +689,6 @@ mod tests {
         assert_eq!(obs.throughput.len(), 10);
         assert!(obs.throughput.iter().all(|t| *t > 0.0));
         assert!(!obs.features.has_non_finite());
-    }
-
-    #[test]
-    fn grid_covers_all_combinations() {
-        let sim = quick_sim();
-        let specs = vec![benchmarks::tpcc(), benchmarks::tpch()];
-        let skus = vec![Sku::new("cpu2", 2, 64.0), Sku::new("cpu4", 4, 64.0)];
-        let runs = sim.simulate_grid(&specs, &skus, paper_terminals, 3);
-        // TPC-C: 2 skus × 3 terminal counts × 3 runs = 18
-        // TPC-H: 2 skus × 1 terminal count × 3 runs = 6
-        assert_eq!(runs.len(), 24);
-        assert!(runs
-            .iter()
-            .any(|r| r.key.workload == "TPC-H" && r.key.terminals == 1));
-        // data groups cycle 0,1,2
-        assert!(runs.iter().any(|r| r.key.data_group == 2));
     }
 
     #[test]

@@ -376,8 +376,8 @@ fn corrupted_corpora_fail_validation_startup_and_upload() {
 
 #[test]
 fn server_boots_when_corruption_dice_miss() {
-    // corrupt is armed but at probability 0 per reference it never
-    // fires; the plan is enabled (reset site), corpus stays intact.
+    // An enabled plan (reset site) leaves the corpus intact, so the
+    // server validates it and boots.
     let faults = FaultPlan::parse("seed=3,reset=0.01").unwrap();
     let corpus = simulated_corpus(0xEDB7_2025, 40);
     let config = ServerConfig {
