@@ -513,7 +513,7 @@ fn fetch_until_ok(
         match wp_loadgen::fetch(addr, method, path, body, timeout) {
             Ok((status, b)) if (200..300).contains(&status) => return Ok(b),
             Ok((status, _)) => last = format!("status {status}"),
-            Err(class) => last = class.label().to_string(),
+            Err(failure) => last = failure.to_string(),
         }
     }
     Err(format!(

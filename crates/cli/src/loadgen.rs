@@ -256,13 +256,13 @@ fn scrape_metrics(
     let addr = config.addr.as_str();
     if let Some(body) = indexed_body {
         let (status, _) = wp_loadgen::fetch(addr, "POST", "/similar", body, config.timeout)
-            .map_err(|class| format!("indexed /similar probe failed: {}", class.label()))?;
+            .map_err(|failure| format!("indexed /similar probe failed: {failure}"))?;
         if !(200..300).contains(&status) {
             return Err(format!("indexed /similar probe answered {status}"));
         }
     }
     let (status, body) = wp_loadgen::fetch(addr, "GET", "/metrics", "", config.timeout)
-        .map_err(|class| format!("GET /metrics failed: {}", class.label()))?;
+        .map_err(|failure| format!("GET /metrics failed: {failure}"))?;
     if status != 200 {
         return Err(format!(
             "GET /metrics answered {status} — is the server running with --obs?"

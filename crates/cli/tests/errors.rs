@@ -3,7 +3,7 @@
 //! line and then the usage text; a failure while running a well-formed
 //! command prints its `error:` line alone.
 
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::process::Command;
 
 /// Runs `wp` with `args`: whether it exited 0, and its stderr.
@@ -98,11 +98,13 @@ fn runtime_failures_print_one_line() {
         &format!("cannot read corpus file '{missing}'"),
     );
 
-    // A one-connection ramp against a port nothing listens on.
+    // A one-connection ramp against a port nothing listens on. The
+    // message gives the failure's class and the socket's own words.
     let port = TcpListener::bind("127.0.0.1:0")
         .and_then(|listener| listener.local_addr())
         .expect("a free port")
         .port();
+    let refused = TcpStream::connect(("127.0.0.1", port)).expect_err("nothing listens");
     let out = format!("{}/BENCH_scaling.json", env!("CARGO_TARGET_TMPDIR"));
     assert_one_line_error(
         &[
@@ -120,6 +122,6 @@ fn runtime_failures_print_one_line() {
             "--out",
             &out,
         ],
-        "prefetch /healthz failed",
+        &format!("prefetch /healthz failed: reset ({refused})\n"),
     );
 }

@@ -23,7 +23,9 @@ impl Matrix {
     /// untrusted dimensions (e.g. the telemetry JSON reader) come in
     /// through here.
     pub fn try_from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, String> {
-        if data.len() != rows * cols {
+        // Checked: dimensions whose product wraps must not pass for the
+        // length of a short buffer.
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(format!(
                 "matrix buffer length {} does not match {rows}x{cols}",
                 data.len()

@@ -236,4 +236,8 @@ fn try_from_vec_validates_length() {
     assert!(ok.is_ok());
     let err = Matrix::try_from_vec(2, 3, vec![0.0; 5]).unwrap_err();
     assert!(err.contains("does not match"), "{err}");
+    // 2^32 × 2^32 wraps to 0 on 64-bit targets: not the length of [].
+    let side = 1usize << (usize::BITS / 2);
+    let err = Matrix::try_from_vec(side, side, vec![]).unwrap_err();
+    assert!(err.contains("does not match"), "{err}");
 }

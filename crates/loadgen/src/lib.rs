@@ -173,6 +173,43 @@ impl ErrorClass {
     }
 }
 
+/// One failed attempt: its class, and the I/O error behind it when
+/// there is one, so a message can say why a connect or a read failed.
+#[derive(Debug)]
+pub struct Failure {
+    /// What the taxonomy counts.
+    pub class: ErrorClass,
+    /// The socket error, such as a refused connect.
+    pub cause: Option<std::io::Error>,
+}
+
+impl Failure {
+    fn io(class: ErrorClass, cause: std::io::Error) -> Self {
+        Self {
+            class,
+            cause: Some(cause),
+        }
+    }
+}
+
+impl From<ErrorClass> for Failure {
+    fn from(class: ErrorClass) -> Self {
+        Self { class, cause: None }
+    }
+}
+
+/// The class's label, then the socket error if there is one:
+/// `reset (Connection refused (os error 111))`.
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.class.label())?;
+        match &self.cause {
+            Some(cause) => write!(f, " ({cause})"),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Per-class failure counters plus retry accounting for one run.
 ///
 /// `resets + timeouts + server_errors + client_errors + malformed +
@@ -466,7 +503,7 @@ pub fn fetch(
     path: &str,
     body: &str,
     timeout: Duration,
-) -> Result<(u16, String), ErrorClass> {
+) -> Result<(u16, String), Failure> {
     let (status, response, _) = Client::new(addr, timeout, 0, 0).exchange(method, path, body)?;
     Ok((status, response))
 }
@@ -718,7 +755,7 @@ pub fn run_stream(config: &StreamerConfig) -> Result<StreamReport, String> {
     latencies.sort_unstable();
 
     let (status, stats_body) = fetch(&config.addr, "GET", "/stats", "", config.timeout)
-        .map_err(|class| format!("post-run /stats probe failed: {}", class.label()))?;
+        .map_err(|failure| format!("post-run /stats probe failed: {failure}"))?;
     if status != 200 {
         return Err(format!("post-run /stats probe answered {status}"));
     }
@@ -860,7 +897,7 @@ pub fn run_steps(
             &entry.body,
             config.timeout,
         )
-        .map_err(|class| format!("prefetch {} failed: {}", entry.path, class.label()))?;
+        .map_err(|failure| format!("prefetch {} failed: {failure}", entry.path))?;
         if status != 200 {
             return Err(format!("prefetch {} answered {status}", entry.path));
         }
@@ -1089,7 +1126,7 @@ impl<'a> Client<'a> {
                     }
                     return Ok(latency_ns);
                 }
-                Err(class) => class,
+                Err(failure) => failure.class,
             };
             taxonomy.count(class);
             if !class.retryable() {
@@ -1107,7 +1144,7 @@ impl<'a> Client<'a> {
 
     /// One attempt, classified by its status and, when the answer is
     /// known, by its body.
-    fn attempt(&mut self, entry: &MixEntry, expected: Option<&str>) -> Result<u64, ErrorClass> {
+    fn attempt(&mut self, entry: &MixEntry, expected: Option<&str>) -> Result<u64, Failure> {
         let (status, body, latency_ns) = self.exchange(entry.method, entry.path, &entry.body)?;
         let class = match status {
             200..=299 if expected.is_none_or(|answer| answer == body) => return Ok(latency_ns),
@@ -1119,7 +1156,7 @@ impl<'a> Client<'a> {
         if !class.answered() {
             self.conn = None;
         }
-        Err(class)
+        Err(class.into())
     }
 
     /// Sends one request on the kept connection, opening one first if
@@ -1131,7 +1168,7 @@ impl<'a> Client<'a> {
         method: &str,
         path: &str,
         body: &str,
-    ) -> Result<(u16, String, u64), ErrorClass> {
+    ) -> Result<(u16, String, u64), Failure> {
         let result = (|| {
             let conn = match self.conn.as_mut() {
                 Some(c) => c,
@@ -1150,9 +1187,9 @@ impl<'a> Client<'a> {
                 }
                 Ok((status, response, elapsed_ns))
             }
-            Err(class) => {
+            Err(failure) => {
                 self.conn = None;
-                Err(class)
+                Err(failure)
             }
         }
     }
@@ -1167,11 +1204,12 @@ struct Connection {
 impl Connection {
     /// Connects; a refusal, or any other failure to set the socket up,
     /// is an [`ErrorClass::Reset`].
-    fn open(addr: &str, timeout: Duration) -> Result<Self, ErrorClass> {
-        let stream = TcpStream::connect(addr).map_err(|_| ErrorClass::Reset)?;
+    fn open(addr: &str, timeout: Duration) -> Result<Self, Failure> {
+        let reset = |e| Failure::io(ErrorClass::Reset, e);
+        let stream = TcpStream::connect(addr).map_err(reset)?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(timeout));
-        let reader = BufReader::new(stream.try_clone().map_err(|_| ErrorClass::Reset)?);
+        let reader = BufReader::new(stream.try_clone().map_err(reset)?);
         Ok(Self {
             reader,
             writer: BufWriter::new(stream),
@@ -1179,14 +1217,14 @@ impl Connection {
     }
 
     /// Writes one request; classifies write failures as [`ErrorClass::Reset`].
-    fn send(&mut self, method: &str, path: &str, body: &str) -> Result<(), ErrorClass> {
+    fn send(&mut self, method: &str, path: &str, body: &str) -> Result<(), Failure> {
         write!(
             self.writer,
             "{method} {path} HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
             body.len(),
         )
         .and_then(|()| self.writer.flush())
-        .map_err(|_| ErrorClass::Reset)
+        .map_err(|e| Failure::io(ErrorClass::Reset, e))
     }
 
     /// Reads one HTTP/1.1 response (status line, headers,
@@ -1200,7 +1238,7 @@ impl Connection {
     /// [`ErrorClass::Malformed`]. (EOF and an empty header line are
     /// *different* events: `read_line` returning zero bytes is a closed
     /// socket, not a blank line.)
-    fn read_response(&mut self) -> Result<(u16, bool, String), ErrorClass> {
+    fn read_response(&mut self) -> Result<(u16, bool, String), Failure> {
         let line = read_response_line(&mut self.reader)?.ok_or(ErrorClass::Reset)?;
         let status: u16 = line
             .split_whitespace()
@@ -1229,9 +1267,7 @@ impl Connection {
             }
         }
         let mut body = vec![0u8; content_length];
-        self.reader
-            .read_exact(&mut body)
-            .map_err(|e| classify_io(&e))?;
+        self.reader.read_exact(&mut body).map_err(classify_io)?;
         let body = String::from_utf8(body).map_err(|_| ErrorClass::Malformed)?;
         Ok((status, keep_alive, body))
     }
@@ -1239,9 +1275,9 @@ impl Connection {
 
 /// Reads one line; `Ok(None)` on a clean EOF before any byte, classified
 /// I/O errors otherwise.
-fn read_response_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, ErrorClass> {
+fn read_response_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, Failure> {
     let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(|e| classify_io(&e))?;
+    let n = reader.read_line(&mut line).map_err(classify_io)?;
     if n == 0 {
         return Ok(None);
     }
@@ -1251,13 +1287,14 @@ fn read_response_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String
 /// Maps an I/O error to the taxonomy: timeouts are distinguishable by
 /// kind, truncation surfaces as `UnexpectedEof`, everything else on an
 /// established connection is treated as a reset.
-fn classify_io(e: &std::io::Error) -> ErrorClass {
+fn classify_io(e: std::io::Error) -> Failure {
     use std::io::ErrorKind;
-    match e.kind() {
+    let class = match e.kind() {
         ErrorKind::WouldBlock | ErrorKind::TimedOut => ErrorClass::Timeout,
         ErrorKind::UnexpectedEof => ErrorClass::Malformed,
         _ => ErrorClass::Reset,
-    }
+    };
+    Failure::io(class, e)
 }
 
 #[cfg(test)]

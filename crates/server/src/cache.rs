@@ -7,8 +7,10 @@
 //! recurring request is served from memory until an ingest publishes a
 //! newer corpus). The cache stores whatever it is given; which answers
 //! are worth storing is the caller's policy: `service::ShardState`
-//! stores a response only once its request recurs. An eviction copies no
-//! key, since a response key holds a whole request body.
+//! stores a response only once its request recurs. A lookup takes any
+//! borrowed form of the key, so a response lookup borrows the request's
+//! bytes in place, and neither a lookup nor an eviction copies a key: a
+//! stored response's key holds a copy of its whole request body.
 //!
 //! Everything cached is a deterministic function of its key, which is
 //! what makes a hit *bit-identical* to a recompute — the cache can only
@@ -22,6 +24,7 @@
 //! hits. Only insertions (and the evictions they trigger) take the
 //! exclusive lock.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +53,7 @@ pub struct LruCache<K, V> {
     evictions: AtomicU64,
 }
 
-impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
+impl<K: Eq + Hash, V> LruCache<K, V> {
     /// Creates a cache holding at most `capacity` entries (min 1).
     pub fn new(capacity: usize) -> Self {
         Self {
@@ -66,7 +69,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Looks `key` up, refreshing its recency. Counts a hit or miss.
-    pub fn get(&self, key: &K) -> Option<Arc<V>> {
+    /// `key` may be any borrowed form of `K`, so a lookup need not build
+    /// the key it would store.
+    pub fn get<Q>(&self, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         match inner.map.get(key) {
@@ -91,7 +100,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             // O(capacity) scans; capacities here are tens of entries. Every
             // clock tick goes to one operation on one entry, so the oldest
             // tick names exactly the victim, and removing it by tick copies
-            // no key (a response key holds a whole request body).
+            // no key (a stored response's key holds a whole request body).
             let oldest = inner
                 .map
                 .values()
@@ -115,7 +124,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Computes-and-caches: returns the cached value or runs `f`, stores
     /// its result, and returns it.
-    pub fn get_or_insert_with(&self, key: &K, f: impl FnOnce() -> V) -> Arc<V> {
+    pub fn get_or_insert_with(&self, key: &K, f: impl FnOnce() -> V) -> Arc<V>
+    where
+        K: Clone,
+    {
         if let Some(v) = self.get(key) {
             return v;
         }

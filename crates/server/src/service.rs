@@ -27,17 +27,31 @@
 //!
 //! ## Response-cache keys and admission
 //!
-//! A request is hashed once, into a per-process-seeded digest of its
-//! path and body; a [`RequestKey`] hashes as (generation, digest) and
-//! compares the full request bytes, so a digest collision costs a byte
-//! compare, never a wrong answer. A shard stores a computed answer only
-//! if the same request already missed once among the shard's last
-//! `cache_capacity` misses ("cache on second hit", the 2Q admission
-//! rule): a body that never recurs, the common case for tenants posting
-//! fresh telemetry, is answered without ever being held as a key. So
+//! A request is digested once, in one multiply-mix pass over its path
+//! and body under secrets drawn once per process. The lookup borrows
+//! the request's own bytes: entries hash as (generation, digest) and
+//! compare the full request bytes ([`KeyParts`]), so a digest collision
+//! costs a byte compare, never a wrong answer. A shard stores a computed
+//! answer only if the same request already missed once among the
+//! shard's last `cache_capacity` misses ("cache on second hit", the 2Q
+//! admission rule), and only then copies the request into a
+//! [`RequestKey`]: a body that never recurs, the common case for tenants
+//! posting fresh telemetry, is answered without ever being copied. So
 //! the third identical request is the first hit; the second recomputes
 //! the same bytes.
+//!
+//! ## Reading a body
+//!
+//! A `POST` body is read once. `wp_telemetry::io::decode_runs_body`
+//! decodes its `"runs"` straight into runs, with no JSON tree, and
+//! returns the other members as small trees. A body it declines (a
+//! syntax error, a wrong type, an empty `"runs"`, a repeated key) is
+//! parsed by [`Json::parse`] and decoded by `run_from_json`, which
+//! produce every error message, so errors are the tree's by
+//! construction. Both read through one `wp_json::Reader`, which refuses
+//! nesting deeper than `wp_json::MAX_DEPTH` levels with a 400.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -55,7 +69,7 @@ use wp_predict::strategies::ModelStrategy;
 use wp_similarity::fingerprinter::fingerprinter;
 use wp_similarity::repr::{extract, Representation, RunFeatureData};
 use wp_stream::{StreamConfig, StreamEngine};
-use wp_telemetry::io::run_from_json;
+use wp_telemetry::io::{decode_runs_body, run_from_json};
 use wp_telemetry::{ExperimentRun, FeatureId};
 use wp_workloads::Sku;
 
@@ -102,62 +116,180 @@ impl ServiceError {
     }
 }
 
-/// A response-cache key: the corpus generation a request read, a digest
-/// of the request's path and body, and those bytes (`"path\nbody"`).
+/// What a response-cache entry is hashed and compared by: the corpus
+/// generation a request read, a digest of the request's path and body,
+/// and those bytes. An owned [`RequestKey`] and a request borrowed in
+/// place (`Lookup`) both provide them, so a lookup copies no byte.
 ///
-/// The key hashes only `(generation, digest)` and compares generation,
+/// Entries hash only `(generation, digest)` and compare generation,
 /// then digest, then bytes. The digest picks the bucket, and a hit is
 /// always the same request bytes, so a digest collision costs one byte
-/// compare and never a wrong answer. The digest is seeded once per
-/// process, so collisions cannot be precomputed.
-#[derive(Clone)]
+/// compare and never a wrong answer.
+pub trait KeyParts {
+    /// The corpus generation the answer reads.
+    fn generation(&self) -> u64;
+    /// The digest of the request's path and body.
+    fn digest(&self) -> u64;
+    /// The request's path and body.
+    fn request(&self) -> (&str, &str);
+}
+
+impl Hash for dyn KeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.generation().hash(state);
+        self.digest().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.generation() == other.generation()
+            && self.digest() == other.digest()
+            && self.request() == other.request()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
+
+/// A stored response's key: the [`KeyParts`] of its request, owning a
+/// copy of the request's path and body. One is made only when the
+/// answer is stored.
 pub struct RequestKey {
     generation: u64,
     digest: u64,
-    bytes: String,
+    path: String,
+    body: String,
 }
 
-impl RequestKey {
-    /// The key of `req` answered against corpus `generation`; the one
-    /// pass a cached request makes over its body to hash it.
-    fn new(generation: u64, req: &Request) -> Self {
-        static SEED: OnceLock<RandomState> = OnceLock::new();
-        Self {
-            generation,
-            digest: SEED
-                .get_or_init(RandomState::new)
-                .hash_one((&req.path, &req.body)),
-            bytes: format!("{}\n{}", req.path, req.body),
-        }
+impl KeyParts for RequestKey {
+    fn generation(&self) -> u64 {
+        self.generation
     }
 
-    /// A key with a chosen digest, to force a collision.
-    #[cfg(test)]
-    fn with_digest(generation: u64, digest: u64, bytes: &str) -> Self {
-        Self {
-            generation,
-            digest,
-            bytes: bytes.to_string(),
-        }
+    fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    fn request(&self) -> (&str, &str) {
+        (&self.path, &self.body)
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for RequestKey {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
     }
 }
 
 impl Hash for RequestKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.generation.hash(state);
-        self.digest.hash(state);
+        (self as &dyn KeyParts).hash(state);
     }
 }
 
 impl PartialEq for RequestKey {
     fn eq(&self, other: &Self) -> bool {
-        self.generation == other.generation
-            && self.digest == other.digest
-            && self.bytes == other.bytes
+        (self as &dyn KeyParts) == (other as &dyn KeyParts)
     }
 }
 
 impl Eq for RequestKey {}
+
+/// A request as the response cache looks it up, borrowed in place.
+struct Lookup<'a> {
+    generation: u64,
+    digest: u64,
+    req: &'a Request,
+}
+
+impl<'a> Lookup<'a> {
+    /// `req` answered against corpus `generation`: the one pass a
+    /// cached request makes over its body, to digest it.
+    fn new(generation: u64, req: &'a Request) -> Self {
+        let path = request_digest(0, req.path.as_bytes());
+        Self {
+            generation,
+            digest: request_digest(path, req.body.as_bytes()),
+            req,
+        }
+    }
+
+    /// The lookup as the cache compares keys.
+    fn parts(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+
+    /// The key a stored answer keeps: the request's bytes, copied.
+    fn to_key(&self) -> RequestKey {
+        RequestKey {
+            generation: self.generation,
+            digest: self.digest,
+            path: self.req.path.clone(),
+            body: self.req.body.clone(),
+        }
+    }
+}
+
+impl KeyParts for Lookup<'_> {
+    fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    fn request(&self) -> (&str, &str) {
+        (&self.req.path, &self.req.body)
+    }
+}
+
+/// A 64-bit digest of `bytes`, chained from `start`: four lanes each
+/// fold 16 bytes per step into their state with one 64×64→128-bit
+/// multiply, whose halves are xored. The multiplier's input is masked
+/// with secrets drawn once per process, so which bodies collide cannot
+/// be worked out in advance, and a collision costs a byte compare.
+fn request_digest(start: u64, bytes: &[u8]) -> u64 {
+    static SECRETS: OnceLock<[u64; 5]> = OnceLock::new();
+    let secrets = SECRETS.get_or_init(|| {
+        let mut seed = RandomState::new().hash_one(0u64);
+        std::array::from_fn(|_| {
+            // splitmix64: distinct, well-mixed secrets from one seed.
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        })
+    });
+    let fold = |a: u64, b: u64| {
+        let product = u128::from(a) * u128::from(b);
+        product as u64 ^ (product >> 64) as u64
+    };
+    let word = |chunk: &[u8]| u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+    let mut lanes = [start; 4];
+    let mut absorb = |block: &[u8]| {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let at = 16 * i;
+            *lane = fold(
+                word(&block[at..at + 8]) ^ secrets[i],
+                word(&block[at + 8..at + 16]) ^ *lane,
+            );
+        }
+    };
+    let mut blocks = bytes.chunks_exact(64);
+    blocks.by_ref().for_each(&mut absorb);
+    // The last 0..63 bytes, zero-padded into one more block; the length
+    // tells a padded block from one that ends in zeros.
+    let mut last = [0u8; 64];
+    let tail = blocks.remainder();
+    last[..tail.len()].copy_from_slice(tail);
+    absorb(&last);
+    let [a, b, c, d] = lanes;
+    fold(
+        fold(a ^ secrets[4], b ^ bytes.len() as u64) ^ secrets[0],
+        fold(c ^ secrets[1], d ^ secrets[2]),
+    )
+}
 
 /// Per-shard caches. A reactor shard serves its connections from its
 /// own `ShardState`, so the cache locks are effectively uncontended on
@@ -244,13 +376,14 @@ impl ShardState {
     /// taken: no new request asks for that key. A store racing the drop
     /// on another thread of the same shard can still leave one such
     /// entry; the next drop removes it.
-    fn store(&self, key: RequestKey, body: &str) {
-        if !self.missed_recently(key.digest) {
+    fn store(&self, lookup: &Lookup, body: &str) {
+        if !self.missed_recently(lookup.digest) {
             self.declined.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        if key.generation >= self.newest_generation.load(Ordering::Relaxed) {
-            self.responses.insert(key, Arc::new(body.to_string()));
+        if lookup.generation >= self.newest_generation.load(Ordering::Relaxed) {
+            self.responses
+                .insert(lookup.to_key(), Arc::new(body.to_string()));
         }
     }
 }
@@ -519,13 +652,13 @@ fn cached(
 ) -> Result<String, ServiceError> {
     let engine = state.snapshot();
     let caches = state.shard(shard);
-    let key = RequestKey::new(engine.generation(), req);
-    caches.serve_at(key.generation);
-    if let Some(hit) = caches.responses.get(&key) {
+    let lookup = Lookup::new(engine.generation(), req);
+    caches.serve_at(lookup.generation);
+    if let Some(hit) = caches.responses.get(lookup.parts()) {
         return Ok(hit.as_ref().clone());
     }
     let body = f(&engine)?;
-    caches.store(key, &body);
+    caches.store(&lookup, &body);
     Ok(body)
 }
 
@@ -636,16 +769,50 @@ fn validate_corpus(body: &str) -> Result<String, ServiceError> {
     .compact())
 }
 
-/// Parses a `POST` body into a JSON tree.
-fn parse_body(body: &str) -> Result<Json, ServiceError> {
-    Json::parse(body).map_err(|e| ServiceError::bad_request(format!("invalid JSON body: {e}")))
+/// A `POST` body, read once.
+struct Body {
+    /// Its members, but for `"runs"` when `runs` holds them.
+    doc: Json,
+    /// Its `"runs"`, when the typed decoder read the body.
+    runs: Option<Vec<ExperimentRun>>,
 }
 
-/// Parses a `POST` body and decodes its `"runs"` array.
+impl Body {
+    /// Whether the body has a `"runs"` member.
+    fn has_runs(&self) -> bool {
+        self.runs.is_some() || self.doc.get("runs").is_some()
+    }
+
+    /// The other members and the decoded, non-empty `"runs"`.
+    fn into_runs(self) -> Result<(Json, Vec<ExperimentRun>), ServiceError> {
+        let runs = match self.runs {
+            Some(runs) => runs,
+            None => decode_runs(&self.doc)?,
+        };
+        Ok((self.doc, runs))
+    }
+}
+
+/// Reads a `POST` body: straight into runs when
+/// [`decode_runs_body`] takes it, and otherwise into a JSON tree. A body
+/// the typed decoder declines is the tree's to accept or reject, so
+/// every error names the tree's reason, and a body it takes decodes as
+/// the tree would decode it.
+fn parse_body(body: &str) -> Result<Body, ServiceError> {
+    if let Some((doc, runs)) = decode_runs_body(body) {
+        return Ok(Body {
+            doc,
+            runs: Some(runs),
+        });
+    }
+    let doc = Json::parse(body)
+        .map_err(|e| ServiceError::bad_request(format!("invalid JSON body: {e}")))?;
+    Ok(Body { doc, runs: None })
+}
+
+/// Reads a `POST` body and its required `"runs"` array.
 fn parse_target_runs(body: &str) -> Result<(Json, Vec<ExperimentRun>), ServiceError> {
-    let doc = parse_body(body)?;
-    let runs = decode_runs(&doc)?;
-    Ok((doc, runs))
+    parse_body(body)?.into_runs()
 }
 
 /// Decodes the `"runs"` array shared by every `POST` body from its
@@ -1015,7 +1182,8 @@ fn recommend(
     body: &str,
 ) -> Result<String, ServiceError> {
     let _span = OBS_RECOMMEND_SPAN.start();
-    let doc = parse_body(body)?;
+    let body = parse_body(body)?;
+    let doc = &body.doc;
     let slo = doc
         .get("slo")
         .ok_or_else(|| ServiceError::bad_request("body needs a 'slo' throughput target"))?
@@ -1031,18 +1199,18 @@ fn recommend(
             .filter(|x| x.is_finite() && *x > 0.0)
             .ok_or_else(|| ServiceError::bad_request("'observed_cpus' must be positive"))?,
     };
-    let (runs, source) = match (doc.get("tenant"), doc.get("runs")) {
-        (Some(_), Some(_)) => {
+    let (runs, source) = match (doc.get("tenant"), body.has_runs()) {
+        (Some(_), true) => {
             return Err(ServiceError::bad_request(
                 "give 'runs' or 'tenant', not both",
             ))
         }
-        (None, None) => {
+        (None, false) => {
             return Err(ServiceError::bad_request(
                 "body needs a 'runs' array or a 'tenant' name",
             ))
         }
-        (Some(t), None) => {
+        (Some(t), false) => {
             let name = t
                 .as_str()
                 .ok_or_else(|| ServiceError::bad_request("'tenant' must be a string"))?;
@@ -1053,7 +1221,7 @@ fn recommend(
                 .to_vec();
             (runs, format!("tenant:{name}"))
         }
-        (None, Some(_)) => (decode_runs(&doc)?, "inline".to_string()),
+        (None, true) => (body.into_runs()?.1, "inline".to_string()),
     };
 
     let observed = wp_linalg::stats::mean(&runs.iter().map(|r| r.throughput).collect::<Vec<_>>());
@@ -1528,8 +1696,8 @@ mod tests {
         handle(&state, req);
         handle(&state, req);
         let held = |generation| {
-            let key = RequestKey::new(generation, req);
-            state.shards[0].responses.get(&key).is_some()
+            let lookup = Lookup::new(generation, req);
+            state.shards[0].responses.get(lookup.parts()).is_some()
         };
         assert!(held(0));
 
@@ -1545,24 +1713,50 @@ mod tests {
     }
 
     /// Keys whose generation and digest agree but whose bytes differ are
-    /// different keys: a lookup of one in a cache holding the other is a
-    /// counted miss.
+    /// different keys: a borrowed lookup of one in a cache holding the
+    /// other is a counted miss, and a lookup of the same bytes hits.
     #[test]
     fn a_digest_collision_is_a_counted_miss() {
-        let held = RequestKey::with_digest(4, 7, "/similar\n{\"a\":1}");
-        let other = RequestKey::with_digest(4, 7, "/similar\n{\"a\":2}");
-        assert!(held != other);
-        assert!(held == RequestKey::with_digest(4, 7, "/similar\n{\"a\":1}"));
-
+        let (one, two) = (
+            request("POST", "/similar", "{\"a\":1}"),
+            request("POST", "/similar", "{\"a\":2}"),
+        );
+        let colliding = |req| Lookup {
+            generation: 4,
+            digest: 7,
+            req,
+        };
         let cache: LruCache<RequestKey, String> = LruCache::new(4);
-        cache.insert(held.clone(), Arc::new("held".to_string()));
-        assert!(cache.get(&other).is_none());
+        cache.insert(colliding(&one).to_key(), Arc::new("held".to_string()));
+        assert!(cache.get(colliding(&two).parts()).is_none());
         assert_eq!(cache.counters(), (0, 1));
         assert_eq!(
-            cache.get(&held).as_deref().map(String::as_str),
+            cache
+                .get(colliding(&one).parts())
+                .as_deref()
+                .map(String::as_str),
             Some("held")
         );
         assert_eq!(cache.counters(), (1, 1));
+    }
+
+    /// The digest reads every byte and the length: a flipped bit in any
+    /// block, the tail included, or a trailing zero byte moves it.
+    #[test]
+    fn the_digest_sees_every_byte_and_the_length() {
+        let body: Vec<u8> = (0..200u8).collect();
+        let base = request_digest(0, &body);
+        assert_eq!(base, request_digest(0, &body), "one secret per process");
+        for at in [0, 31, 63, 64, 127, 128, 199] {
+            let mut flipped = body.clone();
+            flipped[at] ^= 1;
+            assert_ne!(request_digest(0, &flipped), base, "byte {at}");
+        }
+        let mut longer = body.clone();
+        longer.push(0);
+        assert_ne!(request_digest(0, &longer), base);
+        assert_ne!(request_digest(1, &body), base, "the chain start counts");
+        assert_ne!(request_digest(0, b""), request_digest(0, b"\0"));
     }
 
     /// Satellite regression: before generation-aware cache keys, a
@@ -1658,7 +1852,7 @@ mod tests {
             let responses = &state.shards[shard].responses;
             assert_eq!(responses.len(), 1, "shard {shard} kept a superseded answer");
             let held = responses
-                .get(&RequestKey::new(1, &indexed))
+                .get(Lookup::new(1, &indexed).parts())
                 .expect("new answer cached");
             assert_eq!(held.as_ref(), &expected.1, "shard {shard}");
         }
@@ -1776,8 +1970,8 @@ mod tests {
         let check_cache = |shard: usize, r: usize, gens: std::ops::RangeInclusive<u64>| {
             let mut found = 0;
             for g in gens {
-                let key = RequestKey::new(g, &reads[r]);
-                if let Some(body) = state.shards[shard].responses.get(&key) {
+                let lookup = Lookup::new(g, &reads[r]);
+                if let Some(body) = state.shards[shard].responses.get(lookup.parts()) {
                     found += 1;
                     assert_eq!(
                         (200, body.as_ref().clone()),

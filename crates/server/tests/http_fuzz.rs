@@ -27,6 +27,8 @@ use wp_linalg::Rng64;
 use wp_server::corpus::simulated_corpus;
 use wp_server::http::{parse_request, Parsed, MAX_LINE_BYTES};
 use wp_server::{Server, ServerConfig, ServerHandle};
+use wp_telemetry::io::{decode_runs_body, run_from_json};
+use wp_telemetry::ExperimentRun;
 use wp_workloads::engine::Simulator;
 use wp_workloads::{benchmarks, Sku};
 
@@ -817,4 +819,314 @@ fn huge_indexed_k_is_answered_like_the_whole_corpus() {
         "server unhealthy after a huge k"
     );
     server.shutdown();
+}
+
+/// Regression: the JSON parser recursed once per `[` or `{` with no
+/// bound, so a `POST` of 200,000 `[` overflowed a shard thread's stack
+/// and killed the server. Every endpoint that reads a JSON body now
+/// answers such a body with a 400 naming the nesting bound, from the
+/// same shard, which then still answers `/healthz`.
+#[test]
+fn deeply_nested_bodies_are_a_400_not_a_dead_server() {
+    let corpus = simulated_corpus(0xEDB7_2025, 60);
+    let config = ServerConfig {
+        workers: 1,
+        compute_threads: Some(1),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(corpus, config).expect("server must start");
+    let addr = server.addr();
+    let flood = "[".repeat(200_000);
+    let under_runs = format!("{{\"runs\":{flood}");
+    for path in [
+        "/similar",
+        "/fingerprint",
+        "/predict",
+        "/recommend",
+        "/ingest",
+        "/corpus",
+    ] {
+        for body in [&flood, &under_runs] {
+            let request = format!(
+                "POST {path} HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let response = String::from_utf8(fire(addr, request.as_bytes())).unwrap();
+            let (head, answer) = response.split_once("\r\n\r\n").expect("a response");
+            assert!(head.starts_with("HTTP/1.1 400"), "{path}: {head}");
+            let prefix = match path {
+                "/corpus" => "invalid corpus JSON",
+                _ => "invalid JSON body",
+            };
+            let error = Json::parse(answer).unwrap();
+            let error = error.get("error").and_then(Json::as_str).unwrap();
+            assert!(
+                error.starts_with(&format!(
+                    "{prefix}: nesting deeper than 128 levels at byte "
+                )),
+                "{path}: {error}"
+            );
+        }
+    }
+    let health = fire(addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert!(
+        String::from_utf8_lossy(&health).starts_with("HTTP/1.1 200"),
+        "server unhealthy after deeply nested bodies"
+    );
+    server.shutdown();
+}
+
+/// The decode of a body as the tree path sees it: `Json::parse`, the
+/// first `"runs"` member decoded by `run_from_json`, and every other
+/// member; `None` wherever that path answers 400.
+fn tree_decode(body: &str) -> Option<(Json, Vec<ExperimentRun>)> {
+    let Json::Obj(members) = Json::parse(body).ok()? else {
+        return None;
+    };
+    let runs = members.iter().find(|(key, _)| key == "runs")?.1.as_arr()?;
+    let runs: Vec<_> = runs
+        .iter()
+        .map(run_from_json)
+        .collect::<Result<_, _>>()
+        .ok()?;
+    let others = members
+        .into_iter()
+        .filter(|(key, _)| key != "runs")
+        .collect();
+    (!runs.is_empty()).then_some((Json::Obj(others), runs))
+}
+
+/// Whether two trees are equal with every number compared by its bits.
+fn same_bits(a: &Json, b: &Json) -> bool {
+    match (a, b) {
+        (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+        (Json::Arr(xs), Json::Arr(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+        }
+        (Json::Obj(xs), Json::Obj(ys)) => {
+            xs.len() == ys.len()
+                && xs
+                    .iter()
+                    .zip(ys)
+                    .all(|((kx, x), (ky, y))| kx == ky && same_bits(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+/// Everything a run holds, with each number as its bits.
+fn run_bits(run: &ExperimentRun) -> impl PartialEq + std::fmt::Debug + '_ {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let matrix = |m: &wp_linalg::Matrix| (m.rows(), m.cols(), bits(m.as_slice()));
+    (
+        &run.key,
+        matrix(&run.resources.data),
+        run.resources.sample_interval_secs.to_bits(),
+        matrix(&run.plans.data),
+        &run.plans.query_names,
+        bits(&[run.throughput, run.latency_ms]),
+        bits(&run.per_query_latency_ms),
+    )
+}
+
+/// Checks the typed decoder against the tree on `body`: it declines, or
+/// it returns the tree's other members and runs, bit for bit. Returns
+/// whether it took the body.
+fn typed_agrees_with_tree(case: &str, body: &str) -> bool {
+    let tree = tree_decode(body);
+    let Some((others, runs)) = decode_runs_body(body) else {
+        return false;
+    };
+    let (tree_others, tree_runs) =
+        tree.unwrap_or_else(|| panic!("{case}: typed took a body the tree rejects"));
+    assert!(
+        same_bits(&others, &tree_others),
+        "{case}: other members differ"
+    );
+    assert_eq!(runs.len(), tree_runs.len(), "{case}");
+    for (typed, tree) in runs.iter().zip(&tree_runs) {
+        assert_eq!(run_bits(typed), run_bits(tree), "{case}");
+    }
+    true
+}
+
+/// The typed `"runs"` decoder against today's tree decode, on the ingest
+/// and recommend mutants above, on fresh mutants of `/similar`,
+/// `/predict` and `/fingerprint` bodies, and on hand cases. On each it
+/// declines or agrees bit for bit, and it takes every valid template.
+#[test]
+fn typed_decode_agrees_with_the_tree_on_every_body() {
+    let fingerprint = fingerprint_template();
+    let similar = fingerprint.replacen('{', "{\"mode\":\"indexed\",\"k\":3,", 1);
+    let predict = fingerprint.replacen('{', "{\"from_cpus\":2,\"to_cpus\":8,", 1);
+    let compact = Json::parse(&similar).unwrap().compact();
+    let (mut taken, mut valid) = (0, 0);
+    let mut check = |case: String, body: &[u8]| {
+        let body = String::from_utf8_lossy(body);
+        valid += usize::from(tree_decode(&body).is_some());
+        taken += usize::from(typed_agrees_with_tree(&case, &body));
+    };
+    // (template, its mutant stream's seed, mutants): the first two are
+    // the streams the ingest and recommend tests above fire.
+    let templates = [
+        ("ingest", ingest_template(), SEED ^ 0x1236_5417, 120),
+        ("recommend", recommend_template(), SEED ^ 0x7EC0_33E4, 120),
+        ("similar", similar, SEED ^ 0x51A1, 200),
+        ("predict", predict, SEED ^ 0x94ED, 200),
+        ("fingerprint", fingerprint, SEED ^ 0xF1A6, 200),
+        ("compact", compact, SEED ^ 0xC0AC, 200),
+    ];
+    for (name, template, seed, mutants) in &templates {
+        assert!(
+            typed_agrees_with_tree(name, template),
+            "the {name} template takes the typed path"
+        );
+        let mut rng = Rng64::new(*seed);
+        for case in 0..*mutants {
+            check(
+                format!("{name} mutant {case}"),
+                &mutate(&mut rng, template.as_bytes()),
+            );
+        }
+    }
+    // None of these mutants repeats a key, so every one the tree accepts
+    // takes the typed path.
+    assert_eq!(taken, valid, "the typed path declined a valid mutant");
+    assert!(
+        taken > 0,
+        "no mutant decoded: the comparison checked nothing"
+    );
+
+    let mut sim = Simulator::new(0xEDB7_2025);
+    sim.config.samples = 3;
+    let run = sim.simulate(&benchmarks::tpcc(), &Sku::new("cpu2", 2, 64.0), 8, 0, 0);
+    let run = wp_telemetry::io::run_to_json(&run).compact();
+    let body = |members: &str| format!("{{{members}}}");
+    let number = run
+        .split("\"data\":[")
+        .nth(1)
+        .unwrap()
+        .split(',')
+        .next()
+        .unwrap()
+        .to_string();
+    // 2^32 × 2^32 resource cells claimed over an empty buffer.
+    let (before, rest) = run.split_once("\"rows\":3,\"cols\":7,\"data\":[").unwrap();
+    let after = rest.split_once(']').unwrap().1;
+    let wrapped = format!("{before}\"rows\":4294967296,\"cols\":4294967296,\"data\":[]{after}");
+    // (case, body, whether the typed path takes it)
+    let hand = [
+        (
+            "runs last",
+            body(&format!("\"k\":1,\"runs\":[{run}]")),
+            true,
+        ),
+        (
+            "runs first",
+            body(&format!("\"runs\":[{run},{run}],\"k\":1")),
+            true,
+        ),
+        (
+            "run members reordered",
+            body(&format!("\"runs\":[{}]", reorder(&run))),
+            true,
+        ),
+        (
+            "unknown keys",
+            body(&format!(
+                "\"x\":{{\"y\":[null,true]}},\"runs\":[{}]",
+                run.replacen('{', "{\"extra\":[{\"z\":\"\\u00e9\"}],", 1)
+            )),
+            true,
+        ),
+        (
+            "duplicate runs",
+            body(&format!("\"runs\":[{run}],\"runs\":[]")),
+            false,
+        ),
+        (
+            "duplicate run member",
+            body(&format!(
+                "\"runs\":[{}]",
+                run.replacen('{', "{\"throughput\":1,", 1)
+            )),
+            false,
+        ),
+        (
+            "duplicate other member",
+            body(&format!("\"k\":1,\"k\":2,\"runs\":[{run}]")),
+            true,
+        ),
+        (
+            "escaped strings",
+            body(&format!(
+                "\"mode\":\"in\\u0064exed\\n\",\"runs\":[{}]",
+                run.replacen("\"TPC-C\"", "\"TPC\\u002dC\\ud83d\\ude00\"", 1)
+            )),
+            true,
+        ),
+        (
+            "-0",
+            body(&format!("\"runs\":[{}]", run.replacen(&number, "-0", 1))),
+            true,
+        ),
+        (
+            "1e400",
+            body(&format!("\"runs\":[{}]", run.replacen(&number, "1e400", 1))),
+            true,
+        ),
+        (
+            "01",
+            body(&format!("\"runs\":[{}]", run.replacen(&number, "01", 1))),
+            true,
+        ),
+        (
+            "1.",
+            body(&format!("\"runs\":[{}]", run.replacen(&number, "1.", 1))),
+            true,
+        ),
+        (
+            "fractional rows",
+            body(&format!(
+                "\"runs\":[{}]",
+                run.replacen("\"rows\":3", "\"rows\":3.5", 1)
+            )),
+            false,
+        ),
+        (
+            "rows x cols wraps to an empty buffer's length",
+            body(&format!("\"runs\":[{wrapped}]")),
+            false,
+        ),
+        ("empty runs", body("\"runs\":[]"), false),
+        ("no runs", body("\"tenant\":\"t\""), false),
+        ("runs not an array", body(&format!("\"runs\":{run}")), false),
+        (
+            "trailing bytes",
+            body(&format!("\"runs\":[{run}]")) + " x",
+            false,
+        ),
+        ("top level array", format!("[{run}]"), false),
+        (
+            "whitespace",
+            format!(" \n{{ \"runs\" :\t[ {run} ] }} \r\n"),
+            true,
+        ),
+    ];
+    for (case, body, typed) in &hand {
+        let tree = tree_decode(body).is_some();
+        assert_eq!(typed_agrees_with_tree(case, body), *typed, "{case}");
+        if matches!(*case, "duplicate runs" | "duplicate run member") {
+            assert!(tree, "{case}: the tree keeps the first member");
+        }
+    }
+}
+
+/// `run` with its top-level members in reverse order.
+fn reorder(run: &str) -> String {
+    let Json::Obj(mut members) = Json::parse(run).unwrap() else {
+        panic!("a run is an object");
+    };
+    members.reverse();
+    Json::Obj(members).compact()
 }

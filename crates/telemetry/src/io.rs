@@ -9,7 +9,7 @@
 
 use crate::features::ResourceFeature;
 use crate::run::{ExperimentRun, PlanStats, ResourceSeries, RunKey};
-use wp_json::{obj, Json};
+use wp_json::{obj, Json, Reader};
 use wp_linalg::Matrix;
 
 /// Serializes runs to pretty-printed JSON.
@@ -152,6 +152,210 @@ pub fn run_from_json(v: &Json) -> Result<ExperimentRun, String> {
     })
 }
 
+/// Decodes a request body `{"runs": [<run>, ...], ...}` without a
+/// tree: each run's matrices are filled in place as their numbers are
+/// scanned, and every other top-level member is returned, in document
+/// order, as a small [`Json::Obj`].
+///
+/// Returns `None`, having decided nothing, unless the body is one
+/// object with exactly one `"runs"` member, a non-empty array of runs
+/// that [`run_from_json`] accepts. So a body it declines (a syntax
+/// error, a wrong type, an empty `"runs"`, a duplicate key in a run)
+/// is the caller's to parse with [`Json::parse`] and [`run_from_json`],
+/// which report its errors; and a body it takes decodes to the same
+/// runs, bit for bit, and the same members. Both read through
+/// [`wp_json::Reader`], so they share the grammar, the number
+/// conversion and the nesting bound.
+pub fn decode_runs_body(text: &str) -> Option<(Json, Vec<ExperimentRun>)> {
+    read_body(text).ok()
+}
+
+/// [`decode_runs_body`] hands the body back: the reason is the tree
+/// decode's to report.
+struct Declined;
+
+impl From<String> for Declined {
+    fn from(_: String) -> Self {
+        Declined
+    }
+}
+
+type Typed<T> = Result<T, Declined>;
+
+/// Fills a member's slot; a second occurrence declines, where the tree
+/// would keep the first.
+fn set<T>(slot: &mut Option<T>, value: T) -> Typed<()> {
+    match slot {
+        Some(_) => Err(Declined),
+        None => {
+            *slot = Some(value);
+            Ok(())
+        }
+    }
+}
+
+fn read_body(text: &str) -> Typed<(Json, Vec<ExperimentRun>)> {
+    let mut r = Reader::new(text);
+    let (mut runs, mut others) = (None, Vec::new());
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        if key == "runs" {
+            set(&mut runs, read_runs(&mut r)?)?;
+        } else {
+            others.push((key.into_owned(), r.value()?));
+        }
+    }
+    r.finish()?;
+    match runs {
+        Some(runs) if !runs.is_empty() => Ok((Json::Obj(others), runs)),
+        _ => Err(Declined),
+    }
+}
+
+fn read_runs(r: &mut Reader) -> Typed<Vec<ExperimentRun>> {
+    let mut runs = Vec::new();
+    r.begin_array()?;
+    while r.next_element()? {
+        runs.push(read_run(r)?);
+    }
+    Ok(runs)
+}
+
+fn read_run(r: &mut Reader) -> Typed<ExperimentRun> {
+    let (mut key, mut resources, mut plans) = (None, None, None);
+    let (mut throughput, mut latency_ms, mut per_query_latency_ms) = (None, None, None);
+    r.begin_object()?;
+    while let Some(name) = r.next_key()? {
+        match name.as_ref() {
+            "key" => set(&mut key, read_key(r)?)?,
+            "resources" => set(&mut resources, read_resources(r)?)?,
+            "plans" => set(&mut plans, read_plans(r)?)?,
+            "throughput" => set(&mut throughput, r.number()?)?,
+            "latency_ms" => set(&mut latency_ms, r.number()?)?,
+            "per_query_latency_ms" => set(&mut per_query_latency_ms, read_f64s(r, 0)?)?,
+            _ => skip(r)?,
+        }
+    }
+    Ok(ExperimentRun {
+        key: key.ok_or(Declined)?,
+        resources: resources.ok_or(Declined)?,
+        plans: plans.ok_or(Declined)?,
+        throughput: throughput.ok_or(Declined)?,
+        latency_ms: latency_ms.ok_or(Declined)?,
+        per_query_latency_ms: per_query_latency_ms.ok_or(Declined)?,
+    })
+}
+
+fn read_key(r: &mut Reader) -> Typed<RunKey> {
+    let (mut workload, mut sku) = (None, None);
+    let (mut terminals, mut run_index, mut data_group) = (None, None, None);
+    r.begin_object()?;
+    while let Some(name) = r.next_key()? {
+        match name.as_ref() {
+            "workload" => set(&mut workload, r.string()?.into_owned())?,
+            "sku" => set(&mut sku, r.string()?.into_owned())?,
+            "terminals" => set(&mut terminals, read_usize(r)?)?,
+            "run_index" => set(&mut run_index, read_usize(r)?)?,
+            "data_group" => set(&mut data_group, read_usize(r)?)?,
+            _ => skip(r)?,
+        }
+    }
+    Ok(RunKey {
+        workload: workload.ok_or(Declined)?,
+        sku: sku.ok_or(Declined)?,
+        terminals: terminals.ok_or(Declined)?,
+        run_index: run_index.ok_or(Declined)?,
+        data_group: data_group.ok_or(Declined)?,
+    })
+}
+
+fn read_resources(r: &mut Reader) -> Typed<ResourceSeries> {
+    let (mut data, mut sample_interval_secs) = (None, None);
+    r.begin_object()?;
+    while let Some(name) = r.next_key()? {
+        match name.as_ref() {
+            "data" => set(&mut data, read_matrix(r)?)?,
+            "sample_interval_secs" => set(&mut sample_interval_secs, r.number()?)?,
+            _ => skip(r)?,
+        }
+    }
+    Ok(ResourceSeries {
+        data: data.ok_or(Declined)?,
+        sample_interval_secs: sample_interval_secs.ok_or(Declined)?,
+    })
+}
+
+fn read_plans(r: &mut Reader) -> Typed<PlanStats> {
+    let (mut data, mut query_names) = (None, None);
+    r.begin_object()?;
+    while let Some(name) = r.next_key()? {
+        match name.as_ref() {
+            "data" => set(&mut data, read_matrix(r)?)?,
+            "query_names" => {
+                let mut names = Vec::new();
+                r.begin_array()?;
+                while r.next_element()? {
+                    names.push(r.string()?.into_owned());
+                }
+                set(&mut query_names, names)?;
+            }
+            _ => skip(r)?,
+        }
+    }
+    Ok(PlanStats {
+        data: data.ok_or(Declined)?,
+        query_names: query_names.ok_or(Declined)?,
+    })
+}
+
+/// A matrix's `data` is read straight into its buffer, sized up front
+/// when `rows` and `cols` come first, as [`run_to_json`] writes them.
+fn read_matrix(r: &mut Reader) -> Typed<Matrix> {
+    let (mut rows, mut cols, mut data) = (None, None, None);
+    r.begin_object()?;
+    while let Some(name) = r.next_key()? {
+        match name.as_ref() {
+            "rows" => set(&mut rows, read_usize(r)?)?,
+            "cols" => set(&mut cols, read_usize(r)?)?,
+            "data" => {
+                let len = rows.zip(cols).and_then(|(m, n)| usize::checked_mul(m, n));
+                set(&mut data, read_f64s(r, len.unwrap_or(0))?)?;
+            }
+            _ => skip(r)?,
+        }
+    }
+    Matrix::try_from_vec(
+        rows.ok_or(Declined)?,
+        cols.ok_or(Declined)?,
+        data.ok_or(Declined)?,
+    )
+    .map_err(|_| Declined)
+}
+
+/// An array of numbers, with room reserved for `expected` of them, as
+/// many as the unread input can hold.
+fn read_f64s(r: &mut Reader, expected: usize) -> Typed<Vec<f64>> {
+    // Each number takes at least one byte and one separator.
+    let mut values = Vec::with_capacity(expected.min(r.remaining() / 2));
+    r.begin_array()?;
+    while r.next_element()? {
+        values.push(r.number()?);
+    }
+    Ok(values)
+}
+
+/// A count, with [`Json::as_usize`]'s rule for which numbers are counts.
+fn read_usize(r: &mut Reader) -> Typed<usize> {
+    Json::Num(r.number()?).as_usize().ok_or(Declined)
+}
+
+/// A member a run does not name: checked like the tree checks it, then
+/// dropped.
+fn skip(r: &mut Reader) -> Typed<()> {
+    r.value()?;
+    Ok(())
+}
+
 /// Parses a resource-utilization CSV into a [`ResourceSeries`].
 ///
 /// Expected layout: a header row naming the resource features (any order,
@@ -277,6 +481,36 @@ mod tests {
             "throughput":1.0,"latency_ms":1.0,"per_query_latency_ms":[]}]"#;
         let err = runs_from_json(bad).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
+    }
+
+    #[test]
+    fn typed_body_decode_matches_the_tree_or_declines() {
+        let runs = vec![sample_run(), sample_run()];
+        let body = format!(
+            "{{\"mode\":\"x\",\"runs\":{},\"k\":[1]}}",
+            runs_to_json(&runs)
+        );
+        let (others, typed) = decode_runs_body(&body).expect("a valid body is taken");
+        assert_eq!(others, Json::parse(r#"{"mode":"x","k":[1]}"#).unwrap());
+        assert_eq!(typed.len(), 2);
+        for (typed, run) in typed.iter().zip(&runs) {
+            assert_eq!(typed.key, run.key);
+            assert_eq!(typed.resources, run.resources);
+            assert_eq!(typed.plans, run.plans);
+            assert_eq!(typed.throughput, run.throughput);
+            assert_eq!(typed.latency_ms, run.latency_ms);
+            assert_eq!(typed.per_query_latency_ms, run.per_query_latency_ms);
+        }
+        for declined in [
+            r#"{"runs":[]}"#.to_string(),
+            r#"{"runs":7}"#.to_string(),
+            r#"{"mode":"x"}"#.to_string(),
+            format!("{{\"runs\":{}}} x", runs_to_json(&runs)),
+            body.replacen("\"rows\": 4", "\"rows\": 5", 1),
+            body.replacen("\"throughput\"", "\"throughput\": 1, \"throughput\"", 1),
+        ] {
+            assert!(decode_runs_body(&declined).is_none(), "{declined:.60}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn start_server(obs: bool, compute_threads: Option<usize>) -> ServerHandle {
 
 fn fetch(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
     wp_loadgen::fetch(addr, method, path, body, Duration::from_secs(30))
-        .unwrap_or_else(|class| panic!("{method} {path} failed: {}", class.label()))
+        .unwrap_or_else(|failure| panic!("{method} {path} failed: {failure}"))
 }
 
 /// Value of an exact series name in a parsed exposition. A series the

@@ -54,7 +54,7 @@ fn get_json(addr: &str, path: &str) -> Json {
         match wp_loadgen::fetch(addr, "GET", path, "", timeout) {
             Ok((200, body)) => return Json::parse(&body).expect("body must be JSON"),
             Ok((status, _)) => last = format!("status {status}"),
-            Err(class) => last = class.label().to_string(),
+            Err(failure) => last = failure.to_string(),
         }
     }
     panic!("no 200 from GET {path} (last: {last})");
