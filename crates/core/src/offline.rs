@@ -6,6 +6,8 @@
 //! call [`run_offline`]. The stages are identical — only the telemetry
 //! source differs.
 
+use std::sync::Arc;
+
 use wp_featsel::aggregate::aggregate_rankings;
 use wp_featsel::Ranking;
 use wp_predict::context::PairwiseScalingModel;
@@ -88,10 +90,15 @@ impl OfflineReference {
 }
 
 /// A corpus of offline references.
+///
+/// Each reference sits behind an [`Arc`], so a clone of the corpus, and
+/// every index or engine built from it, shares one copy of each run.
+/// Change one reference through [`Arc::make_mut`], which copies it only
+/// while it is shared.
 #[derive(Debug, Clone, Default)]
 pub struct OfflineCorpus {
     /// One entry per reference workload.
-    pub references: Vec<OfflineReference>,
+    pub references: Vec<Arc<OfflineReference>>,
 }
 
 impl OfflineCorpus {
@@ -246,11 +253,11 @@ mod tests {
             // round-trip through the interchange format
             let json = wp_telemetry::io::runs_to_json(&runs_from);
             let runs_from = wp_telemetry::io::runs_from_json(&json).unwrap();
-            corpus.references.push(OfflineReference {
+            corpus.references.push(Arc::new(OfflineReference {
                 name: spec.name.clone(),
                 runs_from,
                 runs_to,
-            });
+            }));
         }
         corpus
     }
@@ -309,7 +316,7 @@ mod tests {
         sim.config.samples = 40;
         let from = Sku::new("cpu4", 4, 64.0);
         let mut corpus = corpus_via_interchange(&sim, &from, &Sku::new("cpu8", 8, 64.0));
-        corpus.references[0].runs_to.pop();
+        Arc::make_mut(&mut corpus.references[0]).runs_to.pop();
         let err = corpus.validate().unwrap_err();
         assert!(err.contains("from/to runs must be aligned"), "{err}");
         // the pipeline entry points surface the same error instead of
@@ -326,14 +333,15 @@ mod tests {
         sim.config.samples = 40;
         let from = Sku::new("cpu4", 4, 64.0);
         let mut corpus = corpus_via_interchange(&sim, &from, &Sku::new("cpu8", 8, 64.0));
-        let dup = corpus.references[0].clone();
+        let dup = Arc::clone(&corpus.references[0]);
         corpus.references.push(dup);
         let err = corpus.validate().unwrap_err();
         assert!(err.contains("duplicate reference name"), "{err}");
         // an empty run list on one reference is also rejected
         corpus.references.pop();
-        corpus.references[1].runs_from.clear();
-        corpus.references[1].runs_to.clear();
+        let emptied = Arc::make_mut(&mut corpus.references[1]);
+        emptied.runs_from.clear();
+        emptied.runs_to.clear();
         assert!(corpus.validate().is_err());
     }
 }

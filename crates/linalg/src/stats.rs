@@ -127,12 +127,15 @@ pub fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Column-wise means of a matrix.
+/// Column-wise means of a matrix, in one row-major pass. Each column
+/// is summed in row order from the value `Iterator::sum` starts at, so
+/// `col_means(m)[c]` equals `mean(&m.col(c))` bit for bit, the sign of
+/// an all-`-0.0` column's zero included.
 pub fn col_means(m: &Matrix) -> Vec<f64> {
-    let mut out = vec![0.0; m.cols()];
     if m.rows() == 0 {
-        return out;
+        return vec![0.0; m.cols()];
     }
+    let mut out = vec![std::iter::empty::<f64>().sum::<f64>(); m.cols()];
     for row in m.iter_rows() {
         for (o, &x) in out.iter_mut().zip(row) {
             *o += x;
@@ -343,6 +346,13 @@ mod tests {
     fn column_stats() {
         let m = Matrix::from_rows(&[vec![1.0, 10.0], vec![3.0, 10.0]]);
         assert_eq!(col_means(&m), vec![2.0, 10.0]);
+        // Each column's mean is `mean` of the column, bit for bit: an
+        // all -0.0 column keeps its sign, a mixed one does not.
+        let zeros = Matrix::from_rows(&[vec![-0.0, -0.0], vec![-0.0, 0.0]]);
+        for (c, got) in col_means(&zeros).into_iter().enumerate() {
+            assert_eq!(got.to_bits(), mean(&zeros.col(c)).to_bits(), "column {c}");
+        }
+        assert!(col_means(&zeros)[0].is_sign_negative());
         let s = col_stddevs(&m);
         assert!((s[0] - 1.0).abs() < 1e-12);
         assert_eq!(s[1], 0.0);

@@ -15,6 +15,8 @@
 //! }
 //! ```
 
+use std::sync::Arc;
+
 use wp_core::offline::{OfflineCorpus, OfflineReference};
 use wp_json::{obj, Json};
 use wp_telemetry::io::{run_from_json, run_to_json};
@@ -63,11 +65,11 @@ pub fn corpus_from_json(text: &str) -> Result<OfflineCorpus, String> {
                 })
                 .collect()
         };
-        corpus.references.push(OfflineReference {
+        corpus.references.push(Arc::new(OfflineReference {
             runs_from: parse_runs("runs_from")?,
             runs_to: parse_runs("runs_to")?,
             name,
-        });
+        }));
     }
     corpus.validate()?;
     Ok(corpus)
@@ -95,11 +97,11 @@ pub fn simulated_corpus(seed: u64, samples: usize) -> OfflineCorpus {
                 .map(|r| sim.simulate(&spec, sku, terminals, r, r % 3))
                 .collect()
         };
-        corpus.references.push(OfflineReference {
+        corpus.references.push(Arc::new(OfflineReference {
             name: spec.name.clone(),
             runs_from: simulate_runs(&from),
             runs_to: simulate_runs(&to),
-        });
+        }));
     }
     corpus
 }

@@ -51,7 +51,7 @@
 //! construction. Both read through one `wp_json::Reader`, which refuses
 //! nesting deeper than `wp_json::MAX_DEPTH` levels with a 400.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -1046,6 +1046,7 @@ fn predicting_reference<'a>(
         .references
         .iter()
         .find(|r| r.name == best.workload)
+        .map(Arc::as_ref)
         .ok_or_else(|| {
             ServiceError::internal(format!(
                 "most similar reference '{}' is not in the corpus",
@@ -1217,11 +1218,10 @@ fn recommend(
             let runs = engine
                 .tenant_runs(name)
                 .filter(|w| !w.is_empty())
-                .ok_or_else(|| ServiceError::bad_request(format!("unknown tenant '{name}'")))?
-                .to_vec();
-            (runs, format!("tenant:{name}"))
+                .ok_or_else(|| ServiceError::bad_request(format!("unknown tenant '{name}'")))?;
+            (Cow::Borrowed(runs), format!("tenant:{name}"))
         }
-        (None, true) => (body.into_runs()?.1, "inline".to_string()),
+        (None, true) => (Cow::Owned(body.into_runs()?.1), "inline".to_string()),
     };
 
     let observed = wp_linalg::stats::mean(&runs.iter().map(|r| r.throughput).collect::<Vec<_>>());

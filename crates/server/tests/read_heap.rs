@@ -8,9 +8,11 @@
 //!
 //! The file holds one test, so no other test allocates while it counts.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+mod heap;
 
+use std::sync::atomic::Ordering::Relaxed;
+
+use heap::{LIVE, PEAK};
 use wp_core::pipeline::PipelineConfig;
 use wp_json::obj;
 use wp_server::corpus::simulated_corpus;
@@ -19,53 +21,6 @@ use wp_server::service::{self, ServiceState};
 use wp_stream::StreamConfig;
 use wp_workloads::engine::Simulator;
 use wp_workloads::{benchmarks, Sku};
-
-/// The system allocator, counting live bytes and their peak.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    PEAK.fetch_max(LIVE.fetch_add(bytes, Relaxed) + bytes, Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counting touches only
-// atomics and allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's guarantees for `layout` pass through.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, so from `System`,
-        // with `layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: as for `dealloc`, and the caller's guarantees for
-        // `new_size` pass through.
-        let moved = unsafe { System.realloc(ptr, layout, new_size) };
-        if !moved.is_null() {
-            match new_size.checked_sub(layout.size()) {
-                Some(more) => grew(more),
-                None => drop(LIVE.fetch_sub(layout.size() - new_size, Relaxed)),
-            }
-        }
-        moved
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 /// A compact `/similar` body of two runs of `samples` samples each.
 fn similar_body(seed: u64, samples: usize) -> String {

@@ -40,7 +40,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use wp_core::offline::OfflineCorpus;
+use wp_core::offline::{OfflineCorpus, OfflineReference};
 use wp_core::pipeline::PipelineConfig;
 use wp_core::retrieval::CorpusIndex;
 use wp_index::IndexConfig;
@@ -223,8 +223,9 @@ pub struct StreamEngine {
     pipeline: PipelineConfig,
     index_config: IndexConfig,
     index: Arc<CorpusIndex>,
-    /// The startup references, kept for eviction-triggered rebuilds.
-    base_refs: Arc<[(String, Vec<ExperimentRun>)]>,
+    /// The startup corpus's own references, kept for eviction-triggered
+    /// rebuilds.
+    base_refs: Vec<Arc<OfflineReference>>,
     features: Vec<FeatureId>,
     /// The fitted fingerprinter shared with the index — frozen corpus
     /// state (e.g. histogram ranges) every rebuild reuses.
@@ -256,13 +257,13 @@ fn live_name(tenant: &str) -> String {
 /// Reference list for a rebuild: startup references first, then live
 /// tenants in the order they went live.
 fn live_refs<'a>(
-    base: &'a [(String, Vec<ExperimentRun>)],
+    base: &'a [Arc<OfflineReference>],
     tenants: &'a BTreeMap<String, Arc<TenantWindow>>,
     live_order: &'a [String],
 ) -> Vec<(String, &'a [ExperimentRun])> {
     let mut refs: Vec<(String, &[ExperimentRun])> = base
         .iter()
-        .map(|(n, r)| (n.clone(), r.as_slice()))
+        .map(|r| (r.name.clone(), r.runs_from.as_slice()))
         .collect();
     for t in live_order {
         refs.push((live_name(t), tenants[t].runs.as_slice()));
@@ -368,7 +369,8 @@ impl StreamEngine {
     /// Builds the engine over the startup corpus, freezing histogram
     /// ranges over it. `features` is the startup feature selection; the
     /// pipeline's measure and bin count drive fingerprints exactly as in
-    /// the static serving path.
+    /// the static serving path. The engine keeps the corpus's own
+    /// references, not copies of their runs.
     pub fn new(
         corpus: &OfflineCorpus,
         features: &[FeatureId],
@@ -386,18 +388,13 @@ impl StreamEngine {
             return Err("stream config: need positive batch and tenant caps".to_string());
         }
         let index = CorpusIndex::build(corpus, features, pipeline, index_config)?;
-        let base_refs = corpus
-            .references
-            .iter()
-            .map(|r| (r.name.clone(), r.runs_from.clone()))
-            .collect();
         let fingerprinter = index.fingerprinter();
         Ok(Self {
             config,
             pipeline: pipeline.clone(),
             index_config,
             index: Arc::new(index),
-            base_refs,
+            base_refs: corpus.references.clone(),
             features: features.to_vec(),
             fingerprinter,
             tenants: BTreeMap::new(),
@@ -716,11 +713,11 @@ mod tests {
                 .iter()
                 .map(|n| {
                     let r = runs(sim, n, 0, 3);
-                    OfflineReference {
+                    Arc::new(OfflineReference {
                         name: n.to_string(),
                         runs_from: r.clone(),
                         runs_to: r,
-                    }
+                    })
                 })
                 .collect(),
         }
@@ -1015,6 +1012,39 @@ mod tests {
             observable(&current, &tenants, &target),
             observable(&single, &tenants, &target)
         );
+    }
+
+    /// The engine and its snapshots hold the startup corpus's own
+    /// references, through ingests and the rebuilds evictions force.
+    #[test]
+    fn engine_holds_the_corpus_references() {
+        let sim = sim();
+        let corpus = corpus(&sim);
+        let mut eng = StreamEngine::new(
+            &corpus,
+            &FeatureId::all(),
+            &config(),
+            IndexConfig::default(),
+            StreamConfig::default(),
+        )
+        .unwrap();
+        let holds_corpus = |eng: &StreamEngine| {
+            eng.base_refs.len() == corpus.references.len()
+                && eng
+                    .base_refs
+                    .iter()
+                    .zip(&corpus.references)
+                    .all(|(held, loaded)| Arc::ptr_eq(held, loaded))
+        };
+        assert!(holds_corpus(&eng));
+        for batch in 0..5 {
+            let mut next = eng.clone();
+            next.ingest("tenant-a", runs(&sim, "TPC-C", 10 + batch * 2, 2))
+                .unwrap();
+            eng = next;
+            assert!(holds_corpus(&eng), "batch {batch}");
+        }
+        assert!(eng.counters().rebuilds > 0, "{:?}", eng.counters());
     }
 
     #[test]

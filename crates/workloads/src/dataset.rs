@@ -1,6 +1,7 @@
 //! Flattening experiment runs and observation sets into the matrices the
 //! feature-selection and similarity stages consume.
 
+use wp_linalg::stats::col_means;
 use wp_linalg::Matrix;
 use wp_telemetry::{ExperimentRun, FeatureId, PlanFeature, ResourceFeature, N_FEATURES};
 
@@ -80,15 +81,14 @@ impl LabeledDataset {
 
 /// Summarizes a run into one 29-dimensional aggregate vector: resource
 /// features are means over the series, plan features are means over the
-/// queries. Used by diagnostics and the quickstart example.
+/// queries, each taken in one row-major pass and equal bit for bit to
+/// the mean of its column. Stage 1 of the offline pipeline builds its
+/// dataset from these; diagnostics and the quickstart example use them
+/// too.
 pub fn aggregate_run(run: &ExperimentRun) -> Vec<f64> {
     let mut v = Vec::with_capacity(N_FEATURES);
-    for f in ResourceFeature::ALL {
-        v.push(wp_linalg::stats::mean(&run.resources.feature(f)));
-    }
-    for f in PlanFeature::ALL {
-        v.push(wp_linalg::stats::mean(&run.plans.feature(f)));
-    }
+    v.extend_from_slice(&col_means(&run.resources.data)[..ResourceFeature::ALL.len()]);
+    v.extend_from_slice(&col_means(&run.plans.data)[..PlanFeature::ALL.len()]);
     v
 }
 
@@ -146,6 +146,45 @@ mod tests {
         let agg = aggregate_run(&run);
         assert_eq!(agg.len(), 29);
         assert!(agg.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn aggregate_run_takes_each_feature_mean_bit_for_bit() {
+        // The default serving corpus: TPC-C, TPC-H and Twitter, three
+        // 360-sample runs each on both SKUs of the paper's pair.
+        let sim = Simulator::new(0xEDB7_2025);
+        let mut runs = Vec::new();
+        for spec in [
+            benchmarks::tpcc(),
+            benchmarks::tpch(),
+            benchmarks::twitter(),
+        ] {
+            let terminals = if spec.name == "TPC-H" { 1 } else { 8 };
+            for sku in [Sku::new("cpu2", 2, 64.0), Sku::new("cpu8", 8, 64.0)] {
+                runs.extend((0..3).map(|r| sim.simulate(&spec, &sku, terminals, r, r % 3)));
+            }
+        }
+        // A column of -0.0 sums to -0.0 from `Iterator::sum`'s start.
+        let mut zeroed = runs[0].clone();
+        for row in 0..zeroed.resources.data.rows() {
+            zeroed.resources.data[(row, 1)] = -0.0;
+        }
+        runs.push(zeroed);
+        for run in &runs {
+            let expected: Vec<u64> = ResourceFeature::ALL
+                .iter()
+                .map(|&f| wp_linalg::stats::mean(&run.resources.feature(f)))
+                .chain(
+                    PlanFeature::ALL
+                        .iter()
+                        .map(|&f| wp_linalg::stats::mean(&run.plans.feature(f))),
+                )
+                .map(f64::to_bits)
+                .collect();
+            let got: Vec<u64> = aggregate_run(run).into_iter().map(f64::to_bits).collect();
+            assert_eq!(got, expected, "{:?}", run.key);
+        }
+        assert!(aggregate_run(&runs[runs.len() - 1])[1].is_sign_negative());
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!    byte-identical to the fault-free answer, and a clean (no-fault)
 //!    run still emits the legacy `BENCH_server.json` shape.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use wp_faults::{corrupt_reference, Corruption, FaultPlan};
@@ -333,7 +334,7 @@ fn corrupted_corpora_fail_validation_startup_and_upload() {
         // The corrupted reference must fail structural validation...
         let mut corpus = simulated_corpus(0xEDB7_2025, 40);
         let mut rng = wp_linalg::Rng64::new(0xBAD_C0DE + i as u64);
-        corrupt_reference(&mut corpus.references[0], &mut rng, mode);
+        corrupt_reference(Arc::make_mut(&mut corpus.references[0]), &mut rng, mode);
         let err = corpus.validate().expect_err("corruption must not validate");
         assert!(!err.is_empty());
 
