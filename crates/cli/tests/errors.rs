@@ -5,6 +5,7 @@
 
 use std::net::{TcpListener, TcpStream};
 use std::process::Command;
+use std::sync::Arc;
 
 /// Runs `wp` with `args`: whether it exited 0, and its stderr.
 fn wp(args: &[&str]) -> (bool, String) {
@@ -123,5 +124,29 @@ fn runtime_failures_print_one_line() {
             &out,
         ],
         &format!("prefetch /healthz failed: reset ({refused})\n"),
+    );
+}
+
+/// A corpus file whose run has 6 resource columns fails the corpus check
+/// at load: one `error:` line and exit code 1, not a panic in feature
+/// selection.
+#[test]
+fn a_corpus_run_of_the_wrong_shape_is_one_error_line() {
+    let mut corpus = wp_server::corpus::simulated_corpus(7, 20);
+    let run = &mut Arc::make_mut(&mut corpus.references[0]).runs_from[0];
+    run.resources.data = run.resources.data.select_cols(&[0, 1, 2, 3, 4, 5]);
+    let path = format!("{}/six-column-corpus.json", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&path, wp_server::corpus::corpus_to_json(&corpus)).expect("corpus written");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_wp"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--corpus", &path])
+        .env_remove("WP_FAULTS")
+        .output()
+        .expect("wp runs");
+    let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        "error: TPC-C: runs_from[0]: resource series must have 7 columns, got 6\n"
     );
 }

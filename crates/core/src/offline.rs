@@ -44,13 +44,14 @@ impl OfflineReference {
         )
     }
 
-    /// Validates alignment and telemetry sanity. Non-panicking so
-    /// long-running consumers (the `wp-server` HTTP service) can map a
-    /// bad corpus to a client error instead of killing a worker thread.
+    /// Validates alignment and every run. Non-panicking so long-running
+    /// consumers (the `wp-server` HTTP service) can map a bad corpus to a
+    /// client error instead of killing a worker thread.
     ///
-    /// Rejected adversarial shapes, each with a structured message:
-    /// zero-length resource series, non-finite (`NaN`/`inf`) samples or
-    /// throughput, and mismatched from/to SKU pair counts.
+    /// Rejected adversarial shapes, each with a structured message naming
+    /// the reference and run: mismatched from/to SKU pair counts, and any
+    /// run [`ExperimentRun::validate`] rejects (zero-length series, wrong
+    /// column counts, non-finite samples or throughput, …).
     pub fn validate(&self) -> Result<(), String> {
         if self.runs_from.is_empty() {
             return Err(format!("{}: needs runs", self.name));
@@ -65,24 +66,8 @@ impl OfflineReference {
         }
         for (side, runs) in [("runs_from", &self.runs_from), ("runs_to", &self.runs_to)] {
             for (i, run) in runs.iter().enumerate() {
-                if run.resources.is_empty() {
-                    return Err(format!(
-                        "{}: {side}[{i}] has a zero-length resource series",
-                        self.name
-                    ));
-                }
-                if !run.resources.data.as_slice().iter().all(|x| x.is_finite()) {
-                    return Err(format!(
-                        "{}: {side}[{i}] has a non-finite resource sample",
-                        self.name
-                    ));
-                }
-                if !run.throughput.is_finite() {
-                    return Err(format!(
-                        "{}: {side}[{i}] has a non-finite throughput",
-                        self.name
-                    ));
-                }
+                run.validate()
+                    .map_err(|e| format!("{}: {side}[{i}]: {e}", self.name))?;
             }
         }
         Ok(())

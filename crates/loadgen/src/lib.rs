@@ -431,10 +431,14 @@ pub fn default_mix(seed: u64, samples: usize) -> Vec<MixEntry> {
 /// established, empty mix); per-request failures are counted in
 /// `Report::errors` and classified in `Report::taxonomy`.
 pub fn run_load(config: &LoadConfig, mix: &[MixEntry]) -> Result<Report, String> {
-    // Fail fast before spawning if the server is not there at all.
-    TcpStream::connect(&config.addr)
-        .map_err(|e| format!("cannot connect to {}: {e}", config.addr))?;
-    let (tally, measure_s) = closed_loop(config, mix, None)?;
+    // Fail fast before spawning if the server is not there at all. The
+    // connection is the first worker's, so the server counts only the
+    // run's own connections.
+    let first = Connection::open(&config.addr, config.timeout).map_err(|failure| {
+        let cause = failure.cause.map(|e| e.to_string()).unwrap_or_default();
+        format!("cannot connect to {}: {cause}", config.addr)
+    })?;
+    let (tally, measure_s) = closed_loop(config, mix, None, Some(first))?;
     let requests = tally.latencies.len() as u64;
     let [p50_ms, p95_ms, p99_ms, max_ms] = latency_ms(&tally.latencies);
     Ok(Report {
@@ -454,13 +458,15 @@ pub fn run_load(config: &LoadConfig, mix: &[MixEntry]) -> Result<Report, String>
 
 /// One closed-loop run of `config`: `connections` workers drawing from
 /// `mix`, connection `c` seeded `seed + c`, their responses compared
-/// with `expected` when given. Returns the merged tally and the
-/// measurement window in seconds — the configured one, or the elapsed
-/// time in fixed-request mode so throughput still means something.
+/// with `expected` when given; worker 0 starts on `first` when given.
+/// Returns the merged tally and the measurement window in seconds — the
+/// configured one, or the elapsed time in fixed-request mode so
+/// throughput still means something.
 fn closed_loop(
     config: &LoadConfig,
     mix: &[MixEntry],
     expected: Option<&[String]>,
+    first: Option<Connection>,
 ) -> Result<(Tally, f64), String> {
     if mix.is_empty() {
         return Err("request mix is empty".to_string());
@@ -486,7 +492,7 @@ fn closed_loop(
         stop,
         expected,
     };
-    let tally = drive(&work, config.connections.max(1), config.seed);
+    let tally = drive(&work, config.connections.max(1), config.seed, first);
     let window = match stop {
         Stop::Count(_) => start.elapsed(),
         Stop::Deadline { .. } => config.measure,
@@ -919,7 +925,7 @@ pub fn run_steps(
             requests_per_connection: None,
             ..config.clone()
         };
-        let (tally, window_s) = closed_loop(&step, mix, Some(&expected))?;
+        let (tally, window_s) = closed_loop(&step, mix, Some(&expected), None)?;
         // With no retries each failed request is one failed attempt: those
         // that got a whole response got the wrong answer rather than none.
         let t = &tally.taxonomy;
@@ -1007,16 +1013,18 @@ impl Tally {
 }
 
 /// Runs `connections` workers on threads of their own, connection `c`
-/// seeded `seed + c`, and merges what they hand back, latencies sorted.
-fn drive(work: &Work, connections: usize, seed: u64) -> Tally {
+/// seeded `seed + c` and the first starting on `first`, and merges what
+/// they hand back, latencies sorted.
+fn drive(work: &Work, connections: usize, seed: u64, mut first: Option<Connection>) -> Tally {
     let tallies: Vec<Tally> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..connections)
             .map(|c| {
+                let conn = first.take();
                 // Small stacks: a 1024-connection step would reserve
                 // gigabytes at the default thread stack size.
                 std::thread::Builder::new()
                     .stack_size(256 * 1024)
-                    .spawn_scoped(s, move || worker(work, seed.wrapping_add(c as u64)))
+                    .spawn_scoped(s, move || worker(work, seed.wrapping_add(c as u64), conn))
                     .expect("spawn load worker")
             })
             .collect();
@@ -1038,10 +1046,11 @@ fn drive(work: &Work, connections: usize, seed: u64) -> Tally {
     total
 }
 
-/// One connection's closed loop: draw, send through the client and
-/// tally, until the stop rule says done.
-fn worker(work: &Work, seed: u64) -> Tally {
+/// One connection's closed loop, on `conn` while it lasts: draw, send
+/// through the client and tally, until the stop rule says done.
+fn worker(work: &Work, seed: u64, conn: Option<Connection>) -> Tally {
     let mut client = Client::new(work.addr, work.timeout, work.retries, seed);
+    client.conn = conn;
     let mut draws = Rng64::new(seed);
     let mut tally = Tally::default();
     let mut sent = 0u64;

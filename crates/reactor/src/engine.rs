@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 
 use crate::poller::{Event, Poller, INTEREST_NONE, INTEREST_READ, INTEREST_WRITE};
 use crate::slab::Slab;
+use crate::sys::read_appending;
 use crate::{App, Parse, ReactorConfig, Response, WriteMode};
 
 const TOKEN_LISTENER: u64 = u64::MAX;
@@ -47,8 +48,13 @@ const MAX_WAIT: Duration = Duration::from_millis(500);
 /// starving the rest of the shard (level-triggered polling re-reports
 /// the remainder), and bounds what a shard reads of a malformed request
 /// before the app rejects it. A two-run telemetry body (~98 KB) still
-/// arrives in one event.
+/// arrives in one event. It also caps the spare buffer a shard keeps, so
+/// a large body's allocation is freed, not pinned.
 const READ_BUDGET: usize = 128 * 1024;
+
+/// The room a read makes in a full buffer: a fresh buffer starts at this
+/// size and a full one doubles.
+const READ_CHUNK: usize = 16 * 1024;
 
 pub(crate) fn start<A: App>(
     listener: TcpListener,
@@ -170,6 +176,8 @@ enum Phase {
 
 struct Conn {
     stream: TcpStream,
+    /// Unframed request bytes. Empty, it holds no allocation: the shard
+    /// lends it one when bytes arrive.
     read_buf: Vec<u8>,
     eof: bool,
     write_buf: Vec<u8>,
@@ -259,6 +267,10 @@ struct Shard<A: App> {
     inbox: Receiver<TcpStream>,
     poller: Poller,
     conns: Slab<Conn>,
+    /// The one read buffer no connection holds: what the last answered
+    /// request or emptied connection gave back, at most [`READ_BUDGET`]
+    /// of capacity. The next connection with bytes to read takes it.
+    spare: Vec<u8>,
     /// `(fire time, token)`: at most one entry per connection.
     timers: BTreeSet<(Instant, usize)>,
     idle_timeout: Duration,
@@ -295,6 +307,7 @@ impl<A: App> Shard<A> {
             inbox,
             poller,
             conns: Slab::new(),
+            spare: Vec::new(),
             timers: BTreeSet::new(),
             idle_timeout: config.idle_timeout,
             drain_timeout: config.drain_timeout,
@@ -442,48 +455,50 @@ impl<A: App> Shard<A> {
         }
     }
 
-    /// Appends available bytes to the read buffer. Returns false when
-    /// the connection was closed on a read error.
+    /// Reads available bytes straight into the connection's buffer; a
+    /// connection that holds none takes the shard's spare (or a fresh
+    /// one). Returns false when the connection was closed on a read
+    /// error.
     fn read_some(&mut self, token: usize, now: Instant) -> bool {
-        let mut scratch = [0u8; 16 * 1024];
+        let Some(conn) = self.conns.get_mut(token) else {
+            return false;
+        };
+        if conn.read_buf.capacity() == 0 {
+            conn.read_buf = std::mem::take(&mut self.spare);
+        }
+        let fd = conn.stream.as_raw_fd();
         let mut failed = false;
         let mut progressed = false;
-        {
-            let Some(conn) = self.conns.get_mut(token) else {
-                return false;
-            };
-            let mut budget = READ_BUDGET;
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        conn.eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.read_buf.extend_from_slice(&scratch[..n]);
-                        progressed = true;
-                        budget = budget.saturating_sub(n);
-                        if budget == 0 {
-                            break;
-                        }
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
+        let mut budget = READ_BUDGET;
+        while budget > 0 {
+            if conn.read_buf.len() == conn.read_buf.capacity() {
+                conn.read_buf.reserve(READ_CHUNK);
             }
-            if progressed && !failed {
-                // Activity extends the idle deadline only: the armed
-                // timer fires early and re-arms to it once.
-                conn.deadline = Some(now + self.idle_timeout);
+            match read_appending(fd, &mut conn.read_buf, budget) {
+                Ok(0) => {
+                    conn.eof = true;
+                    break;
+                }
+                Ok(n) => {
+                    progressed = true;
+                    budget -= n;
+                }
+                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    failed = true;
+                    break;
+                }
             }
         }
         if failed {
             self.close(token);
             return false;
+        }
+        if progressed {
+            // Activity extends the idle deadline only: the armed
+            // timer fires early and re-arms to it once.
+            conn.deadline = Some(now + self.idle_timeout);
         }
         true
     }
@@ -553,26 +568,22 @@ impl<A: App> Shard<A> {
 
     /// Parses at most one request and stages its response. Returns
     /// true when `drive` should keep pumping (a response is staged or
-    /// the connection advanced), false when it should yield.
+    /// the connection advanced), false when it should yield. An empty
+    /// buffer found here, a rejected request's and the one a response
+    /// hands back go to the shard's spare.
     fn parse_step(&mut self, token: usize, now: Instant) -> bool {
         let app = Arc::clone(&self.app);
-        let outcome = {
-            let Some(conn) = self.conns.get_mut(token) else {
-                return false;
-            };
-            if conn.read_buf.is_empty() && !conn.eof {
-                conn.phase = Phase::Idle;
-                None
-            } else {
-                let eof = conn.eof;
-                Some(app.parse(self.id, &conn.read_buf, eof))
-            }
-        };
-        let Some(outcome) = outcome else {
-            self.set_interest(token, INTEREST_READ);
+        let Some(conn) = self.conns.get_mut(token) else {
             return false;
         };
-        match outcome {
+        if conn.read_buf.is_empty() && !conn.eof {
+            conn.phase = Phase::Idle;
+            let empty = std::mem::take(&mut conn.read_buf);
+            self.recycle(empty);
+            self.set_interest(token, INTEREST_READ);
+            return false;
+        }
+        match app.parse(self.id, &mut conn.read_buf, conn.eof) {
             Parse::Incomplete => {
                 let eof = self.conns.get(token).map(|c| c.eof).unwrap_or(true);
                 if eof {
@@ -592,21 +603,20 @@ impl<A: App> Shard<A> {
                 false
             }
             Parse::Reject { response } => {
-                if let Some(conn) = self.conns.get_mut(token) {
-                    conn.read_buf.clear();
-                    conn.load_final_bytes(response);
-                    conn.phase = Phase::Writing;
-                    conn.deadline = None;
-                }
+                let Some(conn) = self.conns.get_mut(token) else {
+                    return false;
+                };
+                let unread = std::mem::take(&mut conn.read_buf);
+                conn.load_final_bytes(response);
+                conn.phase = Phase::Writing;
+                conn.deadline = None;
+                self.recycle(unread);
                 true
             }
-            Parse::Complete { request, consumed } => {
-                if let Some(conn) = self.conns.get_mut(token) {
-                    conn.read_buf.drain(..consumed.min(conn.read_buf.len()));
-                }
+            Parse::Complete(request) => {
                 let force_close = self.draining;
                 let shard = self.id;
-                let response = match catch_unwind(AssertUnwindSafe(|| {
+                let mut response = match catch_unwind(AssertUnwindSafe(|| {
                     app.respond(shard, request, force_close)
                 })) {
                     Ok(response) => response,
@@ -617,6 +627,7 @@ impl<A: App> Shard<A> {
                         return false;
                     }
                 };
+                self.recycle(std::mem::take(&mut response.spare));
                 let delay = response.delay;
                 if let Some(conn) = self.conns.get_mut(token) {
                     conn.load_response(response);
@@ -635,6 +646,16 @@ impl<A: App> Shard<A> {
                 }
                 true
             }
+        }
+    }
+
+    /// Keeps `buf`'s allocation as the shard's spare when it is larger
+    /// than the one held and no larger than [`READ_BUDGET`]; otherwise
+    /// frees it.
+    fn recycle(&mut self, mut buf: Vec<u8>) {
+        if buf.capacity() > self.spare.capacity() && buf.capacity() <= READ_BUDGET {
+            buf.clear();
+            self.spare = buf;
         }
     }
 
@@ -759,6 +780,7 @@ impl<A: App> Shard<A> {
                 self.timers.remove(&(at, token));
             }
             let _ = self.poller.remove(conn.stream.as_raw_fd());
+            self.recycle(conn.read_buf);
         }
     }
 
@@ -784,7 +806,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    /// One request is one `\n`-terminated line, echoed back verbatim.
+    /// One request is one `\n`-terminated line, echoed back verbatim. A
+    /// line that ends the buffer takes it whole, and its answer hands the
+    /// allocation back, as an HTTP body does in `wp-server`.
     #[derive(Default)]
     struct LineEcho {
         answered: AtomicUsize,
@@ -793,12 +817,10 @@ mod tests {
     impl App for LineEcho {
         type Request = Vec<u8>;
 
-        fn parse(&self, _shard: usize, buf: &[u8], eof: bool) -> Parse<Vec<u8>> {
+        fn parse(&self, _shard: usize, buf: &mut Vec<u8>, eof: bool) -> Parse<Vec<u8>> {
             match buf.iter().position(|b| *b == b'\n') {
-                Some(end) => Parse::Complete {
-                    request: buf[..=end].to_vec(),
-                    consumed: end + 1,
-                },
+                Some(end) if end + 1 == buf.len() => Parse::Complete(std::mem::take(buf)),
+                Some(end) => Parse::Complete(buf.drain(..=end).collect()),
                 None if eof => Parse::Close,
                 None => Parse::Incomplete,
             }
@@ -806,12 +828,42 @@ mod tests {
 
         fn respond(&self, _shard: usize, request: Vec<u8>, _force_close: bool) -> Response {
             self.answered.fetch_add(1, Ordering::SeqCst);
-            Response::new(request, true)
+            let mut response = Response::new(request.clone(), true);
+            response.spare = request;
+            response
         }
 
         fn on_idle_timeout(&self, _shard: usize, _partial: bool) -> Option<Vec<u8>> {
             None
         }
+    }
+
+    /// One shard over a fresh loopback listener, turned by the test
+    /// thread itself.
+    fn one_shard() -> (Shard<LineEcho>, std::net::SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener
+            .set_nonblocking(true)
+            .expect("nonblocking listener");
+        let addr = listener.local_addr().expect("addr");
+        let (wake, waker) = UnixStream::pair().expect("wake pair");
+        let (inbox_tx, inbox) = mpsc::channel();
+        let handoff = Arc::new(Handoff {
+            accepted: AtomicUsize::new(0),
+            inboxes: vec![inbox_tx],
+            wakers: vec![waker],
+        });
+        let shard = Shard::new(
+            0,
+            &Arc::new(LineEcho::default()),
+            &listener,
+            (wake, inbox),
+            &handoff,
+            &ReactorConfig::default(),
+            &Arc::new(AtomicBool::new(false)),
+        )
+        .expect("shard");
+        (shard, addr)
     }
 
     /// Turns `shard` on the calling thread until `done` holds.
@@ -829,31 +881,7 @@ mod tests {
 
     #[test]
     fn a_keep_alive_connection_holds_one_timer_entry_for_its_whole_life() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        let addr = listener.local_addr().expect("addr");
-        let app = Arc::new(LineEcho::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let config = ReactorConfig::default();
-        let (wake, waker) = UnixStream::pair().expect("wake pair");
-        let (inbox_tx, inbox) = mpsc::channel();
-        let handoff = Arc::new(Handoff {
-            accepted: AtomicUsize::new(0),
-            inboxes: vec![inbox_tx],
-            wakers: vec![waker],
-        });
-        let mut shard = Shard::new(
-            0,
-            &app,
-            &listener,
-            (wake, inbox),
-            &handoff,
-            &config,
-            &shutdown,
-        )
-        .expect("shard");
+        let (mut shard, addr) = one_shard();
         let mut events = Vec::new();
 
         let mut client = TcpStream::connect(addr).expect("connect");
@@ -884,5 +912,64 @@ mod tests {
         turn_until(&mut shard, &mut events, |s| s.conns.len() == 1);
         assert_eq!(shard.conns.keys(), vec![token], "the freed token is reused");
         assert_eq!(shard.timers.len(), 1, "after the token's reuse");
+    }
+
+    /// Eight keep-alive connections each send one ~98 KB request, get
+    /// its answer and go idle: each request's buffer went back to the
+    /// shard, so no idle connection holds one and the shard holds one
+    /// spare, sized for such a request.
+    #[test]
+    fn idle_connections_hold_no_buffer_and_the_shard_one_spare() {
+        const CLIENTS: usize = 8;
+        let (mut shard, addr) = one_shard();
+        let mut events = Vec::new();
+        let mut line = vec![b'x'; 98 * 1024];
+        line.push(b'\n');
+        let line = Arc::new(line);
+        let (release, released) = mpsc::channel::<()>();
+        let released = Arc::new(std::sync::Mutex::new(released));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let (line, released) = (Arc::clone(&line), Arc::clone(&released));
+                std::thread::spawn(move || {
+                    let mut client = TcpStream::connect(addr).expect("connect");
+                    client
+                        .set_read_timeout(Some(Duration::from_secs(10)))
+                        .expect("read timeout");
+                    client.write_all(&line).expect("write");
+                    let mut echo = vec![0u8; line.len()];
+                    client.read_exact(&mut echo).expect("echo");
+                    assert!(echo == *line, "the echo differs from the request");
+                    // Hold the connection open, idle, until released.
+                    let _ = released.lock().expect("release lock").recv();
+                })
+            })
+            .collect();
+
+        turn_until(&mut shard, &mut events, |s| {
+            s.app.answered.load(Ordering::SeqCst) == CLIENTS
+                && s.conns.len() == CLIENTS
+                && s.conns.keys().iter().all(|&t| {
+                    s.conns
+                        .get(t)
+                        .is_some_and(|c| c.phase == Phase::Idle && c.write_buf.is_empty())
+                })
+        });
+        for token in shard.conns.keys() {
+            let held = shard.conns.get(token).map_or(0, |c| c.read_buf.capacity());
+            assert_eq!(held, 0, "idle connection {token} holds a buffer");
+        }
+        assert!(
+            (line.len()..=READ_BUDGET).contains(&shard.spare.capacity()),
+            "the shard's spare holds {} bytes",
+            shard.spare.capacity()
+        );
+
+        for _ in 0..CLIENTS {
+            release.send(()).expect("release a client");
+        }
+        for client in clients {
+            client.join().expect("client thread");
+        }
     }
 }

@@ -28,6 +28,12 @@
 //! - **The application is a trait.** The reactor knows nothing about
 //!   HTTP: an [`App`] supplies incremental parsing, request handling,
 //!   and timeout responses, keyed by shard so state can be partitioned.
+//! - **Buffers belong to requests.** A connection reads straight into
+//!   its own buffer, and holds one only while it has unframed bytes: a
+//!   request that ends the buffer may take it whole (an HTTP body, say),
+//!   and [`Response::spare`] hands the allocation back once answered.
+//!   Each shard keeps one spare buffer for the next read, so an idle
+//!   keep-alive connection pins no buffer.
 //!
 //! The crate is Unix-only at runtime (epoll or poll); on other targets
 //! it still compiles and [`Reactor::start`] reports an unsupported-
@@ -58,9 +64,9 @@ pub use engine::ReactorHandle;
 pub enum Parse<R> {
     /// No full request yet — keep the buffer and wait for more bytes.
     Incomplete,
-    /// One request framed, consuming `consumed` buffer bytes (any
-    /// remainder is the start of a pipelined successor).
-    Complete { request: R, consumed: usize },
+    /// One request framed. Its bytes are gone from the front of the
+    /// buffer: any that remain start a pipelined successor.
+    Complete(R),
     /// Framing error: write `response` verbatim, then close.
     Reject { response: Vec<u8> },
     /// Clean end of stream — close without writing anything.
@@ -91,6 +97,10 @@ pub struct Response {
     /// Delay before the first byte is written (injected latency).
     pub delay: Duration,
     pub write: WriteMode,
+    /// An allocation the answered request no longer needs, such as the
+    /// read buffer [`App::parse`] took as its body. The shard reads a
+    /// later request into it; its bytes are ignored.
+    pub spare: Vec<u8>,
 }
 
 impl Response {
@@ -101,6 +111,7 @@ impl Response {
             keep_alive,
             delay: Duration::ZERO,
             write: WriteMode::Full,
+            spare: Vec::new(),
         }
     }
 }
@@ -118,10 +129,16 @@ pub trait App: Send + Sync + 'static {
         true
     }
 
-    /// Tries to frame one request from the buffered bytes. `eof` is
-    /// true once the peer has shut down its write side; the app must
-    /// then resolve to something other than [`Parse::Incomplete`].
-    fn parse(&self, shard: usize, buf: &[u8], eof: bool) -> Parse<Self::Request>;
+    /// Tries to frame one request from the connection's buffered bytes.
+    /// `eof` is true once the peer has shut down its write side; the app
+    /// must then resolve to something other than [`Parse::Incomplete`].
+    ///
+    /// On [`Parse::Complete`] the app has removed the request's bytes
+    /// from the front of `buf`. A request that ends the buffer may take
+    /// the whole allocation (`std::mem::take`) instead of copying out of
+    /// it, and return it through [`Response::spare`]. On
+    /// [`Parse::Incomplete`], `buf` must keep every byte.
+    fn parse(&self, shard: usize, buf: &mut Vec<u8>, eof: bool) -> Parse<Self::Request>;
 
     /// Handles one framed request. `force_close` is set while the
     /// reactor drains for shutdown, so the response should announce

@@ -159,6 +159,35 @@ pub(crate) mod pollsys {
     }
 }
 
+/// `read(2)` of at most `limit` bytes from `fd` straight into `buf`'s
+/// spare capacity, appending them: no scratch copy, and none of the
+/// zeroing a safe `Read::read` into that capacity would need. `Ok(0)`
+/// is end of stream when `buf` had room.
+#[cfg(unix)]
+pub(crate) fn read_appending(
+    fd: std::os::raw::c_int,
+    buf: &mut Vec<u8>,
+    limit: usize,
+) -> std::io::Result<usize> {
+    extern "C" {
+        fn read(fd: std::os::raw::c_int, buf: *mut std::ffi::c_void, count: usize) -> isize;
+    }
+    let spare = buf.spare_capacity_mut();
+    let count = spare.len().min(limit);
+    // SAFETY: `spare` is the vector's unused capacity, exclusively
+    // borrowed for the call, and `count` does not exceed it, so the
+    // kernel writes only memory the vector owns and nothing else reads.
+    // A bad `fd` is an error return, not undefined behaviour.
+    let n = unsafe { read(fd, spare.as_mut_ptr().cast(), count) };
+    let Ok(n) = usize::try_from(n) else {
+        return Err(std::io::Error::last_os_error());
+    };
+    // SAFETY: the kernel initialised the first `n <= count` spare bytes,
+    // so the new length covers initialised bytes only.
+    unsafe { buf.set_len(buf.len() + n) };
+    Ok(n)
+}
+
 #[cfg(unix)]
 mod rlimit {
     use std::os::raw::c_int;

@@ -30,7 +30,7 @@ impl App for EchoApp {
         !self.refuse_next.swap(false, Ordering::SeqCst)
     }
 
-    fn parse(&self, _shard: usize, buf: &[u8], eof: bool) -> Parse<String> {
+    fn parse(&self, _shard: usize, buf: &mut Vec<u8>, eof: bool) -> Parse<String> {
         match buf.iter().position(|b| *b == b'\n') {
             Some(pos) => {
                 let line = String::from_utf8_lossy(&buf[..pos]).into_owned();
@@ -39,10 +39,8 @@ impl App for EchoApp {
                         response: b"REJECT\n".to_vec(),
                     }
                 } else {
-                    Parse::Complete {
-                        request: line,
-                        consumed: pos + 1,
-                    }
+                    buf.drain(..=pos);
+                    Parse::Complete(line)
                 }
             }
             None if eof => {

@@ -5,8 +5,10 @@
 //! keep-alive, and response rendering. No chunked transfer encoding, no
 //! `Expect: 100-continue`, no TLS — requests using unsupported framing
 //! are rejected with an error the caller maps to a `4xx`. A request is
-//! framed by [`parse_request`] straight from the bytes its connection
-//! has buffered so far.
+//! framed straight from the bytes its connection has buffered so far:
+//! [`parse_request`] reads them borrowed and copies the body out, and
+//! [`take_request`], which the server uses, takes the connection's
+//! buffer itself as the body of a request that ends it.
 
 /// Upper bound on accepted request bodies (16 MiB): a full 360-sample
 /// telemetry corpus posts in well under 1 MiB, so anything larger is a
@@ -23,6 +25,7 @@ pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
 
 const LINE_TOO_LONG: &str = "header line exceeds 8 KiB";
+const BODY_NOT_UTF8: &str = "body is not valid UTF-8";
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,11 +75,44 @@ pub enum Parsed {
 /// once per read.
 pub fn parse_request(buf: &[u8], eof: bool) -> Parsed {
     let mut cursor = Cursor { buf, pos: 0, eof };
-    match frame(&mut cursor) {
-        Ok(Some(request)) => Parsed::Request {
-            request,
-            consumed: cursor.pos,
-        },
+    let framed = match frame(&mut cursor) {
+        Ok(Some(framed)) => copy_body(framed, buf).map(Some),
+        Ok(None) => Ok(None),
+        Err(stop) => Err(stop),
+    };
+    verdict(framed, cursor.pos)
+}
+
+/// [`parse_request`] over a connection's own buffer, with the same
+/// verdicts, that removes a framed request's `consumed` bytes from it.
+/// A request that ends the buffer takes the buffer as its body: the
+/// head is drained in place and the body keeps the allocation it was
+/// read into, so no byte of it is copied to a new one. A request with a
+/// pipelined successor behind it copies its body out, as
+/// [`parse_request`] does. On [`Parsed::Incomplete`] and
+/// [`Parsed::Closed`] the buffer is left as it was; after
+/// [`Parsed::Invalid`] its contents are unspecified.
+pub fn take_request(buf: &mut Vec<u8>, eof: bool) -> Parsed {
+    let mut cursor = Cursor { buf, pos: 0, eof };
+    let framed = frame(&mut cursor);
+    let consumed = cursor.pos;
+    let framed = match framed {
+        Ok(Some(framed)) if consumed == buf.len() => take_body(framed, buf).map(Some),
+        Ok(Some(framed)) => {
+            let request = copy_body(framed, buf);
+            buf.drain(..consumed);
+            request.map(Some)
+        }
+        Ok(None) => Ok(None),
+        Err(stop) => Err(stop),
+    };
+    verdict(framed, consumed)
+}
+
+/// The [`Parsed`] form of a framing outcome.
+fn verdict(framed: Result<Option<Request>, Stop>, consumed: usize) -> Parsed {
+    match framed {
+        Ok(Some(request)) => Parsed::Request { request, consumed },
         Ok(None) => Parsed::Closed,
         Err(Stop::NeedMore) => Parsed::Incomplete,
         Err(Stop::Invalid(msg)) => Parsed::Invalid(msg),
@@ -143,10 +179,33 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Reads the request line, the headers and the body; `None` on a clean
-/// EOF before the first byte (the peer closed an idle keep-alive
-/// connection).
-fn frame(cursor: &mut Cursor<'_>) -> Result<Option<Request>, Stop> {
+/// A framed request, its body still empty, and where the body lies in
+/// the buffered bytes.
+type Framed = (Request, std::ops::Range<usize>);
+
+/// Copies the framed body out of `buf` into the request.
+fn copy_body((mut request, body): Framed, buf: &[u8]) -> Result<Request, Stop> {
+    request.body = std::str::from_utf8(&buf[body])
+        .map_err(|_| BODY_NOT_UTF8)?
+        .to_owned();
+    Ok(request)
+}
+
+/// Takes `buf`, which the framed body ends, as the body: the head is
+/// drained in place (one move of the body's bytes) and the body keeps
+/// the allocation.
+fn take_body((mut request, body): Framed, buf: &mut Vec<u8>) -> Result<Request, Stop> {
+    let mut bytes = std::mem::take(buf);
+    bytes.drain(..body.start);
+    request.body = String::from_utf8(bytes).map_err(|_| BODY_NOT_UTF8)?;
+    Ok(request)
+}
+
+/// Reads the request line and the headers, and steps over the body,
+/// which must have fully arrived; `None` on a clean EOF before the first
+/// byte (the peer closed an idle keep-alive connection). The body's
+/// bytes are the caller's to check and materialise.
+fn frame(cursor: &mut Cursor<'_>) -> Result<Option<Framed>, Stop> {
     let Some(request_line) = cursor.line()? else {
         return Ok(None);
     };
@@ -211,23 +270,22 @@ fn frame(cursor: &mut Cursor<'_>) -> Result<Option<Request>, Stop> {
     if content_length > MAX_BODY_BYTES {
         return Err(format!("body of {content_length} bytes exceeds limit").into());
     }
-    let Some(body) = cursor.buf.get(cursor.pos..cursor.pos + content_length) else {
+    let body = cursor.pos..cursor.pos + content_length;
+    if body.end > cursor.buf.len() {
         return Err(if cursor.eof {
             "reading body: failed to fill whole buffer".into()
         } else {
             Stop::NeedMore
         });
-    };
-    let body = std::str::from_utf8(body)
-        .map_err(|_| "body is not valid UTF-8")?
-        .to_owned();
-    cursor.pos += content_length;
-    Ok(Some(Request {
+    }
+    cursor.pos = body.end;
+    let request = Request {
         method,
         path,
-        body,
+        body: String::new(),
         keep_alive,
-    }))
+    };
+    Ok(Some((request, body)))
 }
 
 /// The standard reason phrase for the status codes this service emits.
@@ -461,6 +519,24 @@ mod tests {
         assert_eq!(request.path, "/similar");
         assert_eq!(request.body, "{}");
         assert_eq!(consumed, second.len());
+
+        // Framed in the buffer itself, the first request leaves the
+        // second's bytes behind, and the second, which ends the buffer,
+        // takes it as its body.
+        let Parsed::Request { consumed, .. } = take_request(&mut stream, false) else {
+            panic!("first request frames in the buffer");
+        };
+        assert_eq!(
+            (consumed, stream.as_slice()),
+            (first.len(), second.as_slice())
+        );
+        let buffer_at = stream.as_ptr();
+        let Parsed::Request { request, .. } = take_request(&mut stream, false) else {
+            panic!("second request frames in the buffer");
+        };
+        assert_eq!(request.body, "{}");
+        assert_eq!(request.body.as_ptr(), buffer_at, "the body is the buffer");
+        assert_eq!(stream.capacity(), 0);
     }
 
     #[test]

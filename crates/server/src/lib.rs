@@ -246,12 +246,18 @@ impl wp_reactor::App for ReactorApp {
             .is_some_and(FaultInjector::reset_connection)
     }
 
-    fn parse(&self, _shard: usize, buf: &[u8], eof: bool) -> wp_reactor::Parse<http::Request> {
-        match http::parse_request(buf, eof) {
+    /// Frames with [`http::take_request`]: a request that ends the
+    /// connection's buffer takes it as its body, and [`Self::respond`]
+    /// hands the allocation back.
+    fn parse(
+        &self,
+        _shard: usize,
+        buf: &mut Vec<u8>,
+        eof: bool,
+    ) -> wp_reactor::Parse<http::Request> {
+        match http::take_request(buf, eof) {
             http::Parsed::Incomplete => wp_reactor::Parse::Incomplete,
-            http::Parsed::Request { request, consumed } => {
-                wp_reactor::Parse::Complete { request, consumed }
-            }
+            http::Parsed::Request { request, .. } => wp_reactor::Parse::Complete(request),
             http::Parsed::Closed => wp_reactor::Parse::Close,
             http::Parsed::Invalid(msg) => {
                 // A framing error leaves the stream position unknown:
@@ -315,6 +321,7 @@ impl wp_reactor::App for ReactorApp {
             },
             WriteFault::Truncate => wp_reactor::WriteMode::TruncateHalf,
         };
+        response.spare = request.body.into_bytes();
         response
     }
 

@@ -692,7 +692,9 @@ fn drift_log(engine: &StreamEngine) -> String {
 /// then published in its place. A rejected batch is published too, so
 /// the engine's rejection counter moves; its generation does not.
 fn ingest(state: &ServiceState, body: &str) -> Result<String, ServiceError> {
-    let (doc, runs) = parse_target_runs(body)?;
+    // The engine checks each run itself, after the batch, and counts the
+    // batch it rejects.
+    let (doc, runs) = parse_body(body)?.into_decoded_runs()?;
     let tenant = doc
         .get("tenant")
         .and_then(Json::as_str)
@@ -783,13 +785,25 @@ impl Body {
         self.runs.is_some() || self.doc.get("runs").is_some()
     }
 
-    /// The other members and the decoded, non-empty `"runs"`.
-    fn into_runs(self) -> Result<(Json, Vec<ExperimentRun>), ServiceError> {
+    /// The other members and the decoded, non-empty `"runs"`, as sent.
+    fn into_decoded_runs(self) -> Result<(Json, Vec<ExperimentRun>), ServiceError> {
         let runs = match self.runs {
             Some(runs) => runs,
             None => decode_runs(&self.doc)?,
         };
         Ok((self.doc, runs))
+    }
+
+    /// [`Self::into_decoded_runs`], each run held to
+    /// [`ExperimentRun::validate`] with `/ingest`'s messages, so the
+    /// typed and the tree decode meet the same check.
+    fn into_runs(self) -> Result<(Json, Vec<ExperimentRun>), ServiceError> {
+        let (doc, runs) = self.into_decoded_runs()?;
+        for (i, run) in runs.iter().enumerate() {
+            run.validate()
+                .map_err(|e| ServiceError::bad_request(format!("run {i}: {e}")))?;
+        }
+        Ok((doc, runs))
     }
 }
 
@@ -2086,6 +2100,54 @@ mod tests {
         assert_eq!(s, 405);
         let (s, _) = handle(&state, &request("GET", "/nope", ""));
         assert_eq!(s, 404);
+    }
+
+    /// Every endpoint that takes runs holds them to the one per-run
+    /// check, whichever decoder read them: a run with 21 plan columns is
+    /// the 400 on each read that it is on `/ingest`, and a corpus whose
+    /// run has 6 resource columns is a 400 on `POST /corpus`.
+    #[test]
+    fn runs_of_the_wrong_shape_are_a_400_on_every_endpoint() {
+        let state = test_state();
+        let mut sim = Simulator::new(5);
+        sim.config.samples = 40;
+        let mut runs: Vec<ExperimentRun> = (0..2)
+            .map(|r| sim.simulate(&benchmarks::ycsb(), &Sku::new("cpu2", 2, 64.0), 8, r, r % 3))
+            .collect();
+        let first_21: Vec<usize> = (0..21).collect();
+        runs[0].plans.data = runs[0].plans.data.select_cols(&first_21);
+        let runs: Vec<Json> = runs.iter().map(wp_telemetry::io::run_to_json).collect();
+        let typed = obj! { "runs" => runs }.compact();
+        // A repeated key sends the body to the tree decode, which keeps
+        // the first.
+        let tree = typed.replacen("{\"key\":", "{\"throughput\":1,\"key\":", 1);
+        assert_ne!(tree, typed);
+        let answer = "{\"error\":\"run 0: plan statistics must have 22 columns, got 21\"}";
+        for body in [&typed, &tree] {
+            for (path, prefix) in [
+                ("/fingerprint", ""),
+                ("/similar", ""),
+                ("/similar", "\"mode\":\"indexed\","),
+                ("/predict", ""),
+                ("/recommend", "\"slo\":100,"),
+                ("/ingest", "\"tenant\":\"t\","),
+            ] {
+                let body = body.replacen('{', &format!("{{{prefix}"), 1);
+                let (s, resp) = handle(&state, &request("POST", path, &body));
+                assert_eq!((s, resp.as_str()), (400, answer), "{path} {prefix}");
+            }
+        }
+
+        let mut corpus = crate::corpus::simulated_corpus(0xEDB7_2025, 40);
+        let run = &mut Arc::make_mut(&mut corpus.references[1]).runs_to[2];
+        run.resources.data = run.resources.data.select_cols(&[0, 1, 2, 3, 4, 5]);
+        let document = crate::corpus::corpus_to_json(&corpus);
+        let (s, resp) = handle(&state, &request("POST", "/corpus", &document));
+        assert_eq!(s, 400, "{resp}");
+        assert_eq!(
+            resp,
+            "{\"error\":\"TPC-H: runs_to[2]: resource series must have 7 columns, got 6\"}"
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use wp_json::Json;
 use wp_linalg::Rng64;
 use wp_server::corpus::simulated_corpus;
-use wp_server::http::{parse_request, Parsed, MAX_LINE_BYTES};
+use wp_server::http::{parse_request, take_request, Parsed, MAX_LINE_BYTES};
 use wp_server::{Server, ServerConfig, ServerHandle};
 use wp_telemetry::io::{decode_runs_body, run_from_json};
 use wp_telemetry::ExperimentRun;
@@ -274,6 +274,41 @@ fn parser_verdicts_match_the_pinned_digest() {
         "a parser verdict changed: {:#018x}",
         digest.0
     );
+}
+
+/// `take_request` frames in a connection's own buffer and takes the
+/// buffer as the body of a request that ends it. It must reach
+/// `parse_request`'s verdict on `bytes` and leave exactly the bytes the
+/// request did not consume.
+fn assert_take_agrees(bytes: &[u8], eof: bool) {
+    let expected = parse_request(bytes, eof);
+    let mut buf = bytes.to_vec();
+    let taken = take_request(&mut buf, eof);
+    assert_eq!(
+        taken,
+        expected,
+        "{:?} (eof {eof})",
+        String::from_utf8_lossy(bytes)
+    );
+    match expected {
+        Parsed::Request { consumed, .. } => assert_eq!(buf, bytes[consumed..]),
+        Parsed::Incomplete | Parsed::Closed => assert_eq!(buf, bytes),
+        Parsed::Invalid(_) => {}
+    }
+}
+
+#[test]
+fn take_request_agrees_with_parse_request() {
+    for (_, bytes) in mutants().take(2000) {
+        for end in 0..=bytes.len() {
+            assert_take_agrees(&bytes[..end], false);
+        }
+        assert_take_agrees(&bytes, true);
+    }
+    for bytes in hand_cases() {
+        assert_take_agrees(&bytes, false);
+        assert_take_agrees(&bytes, true);
+    }
 }
 
 fn start_server() -> ServerHandle {

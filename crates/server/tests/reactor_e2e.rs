@@ -213,6 +213,76 @@ fn every_endpoint_is_byte_identical_to_the_pure_handler() {
     server.shutdown();
 }
 
+/// A request's body is the buffer its connection read it into, unless a
+/// pipelined successor follows it and the body is copied out. Both
+/// framings, and a body that arrives over many reads, answer with the
+/// pure handler's bytes.
+#[test]
+fn pipelined_and_split_bodies_answer_like_the_pure_handler() {
+    let server = start(1, Duration::from_secs(30));
+    let config = ServerConfig::default();
+    let oracle = ServiceState::sharded(
+        simulated_corpus(SEED, 60),
+        config.pipeline,
+        Some(1),
+        config.cache_capacity,
+        config.stream,
+        1,
+    )
+    .expect("oracle state builds");
+    let expect = |path: &str, body: &str| {
+        let (status, answer) = handle(
+            &oracle,
+            &Request {
+                method: "POST".to_string(),
+                path: path.to_string(),
+                body: body.to_string(),
+                keep_alive: true,
+            },
+        );
+        render_response_typed(status, &answer, true, "application/json", &[])
+    };
+    let wire = |path: &str, body: &str| {
+        format!(
+            "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    // Two-run bodies of the default 360 samples, ~95 KB each.
+    let mix = wp_loadgen::validated_mix(SEED, 360);
+    let body_of_path = |path: &str| {
+        mix.iter()
+            .find(|e| e.path == path)
+            .map(|e| e.body.clone())
+            .expect("the mix posts to the path")
+    };
+    let (similar, predict) = (body_of_path("/similar"), body_of_path("/predict"));
+    let mut conn = Conn::open(server.addr());
+
+    // A pipelined pair in one write: the first body has the second
+    // request's bytes behind it, the second ends the buffer.
+    let pair = wire("/similar", &similar) + &wire("/predict", &predict);
+    conn.stream.write_all(pair.as_bytes()).expect("write pair");
+    assert_eq!(conn.read_response(), expect("/similar", &similar));
+    assert_eq!(conn.read_response(), expect("/predict", &predict));
+
+    // One request in 1 KiB writes, pausing every 16 of them, so its body
+    // grows over many reads.
+    for (i, piece) in wire("/predict", &similar)
+        .as_bytes()
+        .chunks(1024)
+        .enumerate()
+    {
+        conn.stream.write_all(piece).expect("write piece");
+        if i % 16 == 15 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+    assert_eq!(conn.read_response(), expect("/predict", &similar));
+
+    server.shutdown();
+}
+
 /// Keep-alive connections are reused: one socket serves many requests,
 /// `/stats` counts exactly the connections that were accepted, and
 /// `Connection: close` actually closes.
@@ -255,6 +325,42 @@ fn keep_alive_reuse_and_connection_accounting() {
     assert!(tail.is_empty(), "bytes after close response");
 
     server.shutdown();
+}
+
+/// A load run checks that the server is there with its first worker's
+/// own connection: a one-shard server counts exactly the run's
+/// connections, and a dead address still fails at once.
+#[test]
+fn a_load_run_opens_only_its_workers_connections() {
+    let server = start(1, Duration::from_secs(30));
+    let addr = server.addr().to_string();
+    let config = wp_loadgen::LoadConfig {
+        addr: addr.clone(),
+        connections: 2,
+        timeout: Duration::from_secs(10),
+        requests_per_connection: Some(3),
+        ..wp_loadgen::LoadConfig::default()
+    };
+    let mix = [wp_loadgen::MixEntry {
+        method: "GET",
+        path: "/healthz",
+        body: String::new(),
+        weight: 1,
+    }];
+    let report = wp_loadgen::run_load(&config, &mix).expect("load run");
+    assert_eq!((report.requests, report.errors), (6, 0));
+    let stats = server.state().stats.to_json((0, 0));
+    assert_eq!(
+        stats.get("connections").and_then(Json::as_f64),
+        Some(2.0),
+        "the server counted a connection the run did not use"
+    );
+    server.shutdown();
+
+    let dead = wp_loadgen::LoadConfig { addr, ..config };
+    let refused = TcpStream::connect(&dead.addr).expect_err("nothing listens");
+    let err = wp_loadgen::run_load(&dead, &mix).expect_err("nothing listens");
+    assert_eq!(err, format!("cannot connect to {}: {refused}", dead.addr));
 }
 
 /// The scale contract: the reactor holds ≥1024 concurrent keep-alive

@@ -50,7 +50,7 @@ use wp_obs::{LazySpan, Snapshot};
 use wp_similarity::bcpd::{detect_changepoints, BcpdConfig};
 use wp_similarity::repr::extract;
 use wp_similarity::Fingerprinter;
-use wp_telemetry::{ExperimentRun, FeatureId, PlanFeature, ResourceFeature};
+use wp_telemetry::{ExperimentRun, FeatureId, ResourceFeature};
 
 static OBS_INGEST_SPAN: LazySpan = LazySpan::new("wp_stream_ingest");
 
@@ -316,55 +316,6 @@ fn valid_tenant_name(t: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
 }
 
-/// Validates one ingested run. Everything a hostile or truncated payload
-/// could smuggle past `run_from_json` (which checks shape, not content)
-/// is rejected here, *before* any engine state changes.
-fn validate_run(i: usize, run: &ExperimentRun) -> Result<(), String> {
-    let r = &run.resources;
-    if r.data.rows() == 0 {
-        return Err(format!("run {i}: empty resource series"));
-    }
-    if r.data.cols() != wp_telemetry::ResourceFeature::ALL.len() {
-        return Err(format!(
-            "run {i}: resource series must have {} columns, got {}",
-            wp_telemetry::ResourceFeature::ALL.len(),
-            r.data.cols()
-        ));
-    }
-    if !r.data.as_slice().iter().all(|x| x.is_finite()) {
-        return Err(format!("run {i}: non-finite resource sample"));
-    }
-    if !r.sample_interval_secs.is_finite() || r.sample_interval_secs <= 0.0 {
-        return Err(format!(
-            "run {i}: sample interval must be finite and positive"
-        ));
-    }
-    let p = &run.plans;
-    if p.data.rows() == 0 {
-        return Err(format!("run {i}: empty plan statistics"));
-    }
-    if p.data.cols() != PlanFeature::ALL.len() {
-        return Err(format!(
-            "run {i}: plan statistics must have {} columns, got {}",
-            PlanFeature::ALL.len(),
-            p.data.cols()
-        ));
-    }
-    if !p.data.as_slice().iter().all(|x| x.is_finite()) {
-        return Err(format!("run {i}: non-finite plan statistic"));
-    }
-    if p.query_names.len() != p.data.rows() {
-        return Err(format!("run {i}: one query name per plan row required"));
-    }
-    if !run.throughput.is_finite() || !run.latency_ms.is_finite() {
-        return Err(format!("run {i}: non-finite throughput or latency"));
-    }
-    if !run.per_query_latency_ms.iter().all(|x| x.is_finite()) {
-        return Err(format!("run {i}: non-finite per-query latency"));
-    }
-    Ok(())
-}
-
 impl StreamEngine {
     /// Builds the engine over the startup corpus, freezing histogram
     /// ranges over it. `features` is the startup feature selection; the
@@ -568,7 +519,7 @@ impl StreamEngine {
             return Err(format!("tenant cap reached ({})", self.config.max_tenants));
         }
         for (i, run) in runs.iter().enumerate() {
-            validate_run(i, run)?;
+            run.validate().map_err(|e| format!("run {i}: {e}"))?;
         }
         Ok(())
     }

@@ -162,12 +162,56 @@ pub struct ExperimentRun {
 }
 
 impl ExperimentRun {
-    /// Mean value of every resource feature over the whole run, in catalog
-    /// order — a cheap summary used by a few diagnostics.
-    pub fn resource_means(&self) -> Vec<f64> {
-        (0..self.resources.data.cols())
-            .map(|c| wp_linalg::stats::mean(&self.resources.data.col(c)))
-            .collect()
+    /// The one per-run check, applied wherever runs enter a server: to
+    /// ingested batches, to every corpus reference, and to the runs a
+    /// read posts. It rejects what decoding a run (which checks shape,
+    /// not content) lets through and later stages would trip over: an
+    /// empty series, a column count other than the catalog's, a
+    /// non-finite number, a non-positive sample interval, or plan rows
+    /// without one query name each. The message names the first defect;
+    /// callers prefix it with the run's place.
+    pub fn validate(&self) -> Result<(), String> {
+        let r = &self.resources;
+        if r.data.rows() == 0 {
+            return Err("empty resource series".to_string());
+        }
+        if r.data.cols() != ResourceFeature::ALL.len() {
+            return Err(format!(
+                "resource series must have {} columns, got {}",
+                ResourceFeature::ALL.len(),
+                r.data.cols()
+            ));
+        }
+        if !r.data.as_slice().iter().all(|x| x.is_finite()) {
+            return Err("non-finite resource sample".to_string());
+        }
+        if !r.sample_interval_secs.is_finite() || r.sample_interval_secs <= 0.0 {
+            return Err("sample interval must be finite and positive".to_string());
+        }
+        let p = &self.plans;
+        if p.data.rows() == 0 {
+            return Err("empty plan statistics".to_string());
+        }
+        if p.data.cols() != PlanFeature::ALL.len() {
+            return Err(format!(
+                "plan statistics must have {} columns, got {}",
+                PlanFeature::ALL.len(),
+                p.data.cols()
+            ));
+        }
+        if !p.data.as_slice().iter().all(|x| x.is_finite()) {
+            return Err("non-finite plan statistic".to_string());
+        }
+        if p.query_names.len() != p.data.rows() {
+            return Err("one query name per plan row required".to_string());
+        }
+        if !self.throughput.is_finite() || !self.latency_ms.is_finite() {
+            return Err("non-finite throughput or latency".to_string());
+        }
+        if !self.per_query_latency_ms.iter().all(|x| x.is_finite()) {
+            return Err("non-finite per-query latency".to_string());
+        }
+        Ok(())
     }
 }
 
@@ -236,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn resource_means_summary() {
+    fn validate_names_the_first_defect() {
         let run = ExperimentRun {
             key: RunKey {
                 workload: "w".into(),
@@ -251,8 +295,25 @@ mod tests {
             latency_ms: 5.0,
             per_query_latency_ms: vec![5.0],
         };
-        let means = run.resource_means();
-        assert_eq!(means.len(), 7);
-        assert_eq!(means[0], 7.0); // mean of 0, 7, 14
+        assert_eq!(run.validate(), Ok(()));
+
+        let mut narrow = run.clone();
+        narrow.resources.data = Matrix::zeros(3, 6);
+        assert_eq!(
+            narrow.validate().unwrap_err(),
+            "resource series must have 7 columns, got 6"
+        );
+        let mut short = run.clone();
+        short.plans.data = Matrix::zeros(1, 21);
+        assert_eq!(
+            short.validate().unwrap_err(),
+            "plan statistics must have 22 columns, got 21"
+        );
+        let mut poisoned = run;
+        poisoned.throughput = f64::NAN;
+        assert_eq!(
+            poisoned.validate().unwrap_err(),
+            "non-finite throughput or latency"
+        );
     }
 }
