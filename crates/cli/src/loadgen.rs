@@ -241,8 +241,10 @@ fn streamer(args: &Args) -> Result<(), CliError> {
 /// Scrapes `GET /metrics`, validates the exposition against the run
 /// that just finished, and writes the parsed series to `path` as a
 /// self-describing experiment document. Fails loudly — a server without
-/// `--obs` answers 404, a mis-rendered exposition fails the parse, and
-/// a registry that did not see this run's traffic fails the floors.
+/// `--obs` answers 404, a mis-rendered exposition fails the parse, a
+/// request histogram whose `+Inf` buckets disagree with its counts fails
+/// the sum check, and a registry that did not see this run's traffic
+/// fails the floors.
 ///
 /// The default mix ranks exhaustively, so when an indexed `/similar`
 /// body is supplied, one is issued first: the scrape then asserts the
@@ -282,6 +284,22 @@ fn scrape_metrics(
         return Err(format!(
             "wp_server_requests_total counted {counted} requests, \
              but this run alone issued {requests}"
+        ));
+    }
+    // The request histogram's `+Inf` buckets count what its `_count`
+    // lines count: every request the server has recorded.
+    let bucketed: f64 = series
+        .iter()
+        .filter(|(name, _)| {
+            name.starts_with("wp_server_request_ns_bucket{") && name.ends_with(",le=\"+Inf\"}")
+        })
+        .map(|(_, v)| v)
+        .sum();
+    let spanned = sum_of("wp_server_request_count");
+    if bucketed != spanned {
+        return Err(format!(
+            "wp_server_request_ns_bucket{{le=\"+Inf\"}} counted {bucketed} requests, \
+             but wp_server_request_count counted {spanned}"
         ));
     }
     let mut floors = vec!["wp_server_connections_total", "wp_server_request_count"];

@@ -115,10 +115,10 @@ pub fn quantile(a: &[f64], q: f64) -> f64 {
 /// Nearest-rank percentile over an ascending-sorted integer sample,
 /// `p ∈ [0, 100]`; `0` for an empty slice.
 ///
-/// This is the convention shared by the serving layer (`wp-server`'s
-/// `/stats` latency summaries) and the load generator's report: the
-/// value at rank `⌈p/100 · n⌉` (1-based), so every reported percentile
-/// is an actually observed sample, never an interpolation.
+/// The load generator's report uses it: the value at rank `⌈p/100 · n⌉`
+/// (1-based), so every reported percentile is an actually observed
+/// sample, never an interpolation. `wp-server`'s `/stats` takes the
+/// same rank over its latency histogram's buckets.
 pub fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;

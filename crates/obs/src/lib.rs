@@ -2,7 +2,8 @@
 //!
 //! Every stage of the prediction pipeline reports into one process-wide
 //! registry of named series: monotone **counters**, last-write **gauges**,
-//! and **span timers** (count / total ns / max ns per name). The registry
+//! and **span timers** (count / total ns / max ns and a latency histogram
+//! per name, see [`SpanStat`]). The registry
 //! follows the `wp-faults` invariant exactly: observability is **off by
 //! default**, and while it is off every instrumentation site costs a
 //! single relaxed atomic load — no allocation, no lock, no `Instant`
@@ -104,12 +105,68 @@ impl Gauge {
     }
 }
 
-/// Aggregate of one span timer: how often it ran, total and worst time.
-#[derive(Default)]
+/// log2 of the buckets per power of two in a [`SpanStat`]'s histogram.
+const SUB_BITS: u32 = 4;
+/// Buckets per power of two; every value below this has a bucket of its own.
+const SUB_BUCKETS: u64 = 1 << SUB_BITS;
+/// The histogram's buckets end at 2^`TOP_EXP` ns (~18 minutes); longer
+/// intervals count in the top bucket.
+const TOP_EXP: u32 = 40;
+/// Buckets in a [`SpanStat`]'s histogram: 16 one-value buckets below
+/// 16 ns, then 16 per power of two from 2^4 to 2^40 ns.
+pub const BUCKETS: usize = ((TOP_EXP - SUB_BITS + 1) as usize) << SUB_BITS;
+
+/// The histogram bucket that counts an interval of `ns`: `ns` itself
+/// below 16, and from 2^e ns on (e ≥ 4) one of 16 equal buckets of
+/// 2^(e−4) ns. Values from 2^40 ns up share the top bucket.
+#[inline]
+fn bucket_index(ns: u64) -> usize {
+    let shift = (ns | SUB_BUCKETS).ilog2() - SUB_BITS;
+    (((u64::from(shift) << SUB_BITS) + (ns >> shift)) as usize).min(BUCKETS - 1)
+}
+
+/// The smallest value bucket `i` counts.
+fn bucket_lower(i: usize) -> u64 {
+    let i = i as u64;
+    if i < SUB_BUCKETS {
+        i
+    } else {
+        (SUB_BUCKETS | (i & (SUB_BUCKETS - 1))) << ((i >> SUB_BITS) - 1)
+    }
+}
+
+/// The largest value bucket `i` counts: `u64::MAX` for the top bucket.
+fn bucket_upper(i: usize) -> u64 {
+    if i + 1 < BUCKETS {
+        bucket_lower(i + 1) - 1
+    } else {
+        u64::MAX
+    }
+}
+
+/// Aggregate of one span timer: how often it ran, total and worst time,
+/// and a fixed log-linear histogram of its intervals. Below 16 ns each
+/// value has a bucket of its own; above, each power of two is cut into
+/// 16 equal buckets up to 2^40 ns, so no bucket is wider than 1/16 of
+/// its lower bound, and longer intervals count in the top bucket.
+/// Recording is four relaxed atomics; the histogram is one allocation
+/// of [`BUCKETS`] counters.
 pub struct SpanStat {
     count: AtomicU64,
     total_ns: AtomicU64,
     max_ns: AtomicU64,
+    buckets: Box<[AtomicU64; BUCKETS]>,
+}
+
+impl Default for SpanStat {
+    fn default() -> Self {
+        Self {
+            count: AtomicU64::new(0),
+            total_ns: AtomicU64::new(0),
+            max_ns: AtomicU64::new(0),
+            buckets: Box::new([const { AtomicU64::new(0) }; BUCKETS]),
+        }
+    }
 }
 
 impl SpanStat {
@@ -118,7 +175,39 @@ impl SpanStat {
     pub fn observe_ns(&self, ns: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        // A plain load first: most intervals are not a new maximum, and
+        // `fetch_max` would take the cache line exclusively every time.
+        if ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        }
+        self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Intervals recorded so far.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// A copy of every field, each read once. Under concurrent recording
+    /// the fields may disagree by the intervals in flight.
+    pub fn snapshot(&self) -> SpanSnapshot {
+        SpanSnapshot {
+            count: self.count.load(Ordering::Relaxed),
+            total_ns: self.total_ns.load(Ordering::Relaxed),
+            max_ns: self.max_ns.load(Ordering::Relaxed),
+            buckets: Box::new(std::array::from_fn(|i| {
+                self.buckets[i].load(Ordering::Relaxed)
+            })),
+        }
+    }
+
+    fn clear(&self) {
+        for atomic in [&self.count, &self.total_ns, &self.max_ns]
+            .into_iter()
+            .chain(self.buckets.iter())
+        {
+            atomic.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -319,17 +408,13 @@ pub fn reset() {
         match slot {
             Slot::Counter(c) => c.value.store(0, Ordering::Relaxed),
             Slot::Gauge(g) => g.value.store(0, Ordering::Relaxed),
-            Slot::Span(s) => {
-                s.count.store(0, Ordering::Relaxed);
-                s.total_ns.store(0, Ordering::Relaxed);
-                s.max_ns.store(0, Ordering::Relaxed);
-            }
+            Slot::Span(s) => s.clear(),
         }
     }
 }
 
 /// Frozen values of one span timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanSnapshot {
     /// Completed intervals.
     pub count: u64,
@@ -337,6 +422,45 @@ pub struct SpanSnapshot {
     pub total_ns: u64,
     /// Longest interval.
     pub max_ns: u64,
+    /// Intervals per histogram bucket (see [`SpanStat`]).
+    pub buckets: Box<[u64; BUCKETS]>,
+}
+
+impl SpanSnapshot {
+    /// Nearest-rank percentile `p ∈ [0, 100]`, at bucket resolution: the
+    /// largest value of the bucket that holds rank `⌈p/100 · n⌉` of the
+    /// `n` bucketed intervals, clamped to `max_ns`. So it never exceeds
+    /// the maximum, never decreases as `p` rises, and below the
+    /// open-ended top bucket is at most 1/16 above the exact nearest-rank
+    /// value; `0` when nothing was recorded.
+    pub fn percentile(&self, p: f64) -> u64 {
+        let n: u64 = self.buckets.iter().sum();
+        let rank = ((p / 100.0 * n as f64).ceil() as u64).clamp(1, n.max(1));
+        let mut seen = 0;
+        let bucket = self.buckets.iter().position(|&k| {
+            seen += k;
+            seen >= rank
+        });
+        bucket.map_or(0, |i| bucket_upper(i).min(self.max_ns))
+    }
+
+    /// Cumulative interval counts at the exposition's bucket bounds:
+    /// `(le, count)` with `count` the intervals of at most `le` ns, for
+    /// `le` = 2^k − 1 (k = 10, 12, …, 36) and then `None` for `+Inf`.
+    fn cumulative(&self) -> impl Iterator<Item = (Option<u64>, u64)> + '_ {
+        let mut below = 0;
+        let mut next = 0;
+        (10..=36)
+            .step_by(2)
+            .map(|k| Some(1u64 << k))
+            .chain([None])
+            .map(move |bound| {
+                let end = bound.map_or(BUCKETS, bucket_index);
+                below += self.buckets[next..end].iter().sum::<u64>();
+                next = end;
+                (bound.map(|b| b - 1), below)
+            })
+    }
 }
 
 /// A point-in-time copy of a set of series: the registry's, or an
@@ -359,14 +483,7 @@ pub fn snapshot() -> Snapshot {
         match slot {
             Slot::Counter(c) => snap.counters.push((name.clone(), c.get())),
             Slot::Gauge(g) => snap.gauges.push((name.clone(), g.get())),
-            Slot::Span(s) => snap.spans.push((
-                name.clone(),
-                SpanSnapshot {
-                    count: s.count.load(Ordering::Relaxed),
-                    total_ns: s.total_ns.load(Ordering::Relaxed),
-                    max_ns: s.max_ns.load(Ordering::Relaxed),
-                },
-            )),
+            Slot::Span(s) => snap.spans.push((name.clone(), s.snapshot())),
         }
     }
     snap
@@ -382,10 +499,14 @@ fn split_family(name: &str) -> (&str, &str) {
 
 impl Snapshot {
     /// Prometheus text exposition (version 0.0.4): one `# TYPE` line per
-    /// family, then `name value` samples. Span timers expand into three
-    /// series per name: `<family>_count`, `<family>_ns_total` (both
-    /// counters) and `<family>_ns_max` (a gauge), each keeping the
-    /// original label block.
+    /// family, then `name value` samples. Span timers expand into
+    /// `<family>_count`, `<family>_ns_total` (both counters) and
+    /// `<family>_ns_max` (a gauge), each keeping the original label
+    /// block, then the cumulative histogram counter
+    /// `<family>_ns_bucket{…,le="…"}` at the same bounds for every span:
+    /// `le` = 2^k − 1 ns for k = 10, 12, …, 36 (a bucket's largest value,
+    /// as in [`SpanSnapshot::percentile`]; 1023 ns to ~68.7 s), then
+    /// `+Inf`, which counts every bucketed interval.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         let mut typed: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
@@ -422,6 +543,15 @@ impl Snapshot {
                 "gauge",
                 s.max_ns,
             );
+            let open = match labels.strip_suffix('}') {
+                Some(labels) => format!("{labels},"),
+                None => "{".to_string(),
+            };
+            for (le, count) in s.cumulative() {
+                let le = le.map_or_else(|| "+Inf".to_string(), |le| le.to_string());
+                let name = format!("{family}_ns_bucket{open}le=\"{le}\"}}");
+                sample(&mut out, &name, "counter", count);
+            }
         }
         out
     }
@@ -624,6 +754,7 @@ mod tests {
         register_counter(&series("test_rt_total", "stage", "pivot")).add(4);
         register_gauge("test_rt_gauge").set(9);
         register_span("test_rt_span{op=\"x\"}").observe_ns(250);
+        register_span("test_rt_plain").observe_ns(5_000);
         let snap = snapshot();
         let text = snap.render_prometheus();
         assert!(text.contains("# TYPE test_rt_total counter"), "{text}");
@@ -645,7 +776,87 @@ mod tests {
             .any(|(n, v)| n == "test_rt_gauge" && *v == 9.0));
         // a TYPE line is emitted at most once per family
         assert_eq!(text.matches("# TYPE test_rt_total ").count(), 1);
+        // every span carries the same cumulative bucket bounds, labeled
+        // or not
+        assert!(
+            text.contains("# TYPE test_rt_span_ns_bucket counter\n"),
+            "{text}"
+        );
+        for (series, count) in [
+            ("test_rt_span_ns_bucket{op=\"x\",le=\"1023\"}", 1),
+            ("test_rt_span_ns_bucket{op=\"x\",le=\"68719476735\"}", 1),
+            ("test_rt_span_ns_bucket{op=\"x\",le=\"+Inf\"}", 1),
+            ("test_rt_plain_ns_bucket{le=\"4095\"}", 0),
+            ("test_rt_plain_ns_bucket{le=\"16383\"}", 1),
+            ("test_rt_plain_ns_bucket{le=\"+Inf\"}", 1),
+        ] {
+            assert!(text.contains(&format!("{series} {count}\n")), "{text}");
+        }
+        assert_eq!(text.matches("test_rt_plain_ns_bucket{").count(), 15);
         set_enabled(false);
+    }
+
+    /// The bucket rule, over its edges and 10,000 seeded draws spread
+    /// across every power of two: each value lands in a bucket that
+    /// holds it, buckets tile the range at most 1/16 of their lower
+    /// bound wide, and a percentile is the largest value of the exact
+    /// nearest-rank sample's bucket, clamped to the maximum, so it never
+    /// decreases as `p` rises and never exceeds `max_ns`. Below the
+    /// open-ended top bucket it is within 1/16 of the exact value.
+    #[test]
+    fn bucket_rule_holds_on_edges_and_seeded_draws() {
+        const TOP: u64 = 1 << 40;
+        let mut rng = wp_linalg::Rng64::new(0x0B5E_2025);
+        let edges = [0, 1, 15, 16, 17, TOP - 1, TOP, u64::MAX];
+        let draws = (0..10_000).map(|_| rng.next_u64() >> rng.below(64));
+        let values: Vec<u64> = edges.into_iter().chain(draws).collect();
+
+        for &v in &values {
+            let i = bucket_index(v);
+            if v < TOP {
+                assert!(bucket_lower(i) <= v && v <= bucket_upper(i), "{v} in {i}");
+            } else {
+                assert_eq!(i, BUCKETS - 1, "{v} past 2^40 ns");
+            }
+        }
+        for i in 0..BUCKETS {
+            let lower = bucket_lower(i);
+            let end = if i + 1 < BUCKETS {
+                bucket_lower(i + 1)
+            } else {
+                TOP
+            };
+            assert_eq!(bucket_index(lower), i, "bucket {i} starts at {lower}");
+            if lower >= 16 {
+                assert!((end - lower) * 16 <= lower, "bucket {i} is too wide");
+            } else {
+                assert_eq!(end - lower, 1, "bucket {i} holds one value");
+            }
+        }
+
+        // Capping the values moves the maximum through the range, so the
+        // clamp to `max_ns` is exercised at every scale.
+        for cap in [1 << 10, 1 << 20, 1 << 30, TOP, u64::MAX] {
+            let stat = SpanStat::default();
+            let mut sorted: Vec<u64> = values.iter().copied().filter(|&v| v <= cap).collect();
+            sorted.iter().for_each(|&v| stat.observe_ns(v)); // in draw order
+            sorted.sort_unstable();
+            let snap = stat.snapshot();
+            assert_eq!(snap.count, sorted.len() as u64);
+            assert_eq!(snap.max_ns, *sorted.last().unwrap());
+            let mut last = 0;
+            for p in (0..=1_000).map(|p| f64::from(p) / 10.0) {
+                let q = snap.percentile(p);
+                assert!(last <= q && q <= snap.max_ns, "p{p} = {q} after {last}");
+                let exact = wp_linalg::stats::nearest_rank(&sorted, p);
+                assert_eq!(q, bucket_upper(bucket_index(exact)).min(snap.max_ns));
+                if (16..bucket_lower(BUCKETS - 1)).contains(&exact) {
+                    assert!((q - exact) * 16 < exact, "p{p}: {q} vs {exact}");
+                }
+                last = q;
+            }
+        }
+        assert_eq!(SpanStat::default().snapshot().percentile(50.0), 0);
     }
 
     #[test]
@@ -680,6 +891,7 @@ mod tests {
             count,
             total_ns: 10 * count,
             max_ns: 10,
+            buckets: Box::new([0; BUCKETS]),
         };
         let mut snap = Snapshot {
             counters: vec![

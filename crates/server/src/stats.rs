@@ -2,22 +2,17 @@
 //! `wp-obs` series rendered at scrape time, by `GET /metrics`.
 //!
 //! Every request is timed with `Instant` at nanosecond resolution and
-//! recorded into lock-free atomic counters — the stats path adds no lock
-//! to the request path. The counts are this server's own and are kept
-//! whether or not observability is on. Besides the running totals, each
-//! endpoint keeps a fixed-size ring of recent latencies so `/stats` can
-//! report nearest-rank p50/p95/p99 (the same convention as `wp-loadgen`'s
-//! report, via the shared [`wp_linalg::stats::nearest_rank`] helper). A
-//! recorded latency is clamped up to 1 ns so a zero slot always means
-//! "not written yet"; ring writes are racy-by-design between concurrent
-//! requests, which can at worst overwrite one sample with another real
-//! sample.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! recorded into one [`wp_obs::SpanStat`] per endpoint, whose count is the
+//! request count, beside an error counter: four relaxed atomics and no
+//! lock on the request path. The counts are this server's own and are
+//! kept whether or not observability is on. `/stats` reports nearest-rank
+//! p50/p95/p99 over every request since start, read from the span's
+//! log-linear histogram: each is the largest value of the bucket that
+//! holds its rank (at most 1/16 above the exact value) clamped to
+//! `max_ns`. `/metrics` renders the same span, buckets included.
 
 use wp_json::{obj, Json};
-use wp_linalg::stats::nearest_rank;
-use wp_obs::{series, Snapshot, SpanSnapshot};
+use wp_obs::{series, Counter, Snapshot, SpanStat};
 
 /// The routes the service accounts for, in display order.
 pub const ENDPOINTS: [&str; 10] = [
@@ -33,52 +28,19 @@ pub const ENDPOINTS: [&str; 10] = [
     "other",
 ];
 
-/// Latency samples retained per endpoint for the percentile snapshot.
-const RING_SIZE: usize = 1024;
-
+/// One endpoint's accounting: its latency span, whose count is the
+/// request count, and its error responses.
+#[derive(Default)]
 struct EndpointCounters {
-    requests: AtomicU64,
-    errors: AtomicU64,
-    total_ns: AtomicU64,
-    max_ns: AtomicU64,
-    /// Ring of recent latencies (ns); zero = slot never written.
-    ring: Vec<AtomicU64>,
-    /// Monotone write cursor into `ring` (mod [`RING_SIZE`]).
-    cursor: AtomicU64,
-}
-
-impl Default for EndpointCounters {
-    fn default() -> Self {
-        Self {
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-            ring: (0..RING_SIZE).map(|_| AtomicU64::new(0)).collect(),
-            cursor: AtomicU64::new(0),
-        }
-    }
-}
-
-impl EndpointCounters {
-    /// Ascending latencies currently held in the ring.
-    fn sorted_samples(&self) -> Vec<u64> {
-        let mut samples: Vec<u64> = self
-            .ring
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .filter(|&s| s > 0)
-            .collect();
-        samples.sort_unstable();
-        samples
-    }
+    latency: SpanStat,
+    errors: Counter,
 }
 
 /// Atomic accounting for every endpoint and for accepted connections.
 #[derive(Default)]
 pub struct ServerStats {
     endpoints: [EndpointCounters; ENDPOINTS.len()],
-    connections: AtomicU64,
+    connections: Counter,
 }
 
 impl ServerStats {
@@ -95,27 +57,20 @@ impl ServerStats {
     /// response was an error (status >= 400).
     pub fn record(&self, path: &str, elapsed_ns: u64, is_error: bool) {
         let c = &self.endpoints[Self::slot(path)];
-        c.requests.fetch_add(1, Ordering::Relaxed);
-        c.total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
-        c.max_ns.fetch_max(elapsed_ns, Ordering::Relaxed);
-        let slot = c.cursor.fetch_add(1, Ordering::Relaxed) as usize % RING_SIZE;
-        c.ring[slot].store(elapsed_ns.max(1), Ordering::Relaxed);
+        c.latency.observe_ns(elapsed_ns);
         if is_error {
-            c.errors.fetch_add(1, Ordering::Relaxed);
+            c.errors.add(1);
         }
     }
 
     /// Records one accepted connection.
     pub fn record_connection(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
+        self.connections.add(1);
     }
 
     /// Total requests across all endpoints.
     pub fn total_requests(&self) -> u64 {
-        self.endpoints
-            .iter()
-            .map(|c| c.requests.load(Ordering::Relaxed))
-            .sum()
+        self.endpoints.iter().map(|c| c.latency.count()).sum()
     }
 
     /// The same counts as `wp-obs` series, for `/metrics`: per endpoint
@@ -126,56 +81,47 @@ impl ServerStats {
         let mut snap = Snapshot::default();
         for (name, c) in ENDPOINTS.iter().zip(&self.endpoints) {
             let endpoint = |family: &str| series(family, "endpoint", name);
-            let requests = c.requests.load(Ordering::Relaxed);
-            let errors = c.errors.load(Ordering::Relaxed);
+            let latency = c.latency.snapshot();
             snap.counters.extend([
-                (endpoint("wp_server_requests_total"), requests),
-                (endpoint("wp_server_errors_total"), errors),
+                (endpoint("wp_server_requests_total"), latency.count),
+                (endpoint("wp_server_errors_total"), c.errors.get()),
             ]);
-            snap.spans.push((
-                endpoint("wp_server_request"),
-                SpanSnapshot {
-                    count: requests,
-                    total_ns: c.total_ns.load(Ordering::Relaxed),
-                    max_ns: c.max_ns.load(Ordering::Relaxed),
-                },
-            ));
+            snap.spans.push((endpoint("wp_server_request"), latency));
         }
-        let connections = self.connections.load(Ordering::Relaxed);
-        snap.counters
-            .push(("wp_server_connections_total".to_string(), connections));
+        snap.counters.push((
+            "wp_server_connections_total".to_string(),
+            self.connections.get(),
+        ));
         snap
     }
 
     /// Snapshot as the `/stats` JSON document.
     ///
     /// `cache` is `(hits, misses)` from the response cache. The
-    /// percentiles cover the last `RING_SIZE` requests per endpoint
-    /// (nearest rank — each value is an observed latency).
+    /// percentiles cover every request since start, at the histogram's
+    /// resolution (see the module docs).
     pub fn to_json(&self, cache: (u64, u64)) -> Json {
         let endpoints: Vec<Json> = ENDPOINTS
             .iter()
             .zip(&self.endpoints)
             .map(|(name, c)| {
-                let requests = c.requests.load(Ordering::Relaxed);
-                let total_ns = c.total_ns.load(Ordering::Relaxed);
-                let mean_ns = total_ns.checked_div(requests).unwrap_or(0);
-                let samples = c.sorted_samples();
+                let latency = c.latency.snapshot();
+                let mean_ns = latency.total_ns.checked_div(latency.count).unwrap_or(0);
                 obj! {
                     "endpoint" => *name,
-                    "requests" => requests as f64,
-                    "errors" => c.errors.load(Ordering::Relaxed) as f64,
-                    "total_ns" => total_ns as f64,
+                    "requests" => latency.count as f64,
+                    "errors" => c.errors.get() as f64,
+                    "total_ns" => latency.total_ns as f64,
                     "mean_ns" => mean_ns as f64,
-                    "p50_ns" => nearest_rank(&samples, 50.0) as f64,
-                    "p95_ns" => nearest_rank(&samples, 95.0) as f64,
-                    "p99_ns" => nearest_rank(&samples, 99.0) as f64,
-                    "max_ns" => c.max_ns.load(Ordering::Relaxed) as f64,
+                    "p50_ns" => latency.percentile(50.0) as f64,
+                    "p95_ns" => latency.percentile(95.0) as f64,
+                    "p99_ns" => latency.percentile(99.0) as f64,
+                    "max_ns" => latency.max_ns as f64,
                 }
             })
             .collect();
         obj! {
-            "connections" => self.connections.load(Ordering::Relaxed) as f64,
+            "connections" => self.connections.get() as f64,
             "total_requests" => self.total_requests() as f64,
             "cache" => obj! {
                 "hits" => cache.0 as f64,
@@ -190,6 +136,20 @@ impl ServerStats {
 mod tests {
     use super::*;
 
+    /// The `/stats` row of `endpoint`.
+    fn row(doc: &Json, endpoint: &str) -> Json {
+        let endpoints = doc.get("endpoints").unwrap().as_arr().unwrap();
+        endpoints
+            .iter()
+            .find(|e| e.get("endpoint").unwrap().as_str() == Some(endpoint))
+            .unwrap()
+            .clone()
+    }
+
+    fn field(row: &Json, key: &str) -> f64 {
+        row.get(key).and_then(Json::as_f64).unwrap()
+    }
+
     #[test]
     fn records_accumulate_per_endpoint() {
         let stats = ServerStats::default();
@@ -199,22 +159,14 @@ mod tests {
         assert_eq!(stats.total_requests(), 3);
 
         let doc = stats.to_json((5, 2));
-        let endpoints = doc.get("endpoints").unwrap().as_arr().unwrap();
-        let similar = endpoints
-            .iter()
-            .find(|e| e.get("endpoint").unwrap().as_str() == Some("/similar"))
-            .unwrap();
-        assert_eq!(similar.get("requests").unwrap().as_f64(), Some(2.0));
-        assert_eq!(similar.get("errors").unwrap().as_f64(), Some(1.0));
-        assert_eq!(similar.get("total_ns").unwrap().as_f64(), Some(4000.0));
-        assert_eq!(similar.get("mean_ns").unwrap().as_f64(), Some(2000.0));
-        assert_eq!(similar.get("max_ns").unwrap().as_f64(), Some(3000.0));
+        let similar = row(&doc, "/similar");
+        assert_eq!(field(&similar, "requests"), 2.0);
+        assert_eq!(field(&similar, "errors"), 1.0);
+        assert_eq!(field(&similar, "total_ns"), 4000.0);
+        assert_eq!(field(&similar, "mean_ns"), 2000.0);
+        assert_eq!(field(&similar, "max_ns"), 3000.0);
 
-        let other = endpoints
-            .iter()
-            .find(|e| e.get("endpoint").unwrap().as_str() == Some("other"))
-            .unwrap();
-        assert_eq!(other.get("requests").unwrap().as_f64(), Some(1.0));
+        assert_eq!(field(&row(&doc, "other"), "requests"), 1.0);
         assert_eq!(
             doc.get("cache").unwrap().get("hits").unwrap().as_f64(),
             Some(5.0)
@@ -222,51 +174,41 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_summarize_the_latency_ring() {
+    fn percentiles_are_the_largest_value_of_the_rank_bucket() {
         let stats = ServerStats::default();
-        // 100 distinct latencies: percentiles land on exact samples
+        // Nearest ranks 50, 95 and 99 are 50, 95 and 99 µs. Each reads as
+        // the largest value of its bucket: [49,152, 51,200),
+        // [94,208, 98,304) and [98,304, 102,400), the last clamped to the
+        // 100 µs maximum.
         for i in 1..=100u64 {
             stats.record("/predict", i * 1_000, false);
         }
         let doc = stats.to_json((0, 0));
-        let endpoints = doc.get("endpoints").unwrap().as_arr().unwrap();
-        let predict = endpoints
-            .iter()
-            .find(|e| e.get("endpoint").unwrap().as_str() == Some("/predict"))
-            .unwrap();
-        assert_eq!(predict.get("p50_ns").unwrap().as_f64(), Some(50_000.0));
-        assert_eq!(predict.get("p95_ns").unwrap().as_f64(), Some(95_000.0));
-        assert_eq!(predict.get("p99_ns").unwrap().as_f64(), Some(99_000.0));
-        assert_eq!(predict.get("max_ns").unwrap().as_f64(), Some(100_000.0));
+        let predict = row(&doc, "/predict");
+        assert_eq!(field(&predict, "p50_ns"), 51_199.0);
+        assert_eq!(field(&predict, "p95_ns"), 98_303.0);
+        assert_eq!(field(&predict, "p99_ns"), 100_000.0);
+        assert_eq!(field(&predict, "max_ns"), 100_000.0);
 
         // endpoints with no traffic report zero percentiles
-        let corpus = endpoints
-            .iter()
-            .find(|e| e.get("endpoint").unwrap().as_str() == Some("/corpus"))
-            .unwrap();
-        assert_eq!(corpus.get("p50_ns").unwrap().as_f64(), Some(0.0));
+        assert_eq!(field(&row(&doc, "/corpus"), "p50_ns"), 0.0);
     }
 
     #[test]
-    fn ring_keeps_only_the_most_recent_samples() {
+    fn slow_requests_still_set_p99_after_fast_ones() {
         let stats = ServerStats::default();
-        // overfill the ring: the first RING_SIZE samples are huge, the
-        // last RING_SIZE small — only the small ones survive
-        for _ in 0..RING_SIZE {
+        // The percentiles cover every request since start: 1,024 fast
+        // requests after 1,024 slow ones leave the slow half at p99.
+        for _ in 0..1_024 {
             stats.record("/healthz", 1_000_000, false);
         }
-        for _ in 0..RING_SIZE {
+        for _ in 0..1_024 {
             stats.record("/healthz", 500, false);
         }
-        let doc = stats.to_json((0, 0));
-        let endpoints = doc.get("endpoints").unwrap().as_arr().unwrap();
-        let healthz = endpoints
-            .iter()
-            .find(|e| e.get("endpoint").unwrap().as_str() == Some("/healthz"))
-            .unwrap();
-        assert_eq!(healthz.get("p99_ns").unwrap().as_f64(), Some(500.0));
-        // max_ns is all-time, not ring-windowed
-        assert_eq!(healthz.get("max_ns").unwrap().as_f64(), Some(1_000_000.0));
+        let healthz = row(&stats.to_json((0, 0)), "/healthz");
+        assert_eq!(field(&healthz, "p50_ns"), 511.0);
+        assert_eq!(field(&healthz, "p99_ns"), 1_000_000.0);
+        assert_eq!(field(&healthz, "max_ns"), 1_000_000.0);
     }
 
     #[test]
@@ -284,29 +226,47 @@ mod tests {
         assert_eq!(counter("wp_server_errors_total{endpoint=\"/similar\"}"), 1);
         assert_eq!(counter("wp_server_requests_total{endpoint=\"/corpus\"}"), 0);
         assert_eq!(counter("wp_server_connections_total"), 1);
-        let span = |name: &str| snap.spans.iter().find(|(n, _)| n == name).unwrap().1;
+        let span = |name: &str| &snap.spans.iter().find(|(n, _)| n == name).unwrap().1;
+        let similar = span("wp_server_request{endpoint=\"/similar\"}");
         assert_eq!(
-            span("wp_server_request{endpoint=\"/similar\"}"),
-            SpanSnapshot {
-                count: 2,
-                total_ns: 4_000,
-                max_ns: 3_000
-            }
+            (similar.count, similar.total_ns, similar.max_ns),
+            (2, 4_000, 3_000)
         );
+        assert_eq!(similar.percentile(100.0), 3_000);
         assert_eq!(snap.spans.len(), ENDPOINTS.len());
     }
 
     #[test]
-    fn zero_latency_is_still_counted_in_the_ring() {
+    fn zero_latency_counts_as_itself() {
         let stats = ServerStats::default();
         stats.record("/stats", 0, false);
-        let doc = stats.to_json((0, 0));
-        let endpoints = doc.get("endpoints").unwrap().as_arr().unwrap();
-        let s = endpoints
+        let s = row(&stats.to_json((0, 0)), "/stats");
+        assert_eq!(field(&s, "requests"), 1.0);
+        assert_eq!(field(&s, "p50_ns"), 0.0);
+        assert_eq!(field(&s, "max_ns"), 0.0);
+    }
+
+    #[test]
+    fn concurrent_records_are_all_counted() {
+        let stats = ServerStats::default();
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let stats = &stats;
+                scope.spawn(move || {
+                    for i in 0..25_000u64 {
+                        stats.record("/similar", t * 1_000_003 + i * 37, false);
+                    }
+                });
+            }
+        });
+        let snap = stats.metrics();
+        let (_, similar) = snap
+            .spans
             .iter()
-            .find(|e| e.get("endpoint").unwrap().as_str() == Some("/stats"))
+            .find(|(n, _)| n == "wp_server_request{endpoint=\"/similar\"}")
             .unwrap();
-        // clamped up to 1 ns so the sample is visible
-        assert_eq!(s.get("p50_ns").unwrap().as_f64(), Some(1.0));
+        assert_eq!(similar.count, 100_000);
+        assert_eq!(similar.buckets.iter().sum::<u64>(), 100_000);
+        assert_eq!(stats.total_requests(), 100_000);
     }
 }

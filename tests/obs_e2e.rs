@@ -142,13 +142,38 @@ fn metrics_stats_and_loadgen_agree_under_multiworker_load() {
             );
             assert!(errors <= requests, "more errors than requests for {name}");
 
-            // Percentiles are nearest-rank over observed samples: any
-            // endpoint with traffic reports a real, ordered latency.
+            // The span's cumulative buckets never fall as `le` rises, and
+            // `+Inf` counts every request its `_count` does.
+            let prefix = format!("wp_server_request_ns_bucket{{endpoint=\"{name}\",le=\"");
+            let buckets: Vec<(f64, f64)> = series
+                .iter()
+                .filter_map(|(n, v)| {
+                    let le = n.strip_prefix(&prefix)?.strip_suffix("\"}")?;
+                    Some((le.parse().expect("le is a number or +Inf"), *v))
+                })
+                .collect();
+            assert_eq!(buckets.len(), 15, "{name}: one line per bound");
+            assert!(
+                buckets
+                    .windows(2)
+                    .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1),
+                "[threads={compute_threads}] {name}: buckets fall as le rises: {buckets:?}"
+            );
+            assert_eq!(
+                buckets.last(),
+                Some(&(f64::INFINITY, span_count)),
+                "[threads={compute_threads}] {name}: le=\"+Inf\" disagrees with the count"
+            );
+
+            // Percentiles are nearest-rank at bucket resolution: each is
+            // the largest value of its rank's bucket, clamped to the
+            // maximum, so any endpoint with traffic reports a positive,
+            // ordered latency no larger than its slowest request.
             if requests > 0.0 {
                 let p50 = row.get("p50_ns").and_then(Json::as_f64).unwrap();
                 let p99 = row.get("p99_ns").and_then(Json::as_f64).unwrap();
                 let max = row.get("max_ns").and_then(Json::as_f64).unwrap();
-                assert!(p50 >= 1.0, "{name}: p50 must be an observed sample");
+                assert!(p50 > 0.0, "{name}: a request over a socket takes time");
                 assert!(p50 <= p99 && p99 <= max, "{name}: percentiles out of order");
             }
         }
@@ -276,12 +301,17 @@ fn owned_series_are_on_the_first_scrape() {
     let caches = ["{cache=\"ref_data\"}", "{cache=\"responses\"}"].map(String::from);
     let responses = ["{cache=\"responses\"}".to_string()];
     let none = [String::new()];
-    let families: [(&str, &str, &[String], f64); 22] = [
+    let bucket_ends: Vec<String> = wp_server::stats::ENDPOINTS
+        .iter()
+        .flat_map(|e| ["1023", "+Inf"].map(|le| format!("{{endpoint=\"{e}\",le=\"{le}\"}}")))
+        .collect();
+    let families: [(&str, &str, &[String], f64); 23] = [
         ("wp_server_requests_total", "counter", &endpoint, 0.0),
         ("wp_server_errors_total", "counter", &endpoint, 0.0),
         ("wp_server_request_count", "counter", &endpoint, 0.0),
         ("wp_server_request_ns_total", "counter", &endpoint, 0.0),
         ("wp_server_request_ns_max", "gauge", &endpoint, 0.0),
+        ("wp_server_request_ns_bucket", "counter", &bucket_ends, 0.0),
         ("wp_server_connections_total", "counter", &none, 1.0),
         ("wp_server_cache_hits_total", "counter", &caches, 0.0),
         ("wp_server_cache_misses_total", "counter", &caches, 0.0),
